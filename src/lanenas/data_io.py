@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 import os
-import tempfile
+import uuid
 from dataclasses import dataclass
 
 from .arch_space import (
@@ -283,8 +283,11 @@ def eval_response_from_json(doc: dict, expect_eval_id=None):
 # archive snapshots
 
 def _atomic_write(path, text):
+    """Replace `path` by a temporary file renamed over it. The temporary
+    file gets the mode `open()` would give (0o666 less the umask)."""
     d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".snapshot-")
+    tmp = os.path.join(d, f".snapshot-{uuid.uuid4().hex}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)

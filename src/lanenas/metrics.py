@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import rasterize_polyline
+from ._kernels import polyline_runs, rasterize_polyline, runs_iou
 from .errors import DegenerateLineError
 from .lane_model import LaneLine
 
@@ -58,21 +58,28 @@ def _as_xy(line):
     return np.array([p[0] for p in pts]), np.array([p[1] for p in pts])
 
 
-def rasterize_lane(line, width=DEFAULT_LANE_WIDTH, canvas=DEFAULT_CANVAS):
-    """Pixels within width/2 of the polyline, clipped to the canvas."""
+def _radius(width):
     if width <= 0:
         raise ValueError("width must be positive")
+    return width / 2.0
+
+
+def rasterize_lane(line, width=DEFAULT_LANE_WIDTH, canvas=DEFAULT_CANVAS):
+    """Pixels within width/2 of the polyline, clipped to the canvas."""
+    radius = _radius(width)
     xs, ys = _as_xy(line)
-    return rasterize_polyline(xs, ys, width / 2.0, canvas)
+    return rasterize_polyline(xs, ys, radius, canvas)
+
+
+def _lane_runs(line, width, canvas):
+    """The pixels of `rasterize_lane` as runs (see `_kernels`)."""
+    radius = _radius(width)
+    xs, ys = _as_xy(line)
+    return polyline_runs(xs, ys, radius, canvas)
 
 
 def lane_iou(a, b, width=DEFAULT_LANE_WIDTH, canvas=DEFAULT_CANVAS):
-    ma = rasterize_lane(a, width, canvas)
-    mb = rasterize_lane(b, width, canvas)
-    union = np.count_nonzero(ma | mb)
-    if union == 0:
-        return 0.0
-    return np.count_nonzero(ma & mb) / union
+    return runs_iou(_lane_runs(a, width, canvas), _lane_runs(b, width, canvas))
 
 
 def score_scene(
@@ -85,12 +92,11 @@ def score_scene(
     """Greedy one-to-one matching in descending IoU order; IoU strictly
     above the threshold counts as a true positive."""
     pairs = []
-    pred_masks = [rasterize_lane(p, width, canvas) for p in pred]
-    gt_masks = [rasterize_lane(g, width, canvas) for g in gt]
-    for i, pm in enumerate(pred_masks):
-        for j, gm in enumerate(gt_masks):
-            union = np.count_nonzero(pm | gm)
-            iou = np.count_nonzero(pm & gm) / union if union else 0.0
+    pred_runs = [_lane_runs(p, width, canvas) for p in pred]
+    gt_runs = [_lane_runs(g, width, canvas) for g in gt]
+    for i, pr in enumerate(pred_runs):
+        for j, gr in enumerate(gt_runs):
+            iou = runs_iou(pr, gr)
             if iou > iou_threshold:
                 pairs.append((iou, i, j))
     pairs.sort(key=lambda t: (-t[0], t[1], t[2]))

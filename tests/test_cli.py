@@ -143,6 +143,15 @@ class TestSearchCommand:
         assert os.path.exists(doc["front"])
         assert os.path.exists(doc["history"])
 
+    def test_search_outputs_share_file_mode(self, tmp_path, capsys):
+        out_dir = tmp_path / "run"
+        code, _, _ = run(capsys, "search", "--budget", "4", "--init-population",
+                         "2", "--seed", "1", "--out", str(out_dir))
+        assert code == 0
+        modes = {name: os.stat(out_dir / name).st_mode
+                 for name in ("archive.json", "history.jsonl")}
+        assert modes["archive.json"] == modes["history.jsonl"]
+
     def test_history_deterministic_single_worker(self, tmp_path, capsys):
         blobs = []
         for name in ("a", "b"):

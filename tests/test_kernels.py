@@ -1,36 +1,152 @@
 import numpy as np
+import pytest
 
 from lanenas import _kernels
+from lanenas.metrics import lane_iou, score_scene
+from lanenas.synth import SynthSceneConfig, generate_synthetic_scenes
 
 
-def random_lines(seed, n=30):
+def reference_rasterize(xs, ys, radius, canvas):
+    """Per-segment reference: paint each segment's clamped window with the
+    distance predicate and OR the windows together. The run kernel must
+    reproduce it bit for bit."""
+    w, h = canvas
+    mask = np.zeros((h, w), dtype=np.bool_)
+    xs = np.asarray(xs, dtype=np.float64)
+    ys = np.asarray(ys, dtype=np.float64)
+    r2 = radius * radius
+    for i in range(len(xs) - 1):
+        x1, y1, x2, y2 = xs[i], ys[i], xs[i + 1], ys[i + 1]
+        dx, dy = x2 - x1, y2 - y1
+        l2 = dx * dx + dy * dy
+        x_lo = max(int(np.floor(min(x1, x2) - radius)), 0)
+        x_hi = min(int(np.ceil(max(x1, x2) + radius)), w - 1)
+        y_lo = max(int(np.floor(min(y1, y2) - radius)), 0)
+        y_hi = min(int(np.ceil(max(y1, y2) + radius)), h - 1)
+        if x_hi < x_lo or y_hi < y_lo:
+            continue
+        px = np.arange(x_lo, x_hi + 1, dtype=np.float64)
+        py = np.arange(y_lo, y_hi + 1, dtype=np.float64)[:, None]
+        if l2 > 0.0:
+            t = ((px - x1) * dx + (py - y1) * dy) / l2
+            t = np.clip(t, 0.0, 1.0)
+        else:
+            t = np.zeros((y_hi - y_lo + 1, x_hi - x_lo + 1))
+        ex = x1 + t * dx - px
+        ey = y1 + t * dy - py
+        hit = ex * ex + ey * ey <= r2
+        mask[y_lo : y_hi + 1, x_lo : x_hi + 1] |= hit
+    return mask
+
+
+def adversarial_polylines(seed, n):
+    """Random polylines over and around a small canvas, with the segment
+    kinds where rounding decides boundary pixels: integer and half-integer
+    coordinates, horizontal, vertical and zero-length segments."""
     rng = np.random.default_rng(seed)
     out = []
-    for _ in range(n):
-        k = int(rng.integers(2, 6))
-        xs = rng.uniform(-10, 74, size=k)
-        ys = np.sort(rng.uniform(-10, 74, size=k))
-        out.append((xs, ys))
+    for k in range(n):
+        m = int(rng.integers(2, 7))
+        xs = rng.uniform(-25, 85, size=m)
+        ys = rng.uniform(-25, 70, size=m)
+        kind = k % 6
+        if kind == 1:
+            xs, ys = np.round(xs), np.round(ys)
+        elif kind == 2:
+            ys[:] = np.round(ys[0])
+        elif kind == 3:
+            xs[:] = np.round(xs[0])
+        elif kind == 4:
+            xs[1], ys[1] = xs[0], ys[0]
+        elif kind == 5:
+            xs, ys = np.round(xs * 2) / 2, np.round(ys * 2) / 2
+        radius = float(rng.choice([0.5, 1.0, 1.5, 2.0, 5.0, 7.5, 15.0, 20.0]))
+        if k % 4 == 0:
+            radius = float(rng.uniform(0.5, 20.0))
+        out.append((xs, ys, radius))
     return out
 
 
-def test_fallback_matches_compiled_path():
-    # both implementations must agree pixel-for-pixel regardless of the
-    # LANENAS_NO_NUMBA selection
-    for xs, ys in random_lines(0):
-        a = np.zeros((64, 64), dtype=np.bool_)
-        b = np.zeros((64, 64), dtype=np.bool_)
-        _kernels._rasterize_segments_py(xs, ys, 5.0, a)
-        _kernels._rasterize_segments_loop(xs, ys, 5.0, b)
-        assert np.array_equal(a, b)
+def corpus_lanes(num_scenes, seed, canvas=(1640, 590)):
+    """Ground-truth lanes of the synthetic corpus, scaled from the
+    generator's 512x288 to `canvas`."""
+    sx, sy = canvas[0] / 512, canvas[1] / 288
+    scenes = generate_synthetic_scenes(
+        SynthSceneConfig(num_scenes=num_scenes, remote_noise_sigma=40, seed=seed)
+    )
+    return [
+        [(x * sx, y * sy) for x, y in lane]
+        for _, record in scenes
+        for lane in record.gt_lanes
+    ]
 
 
-def test_selected_kernel_matches_fallback():
-    for xs, ys in random_lines(1, n=10):
-        a = _kernels.rasterize_polyline(xs, ys, 4.0, (64, 64))
-        b = np.zeros((64, 64), dtype=np.bool_)
-        _kernels._rasterize_segments_py(xs, ys, 4.0, b)
-        assert np.array_equal(a, b)
+def test_runs_match_reference_on_random_polylines():
+    canvas = (61, 47)
+    for xs, ys, radius in adversarial_polylines(0, 600):
+        got = _kernels.rasterize_polyline(xs, ys, radius, canvas)
+        assert np.array_equal(got, reference_rasterize(xs, ys, radius, canvas))
+
+
+def test_runs_match_reference_on_corpus_lanes_at_culane_size():
+    canvas = (1640, 590)
+    for lane in corpus_lanes(10, seed=4):
+        xs, ys = np.array(lane).T
+        got = _kernels.rasterize_polyline(xs, ys, 15.0, canvas)
+        assert np.array_equal(got, reference_rasterize(xs, ys, 15.0, canvas))
+
+
+def test_runs_are_sorted_disjoint_and_count_the_mask():
+    for xs, ys, radius in adversarial_polylines(1, 60):
+        starts, stops = _kernels.polyline_runs(xs, ys, radius, (61, 47))
+        assert np.all(stops > starts)
+        assert np.all(starts[1:] > stops[:-1])
+        mask = reference_rasterize(xs, ys, radius, (61, 47))
+        assert _kernels.run_area((starts, stops)) == np.count_nonzero(mask)
+
+
+def test_iou_and_scene_counts_equal_reference_masks():
+    canvas, width = (512, 288), 30
+    gt = corpus_lanes(6, seed=5, canvas=canvas)
+    # predictions shifted so some pairs fall on each side of IoU 0.5
+    pred = [[(x + shift, y) for x, y in lane]
+            for lane, shift in zip(gt, [0.0, 4.5, 9.0, 13.0, 17.5, 40.0] * 2)]
+    masks = {}
+
+    def ref_mask(lane):
+        key = id(lane)
+        if key not in masks:
+            xs, ys = np.array(lane).T
+            masks[key] = reference_rasterize(xs, ys, width / 2.0, canvas)
+        return masks[key]
+
+    def ref_iou(a, b):
+        ma, mb = ref_mask(a), ref_mask(b)
+        union = np.count_nonzero(ma | mb)
+        return np.count_nonzero(ma & mb) / union if union else 0.0
+
+    for a in pred:
+        for b in gt:
+            assert lane_iou(a, b, width, canvas) == ref_iou(a, b)
+
+    for k in range(0, len(gt), 2):
+        p_scene, g_scene = pred[k : k + 3], gt[k : k + 2]
+        pairs = sorted(
+            (-ref_iou(p, g), i, j)
+            for i, p in enumerate(p_scene)
+            for j, g in enumerate(g_scene)
+            if ref_iou(p, g) > 0.5
+        )
+        used_p, used_g = set(), set()
+        for _, i, j in pairs:
+            if i not in used_p and j not in used_g:
+                used_p.add(i)
+                used_g.add(j)
+        tp = len(used_p)
+        counts = score_scene(p_scene, g_scene, width=width, canvas=canvas)
+        assert (counts.tp, counts.fp, counts.fn) == (
+            tp, len(p_scene) - tp, len(g_scene) - tp
+        )
 
 
 def test_degenerate_zero_length_segment():
@@ -45,3 +161,9 @@ def test_degenerate_zero_length_segment():
 def test_single_point_empty():
     mask = _kernels.rasterize_polyline([5.0], [5.0], 3.0, (10, 10))
     assert mask.sum() == 0
+
+
+def test_non_finite_coordinates_rejected():
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            _kernels.polyline_runs([1.0, bad], [1.0, 5.0], 3.0, (10, 10))

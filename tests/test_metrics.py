@@ -169,6 +169,14 @@ class TestMatchAndScore:
         counts = score_scene([self.lane(100)], gt[0], iou_threshold=1.0, canvas=self.CANVAS)
         assert counts.tp == 0  # IoU 1.0 is not > 1.0
 
+    def test_score_scene_rejects_nonpositive_width(self):
+        with pytest.raises(ValueError):
+            score_scene([self.lane(100)], [self.lane(100)], width=0, canvas=self.CANVAS)
+
+    def test_score_scene_rejects_degenerate_lane(self):
+        with pytest.raises(DegenerateLineError):
+            score_scene([[(100.0, 10.0)]], [self.lane(100)], canvas=self.CANVAS)
+
     def test_zero_over_zero_convention(self):
         report = match_and_score([[]], [[]], canvas=self.CANVAS)
         assert (report.precision, report.recall) == (1.0, 1.0)
