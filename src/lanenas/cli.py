@@ -151,13 +151,16 @@ def cmd_search(args):
     history_path = os.path.join(args.out, "history.jsonl")
     snapshot_path = os.path.join(args.out, "archive.json")
     hist_fh = open(history_path, "w")
+    history_lines = []  # each candidate is encoded once, for both files
 
     def on_eval(cand, archive):
-        hist_fh.write(json.dumps(data_io.candidate_to_json(cand), sort_keys=True) + "\n")
+        line = data_io.candidate_line(cand)
+        history_lines.append(line)
+        hist_fh.write(line + "\n")
         hist_fh.flush()
         n = len(archive.history)
         if args.snapshot_every and n % args.snapshot_every == 0:
-            data_io.snapshot_archive(archive, snapshot_path)
+            data_io.snapshot_archive(archive, history_lines, snapshot_path)
         print(
             f"eval {cand.eval_id}: flops={cand.flops} score={cand.score} "
             f"front={len(archive.members)}",
@@ -168,7 +171,7 @@ def cmd_search(args):
         archive = search_engine.run_search(config, evaluator, on_eval=on_eval)
     finally:
         hist_fh.close()
-    data_io.snapshot_archive(archive, snapshot_path)
+    data_io.snapshot_archive(archive, history_lines, snapshot_path)
     front_path = os.path.join(args.out, "front.csv")
     data_io.export_front_csv(archive, front_path)
     if args.json:

@@ -299,7 +299,7 @@ def _atomic_write(path, text):
 
 
 def candidate_to_json(cand) -> dict:
-    return {
+    doc = {
         "eval_id": cand.eval_id,
         "arch": arch_to_json(cand.arch),
         "flops": cand.flops,
@@ -307,6 +307,14 @@ def candidate_to_json(cand) -> dict:
         "parent": cand.parent,
         "birth_step": cand.birth_step,
     }
+    if cand.error is not None:
+        doc["error"] = cand.error
+    return doc
+
+
+def candidate_line(cand) -> str:
+    """One candidate as a line of `history.jsonl` (without the newline)."""
+    return json.dumps(candidate_to_json(cand), sort_keys=True)
 
 
 def candidate_from_json(doc: dict):
@@ -323,16 +331,22 @@ def candidate_from_json(doc: dict):
         eval_id=doc["eval_id"],
         parent=doc.get("parent"),
         birth_step=doc.get("birth_step", 0),
+        error=doc.get("error"),
     )
 
 
-def snapshot_archive(archive, path):
-    doc = {
-        "version": FORMAT_VERSION,
-        "members": [candidate_to_json(c) for c in archive.members],
-        "history": [candidate_to_json(c) for c in archive.history],
-    }
-    _atomic_write(path, json.dumps(doc, indent=1, sort_keys=True) + "\n")
+def snapshot_archive(archive, history_lines, path):
+    """Write `archive.json`: the front members plus the history, one
+    candidate per line. `history_lines` are the `candidate_line` texts of
+    `archive.history`, already encoded once for `history.jsonl`, so a
+    snapshot costs the size of the file, not a re-encoding of the run."""
+    members = ",\n".join(candidate_line(c) for c in archive.members)
+    history = ",\n".join(history_lines)
+    _atomic_write(
+        path,
+        f'{{"history": [\n{history}\n],\n"members": [\n{members}\n],\n'
+        f'"version": {FORMAT_VERSION}}}\n',
+    )
 
 
 def load_archive(path):

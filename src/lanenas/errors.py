@@ -37,15 +37,6 @@ class EmptyDatasetError(LaneNasError):
     """Operation requires at least one scene."""
 
 
-class EvaluatorError(LaneNasError):
-    """A candidate evaluation failed; carries the eval_id and cause."""
-
-    def __init__(self, eval_id, cause):
-        super().__init__(f"evaluation {eval_id} failed: {cause}")
-        self.eval_id = eval_id
-        self.cause = cause
-
-
 class ProtocolError(LaneNasError):
     """External evaluator returned a malformed response."""
 

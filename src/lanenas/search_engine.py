@@ -4,6 +4,13 @@ A Pareto archive of mutually non-dominated candidates is grown by
 mutating uniformly-selected front members; evaluation is delegated to a
 pluggable evaluator (builtin synthetic, proposal replay, or an external
 process speaking newline-delimited JSON).
+
+Evaluator protocol: `evaluate(arch, eval_id, cost) -> float` returns a
+score in [0, 1]. `eval_id` is the id the search records in its history
+(`e000000`, `e000001`, ...) and `cost` is the candidate's `CostReport`,
+priced once by the search at its input resolution. An exception marks
+the evaluation failed: the candidate is kept in history with score None
+and `error` set to "<ExcClass>: <message>".
 """
 
 from __future__ import annotations
@@ -26,12 +33,11 @@ from .arch_space import (
     random_backbone,
     random_fusion,
 )
-from .cost_model import DEFAULT_RESOLUTION, candidate_cost
+from .cost_model import DEFAULT_RESOLUTION, CostReport, candidate_cost
 from .errors import (
     DuplicateError,
     EmptyArchiveError,
     EmptyDatasetError,
-    EvaluatorError,
     ProtocolError,
     SpawnError,
 )
@@ -47,6 +53,7 @@ class Candidate:
     eval_id: str
     parent: str | None = None
     birth_step: int = 0
+    error: str | None = None  # "<ExcClass>: <message>" of a failed evaluation
 
 
 def dominates(a: Candidate, b: Candidate) -> bool:
@@ -118,10 +125,7 @@ class SyntheticEvaluator:
     is_deterministic = True
     cost_class = "Cheap"
 
-    def __init__(self, resolution=DEFAULT_RESOLUTION):
-        self.resolution = resolution
-
-    def evaluate(self, arch: ArchEncoding) -> float:
+    def evaluate(self, arch: ArchEncoding, eval_id: str, cost: CostReport) -> float:
         bb = arch.backbone
         depth = (bb.num_blocks - 10) / 35.0
         rf = sum(
@@ -130,8 +134,7 @@ class SyntheticEvaluator:
         ) / (3.0 * 45.0)
         min_head = min(arch.fusion.heads_at)
         res = (4 - min_head) / 3.0
-        params = candidate_cost(arch, self.resolution).total_params
-        cap = (math.log10(params) - 5.0) / 3.5
+        cap = (math.log10(cost.total_params) - 5.0) / 3.5
         score = (
             0.35 * depth
             + 0.25 * min(max(rf, 0.0), 1.0)
@@ -152,12 +155,8 @@ class ExternalEvaluator:
         self.argv = shlex.split(command)
         self.timeout = timeout
         self.resolution = resolution
-        self._counter = 0
 
-    def evaluate(self, arch: ArchEncoding, eval_id=None) -> float:
-        if eval_id is None:
-            self._counter += 1
-            eval_id = f"x{self._counter}"
+    def evaluate(self, arch: ArchEncoding, eval_id: str, cost: CostReport) -> float:
         request = data_io.eval_request_to_json(eval_id, arch, self.resolution)
         try:
             proc = subprocess.run(
@@ -243,13 +242,12 @@ def mutate_arch(arch: ArchEncoding, rng, cfg: SearchConfig) -> ArchEncoding:
     return replace(arch, blend=point_blend.perturb(arch.blend, cfg.blend_space, rng))
 
 
-def _evaluate(evaluator, arch, eval_id, flops, parent, step):
+def _evaluate(evaluator, arch, eval_id, cost, parent, step) -> Candidate:
     try:
-        score = evaluator.evaluate(arch)
-        return Candidate(arch, flops, score, eval_id, parent, step)
+        score, error = evaluator.evaluate(arch, eval_id, cost), None
     except Exception as exc:
-        err = EvaluatorError(eval_id, exc)
-        return Candidate(arch, flops, None, eval_id, parent, step), err
+        score, error = None, f"{type(exc).__name__}: {exc}"
+    return Candidate(arch, cost.total_flops, score, eval_id, parent, step, error)
 
 
 def run_search(config: SearchConfig, evaluator, on_eval=None) -> ParetoArchive:
@@ -257,8 +255,8 @@ def run_search(config: SearchConfig, evaluator, on_eval=None) -> ParetoArchive:
 
     With one worker and a fixed seed the history is bit-identical across
     runs; with several workers the evaluated set may differ but every
-    archive invariant holds. Failed evaluations are logged (score None)
-    and skipped.
+    archive invariant holds. Each candidate is priced once; failed
+    evaluations are logged (score None, `error` set) and skipped.
     """
     rng = np.random.default_rng(config.seed)
     archive = ParetoArchive()
@@ -285,14 +283,10 @@ def run_search(config: SearchConfig, evaluator, on_eval=None) -> ParetoArchive:
         eval_id = f"e{counter:06d}"
         counter += 1
         seen.add(genome_key(arch))
-        flops = candidate_cost(arch, config.resolution).total_flops
-        return arch, eval_id, flops, parent, step
+        cost = candidate_cost(arch, config.resolution)
+        return arch, eval_id, cost, parent, step
 
-    def finish(result):
-        if isinstance(result, tuple) and isinstance(result[-1], EvaluatorError):
-            cand = result[0]
-        else:
-            cand = result
+    def finish(cand):
         archive.insert(cand)
         if on_eval is not None:
             on_eval(cand, archive)
@@ -301,8 +295,8 @@ def run_search(config: SearchConfig, evaluator, on_eval=None) -> ParetoArchive:
     init = [make_job(_random_arch(rng, config), None, 0) for _ in range(config.init_population)]
 
     if config.workers <= 1:
-        for arch, eval_id, flops, parent, step in init:
-            finish(_evaluate(evaluator, arch, eval_id, flops, parent, step))
+        for job in init:
+            finish(_evaluate(evaluator, *job))
         for step in range(1, config.budget + 1):
             child, parent_id = next_child(step)
             finish(_evaluate(evaluator, *make_job(child, parent_id, step)))

@@ -170,9 +170,8 @@ def test_criterion_4_search_efficacy():
     pts = []
     for bb in enumerate_backbones(REDUCED_SPACE):
         arch = ArchEncoding(bb, FIXED_FUSION)
-        pts.append(
-            (candidate_cost(arch, (512, 288)).total_flops, evaluator.evaluate(arch))
-        )
+        cost = candidate_cost(arch, (512, 288))
+        pts.append((cost.total_flops, evaluator.evaluate(arch, "oracle", cost)))
     assert len(pts) > 50_000  # ~10^5 genomes
     pts.sort(key=lambda t: (t[0], -t[1]))
     true_front, best = set(), -1.0

@@ -12,6 +12,11 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def read_history(out_dir):
+    with open(out_dir / "history.jsonl") as fh:
+        return [json.loads(line) for line in fh]
+
+
 class TestParseArch:
     def test_paper_string_json(self, capsys):
         code, out, _ = run(capsys, "parse-arch", "BB_64_13_[5,9]_[7,12]", "--json")
@@ -177,6 +182,71 @@ class TestSearchCommand:
                            "--out", str(out_dir), "--json")
         assert code == 0
         assert json.loads(out)["evaluations"] == 5
+
+    def test_external_evaluator_receives_history_ids(self, tmp_path, capsys):
+        import sys
+
+        log = tmp_path / "ids.log"
+        stub = tmp_path / "stub.py"
+        stub.write_text(
+            "import sys, json\n"
+            "req = json.loads(sys.stdin.readline())\n"
+            f"open({str(log)!r}, 'a').write(req['eval_id'] + '\\n')\n"
+            "print(json.dumps({'eval_id': req['eval_id'], 'score': 0.25}))\n"
+        )
+        out_dir = tmp_path / "run"
+        code, _, _ = run(capsys, "search", "--budget", "4",
+                         "--init-population", "3", "--seed", "0",
+                         "--evaluator", f"exec:{sys.executable} {stub}",
+                         "--out", str(out_dir))
+        assert code == 0
+        history = read_history(out_dir)
+        assert log.read_text().split() == [h["eval_id"] for h in history]
+        assert len(history) == 7
+
+    def test_failed_evaluations_record_their_cause(self, tmp_path, capsys):
+        import sys
+
+        stub = tmp_path / "fail.py"
+        stub.write_text("import sys; sys.exit(3)\n")
+        out_dir = tmp_path / "run"
+        code, _, _ = run(capsys, "search", "--budget", "2",
+                         "--init-population", "2", "--seed", "0",
+                         "--evaluator", f"exec:{sys.executable} {stub}",
+                         "--out", str(out_dir))
+        assert code == 0
+        history = read_history(out_dir)
+        assert len(history) == 4
+        for h in history:
+            assert h["score"] is None
+            assert h["error"].startswith("ProtocolError: evaluator exited 3")
+
+    def test_archive_history_equals_history_file(self, tmp_path, capsys):
+        out_dir = tmp_path / "run"
+        code, _, _ = run(capsys, "search", "--budget", "30",
+                         "--init-population", "4", "--seed", "5",
+                         "--snapshot-every", "7", "--out", str(out_dir))
+        assert code == 0
+        history = read_history(out_dir)
+        doc = json.loads((out_dir / "archive.json").read_text())
+        assert set(doc) == {"version", "members", "history"}
+        assert doc["history"] == history
+        assert {m["eval_id"] for m in doc["members"]} <= {h["eval_id"] for h in history}
+
+    def test_snapshot_interval_does_not_change_outputs(self, tmp_path, capsys):
+        runs = {}
+        for every in ("7", "0"):
+            out_dir = tmp_path / f"every{every}"
+            code, _, _ = run(capsys, "search", "--budget", "40",
+                             "--init-population", "4", "--seed", "11",
+                             "--snapshot-every", every, "--out", str(out_dir))
+            assert code == 0
+            runs[every] = (
+                (out_dir / "history.jsonl").read_bytes(),
+                json.loads((out_dir / "archive.json").read_text()),
+            )
+        assert runs["7"][0] == runs["0"][0]
+        assert runs["7"][1] == runs["0"][1]
 
     def test_bad_evaluator_spec(self, tmp_path, capsys):
         code, _, _ = run(capsys, "search", "--out", str(tmp_path / "x"),

@@ -135,19 +135,23 @@ class TestArchiveSnapshot:
             )
         return a
 
+    def snapshot(self, archive, path):
+        lines = [data_io.candidate_line(c) for c in archive.history]
+        data_io.snapshot_archive(archive, lines, path)
+
     def test_snapshot_load_snapshot_identical(self, tmp_path):
         a = self.archive()
         p1 = tmp_path / "a.json"
         p2 = tmp_path / "b.json"
-        data_io.snapshot_archive(a, p1)
+        self.snapshot(a, p1)
         b = data_io.load_archive(p1)
-        data_io.snapshot_archive(b, p2)
+        self.snapshot(b, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_members_reproduced_exactly(self, tmp_path):
         a = self.archive(seed=5)
         path = tmp_path / "a.json"
-        data_io.snapshot_archive(a, path)
+        self.snapshot(a, path)
         b = data_io.load_archive(path)
         assert b.members == a.members
         assert b.history == a.history
@@ -155,7 +159,7 @@ class TestArchiveSnapshot:
     def test_resume_with_zero_budget_unchanged(self, tmp_path):
         a = self.archive(seed=9)
         path = tmp_path / "a.json"
-        data_io.snapshot_archive(a, path)
+        self.snapshot(a, path)
         b = data_io.load_archive(path)
         # appending nothing leaves the front untouched
         assert {c.eval_id for c in b.members} == {c.eval_id for c in a.members}
@@ -163,13 +167,25 @@ class TestArchiveSnapshot:
     def test_corrupted_member_names_eval_id(self, tmp_path):
         a = self.archive(n=3)
         path = tmp_path / "a.json"
-        data_io.snapshot_archive(a, path)
+        self.snapshot(a, path)
         doc = json.loads(path.read_text())
         del doc["history"][1]["flops"]
         path.write_text(json.dumps(doc))
         with pytest.raises(SchemaError) as exc:
             data_io.load_archive(path)
         assert "e0001" in exc.value.path
+
+    def test_error_written_only_when_set(self, tmp_path):
+        ok = Candidate(make_arch(), 10, 0.5, "e0")
+        failed = Candidate(make_arch(), 10, None, "e1", error="ProtocolError: exit 3")
+        assert "error" not in data_io.candidate_to_json(ok)
+        assert data_io.candidate_to_json(failed)["error"] == "ProtocolError: exit 3"
+        a = ParetoArchive()
+        a.insert(ok)
+        a.insert(failed)
+        path = tmp_path / "a.json"
+        self.snapshot(a, path)
+        assert data_io.load_archive(path).history == [ok, failed]
 
     def test_version_mismatch(self, tmp_path):
         path = tmp_path / "a.json"
@@ -179,7 +195,7 @@ class TestArchiveSnapshot:
 
     def test_atomic_write_no_temp_left(self, tmp_path):
         a = self.archive(n=3)
-        data_io.snapshot_archive(a, tmp_path / "a.json")
+        self.snapshot(a, tmp_path / "a.json")
         leftovers = [p for p in tmp_path.iterdir() if p.name.startswith(".snapshot-")]
         assert leftovers == []
 

@@ -8,12 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lanenas import search_engine
 from lanenas.arch_space import (
     BlockKind,
     FusionLayer,
     FusionSpec,
     SpaceConfig,
 )
+from lanenas.cost_model import candidate_cost
 from lanenas.errors import (
     DuplicateError,
     EmptyArchiveError,
@@ -36,6 +38,11 @@ from lanenas.search_engine import (
 )
 from lanenas.synth import SynthSceneConfig, generate_synthetic_scenes
 from conftest import make_arch
+
+
+def evaluate(evaluator, arch, eval_id="e000000"):
+    """One direct evaluation, priced the way `run_search` prices it."""
+    return evaluator.evaluate(arch, eval_id, candidate_cost(arch, (512, 288)))
 
 
 def cand(flops, score, eval_id, arch=None):
@@ -216,17 +223,44 @@ class TestRunSearch:
                 self.n = 0
                 self.inner = SyntheticEvaluator()
 
-            def evaluate(self, arch):
+            def evaluate(self, arch, eval_id, cost):
                 self.n += 1
                 if self.n % 3 == 0:
                     raise RuntimeError("boom")
-                return self.inner.evaluate(arch)
+                return self.inner.evaluate(arch, eval_id, cost)
 
         archive = run_search(reduced_config(budget=30), Flaky())
         failed = [c for c in archive.history if c.score is None]
         assert failed
         assert archive.members
         assert all(m.score is not None for m in archive.members)
+        assert all(c.error == "RuntimeError: boom" for c in failed)
+        assert all(c.error is None for c in archive.history if c.score is not None)
+
+    def test_evaluator_receives_search_ids_and_cost(self):
+        seen = []
+
+        class Recorder(SyntheticEvaluator):
+            def evaluate(self, arch, eval_id, cost):
+                seen.append((eval_id, cost))
+                return super().evaluate(arch, eval_id, cost)
+
+        archive = run_search(reduced_config(budget=12), Recorder())
+        assert [e for e, _ in seen] == [c.eval_id for c in archive.history]
+        for (_, cost), c in zip(seen, archive.history):
+            assert cost == candidate_cost(c.arch, (512, 288))
+
+    def test_cost_computed_once_per_evaluation(self, monkeypatch):
+        calls = []
+
+        def counting_cost(*args, **kwargs):
+            calls.append(args[0])
+            return candidate_cost(*args, **kwargs)
+
+        monkeypatch.setattr(search_engine, "candidate_cost", counting_cost)
+        archive = run_search(reduced_config(budget=25), SyntheticEvaluator())
+        assert len(archive.history) == 8 + 25
+        assert calls == [c.arch for c in archive.history]
 
     def test_multi_worker_invariants_hold(self):
         archive = run_search(reduced_config(budget=40, workers=4), SyntheticEvaluator())
@@ -234,8 +268,6 @@ class TestRunSearch:
         assert {c.eval_id for c in archive.members} == brute_force_front(archive.history)
 
     def test_flops_match_cost_model(self):
-        from lanenas.cost_model import candidate_cost
-
         archive = run_search(reduced_config(budget=10), SyntheticEvaluator())
         for c in archive.history:
             assert c.flops == candidate_cost(c.arch, (512, 288)).total_flops
@@ -250,20 +282,18 @@ class TestSyntheticEvaluator:
         for _ in range(300):
             bb = random_backbone(rng)
             arch = ArchEncoding(bb, random_fusion(rng, bb.num_stages))
-            assert 0.0 <= ev.evaluate(arch) <= 1.0
+            assert 0.0 <= evaluate(ev, arch) <= 1.0
 
     def test_deeper_scores_higher_and_costs_more(self):
-        from lanenas.cost_model import candidate_cost
-
         ev = SyntheticEvaluator()
         a = make_arch("BB_64_13_[5,9]_[7,12]")
         b = make_arch("BB_64_14_[5,9]_[7,12]")
-        assert ev.evaluate(b) > ev.evaluate(a)
+        assert evaluate(ev, b) > evaluate(ev, a)
         assert candidate_cost(b).total_flops > candidate_cost(a).total_flops
 
     def test_deterministic(self, arch):
         ev = SyntheticEvaluator()
-        assert ev.evaluate(arch) == ev.evaluate(arch)
+        assert evaluate(ev, arch) == evaluate(ev, arch)
 
 
 STUB_OK = (
@@ -285,33 +315,34 @@ def stub_command(tmp_path, code, name):
 class TestExternalEvaluator:
     def test_echo_stub(self, tmp_path, arch):
         ev = ExternalEvaluator(stub_command(tmp_path, STUB_OK, "ok"))
-        assert ev.evaluate(arch) == 0.5
+        assert evaluate(ev, arch) == 0.5
 
     def test_nonzero_exit(self, tmp_path, arch):
         ev = ExternalEvaluator(stub_command(tmp_path, STUB_FAIL, "fail"))
         with pytest.raises(ProtocolError):
-            ev.evaluate(arch)
+            evaluate(ev, arch)
 
     def test_timeout(self, tmp_path, arch):
         ev = ExternalEvaluator(stub_command(tmp_path, STUB_SLEEP, "slow"), timeout=0.5)
         with pytest.raises(TimeoutError):
-            ev.evaluate(arch)
+            evaluate(ev, arch)
 
     def test_garbage_output(self, tmp_path, arch):
         ev = ExternalEvaluator(stub_command(tmp_path, STUB_GARBAGE, "bad"))
         with pytest.raises(ProtocolError):
-            ev.evaluate(arch)
+            evaluate(ev, arch)
 
     def test_missing_binary(self, arch):
         ev = ExternalEvaluator("/nonexistent/trainer-binary")
         with pytest.raises(SpawnError):
-            ev.evaluate(arch)
+            evaluate(ev, arch)
 
     def test_search_continues_past_failures(self, tmp_path):
         ev = ExternalEvaluator(stub_command(tmp_path, STUB_FAIL, "fail2"))
         archive = run_search(reduced_config(budget=5, init_population=3), ev)
         assert len(archive.history) == 8
         assert all(c.score is None for c in archive.history)
+        assert all(c.error.startswith("ProtocolError: ") for c in archive.history)
         assert archive.members == []
 
 
