@@ -121,11 +121,11 @@ class FusionSpec:
 
 @dataclass(frozen=True)
 class ArchEncoding:
-    """Complete candidate genome."""
+    """Complete candidate genome. Every field is frozen and hashable, so
+    an encoding is its own key for deduplication."""
 
     backbone: BackboneSpec
     fusion: FusionSpec
-    blend: "object" = None  # BlendParamSet; optional for cost-only candidates
 
     def __post_init__(self):
         self.fusion.validate_against(self.backbone.num_stages)

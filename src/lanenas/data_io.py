@@ -109,24 +109,9 @@ def fusion_from_json(doc: dict) -> FusionSpec:
         raise SchemaError(f"fusion.{exc.args[0]}", "missing field") from exc
 
 
-def blend_to_json(params: BlendParamSet) -> dict:
-    return {
-        "per_level": {
-            str(lvl): {
-                "alpha1": p.alpha1,
-                "beta1": p.beta1,
-                "alpha2": p.alpha2,
-                "center": list(p.center),
-            }
-            for lvl, p in sorted(params.per_level.items())
-        },
-        "score_threshold": params.score_threshold,
-        "group_distance": params.group_distance,
-        "locality_sigma": "inf" if math.isinf(params.locality_sigma) else params.locality_sigma,
-    }
-
-
 def blend_from_json(doc: dict) -> BlendParamSet:
+    """Read a `blend --params` document. A `locality_sigma` of "inf"
+    (strict JSON has no infinity) means no locality weighting."""
     try:
         per_level = {
             int(lvl): BlendParams(
@@ -149,14 +134,11 @@ def blend_from_json(doc: dict) -> BlendParamSet:
 
 
 def arch_to_json(arch: ArchEncoding) -> dict:
-    doc = {
+    return {
         "version": FORMAT_VERSION,
         "backbone": serialize_backbone(arch.backbone),
         "fusion": fusion_to_json(arch.fusion),
     }
-    if arch.blend is not None:
-        doc["blend"] = blend_to_json(arch.blend)
-    return doc
 
 
 def arch_from_json(doc: dict) -> ArchEncoding:
@@ -165,8 +147,7 @@ def arch_from_json(doc: dict) -> ArchEncoding:
         fusion = fusion_from_json(doc["fusion"])
     except KeyError as exc:
         raise SchemaError(exc.args[0], "missing field") from exc
-    blend = blend_from_json(doc["blend"]) if "blend" in doc else None
-    return ArchEncoding(backbone=backbone, fusion=fusion, blend=blend)
+    return ArchEncoding(backbone=backbone, fusion=fusion)
 
 
 # ---------------------------------------------------------------------------
@@ -358,10 +339,7 @@ def load_archive(path):
         raise VersionError(f"unsupported archive version {doc.get('version')}")
     archive = ParetoArchive()
     for entry in doc.get("history", []):
-        cand = candidate_from_json(entry)
-        archive.record(cand)
-        if cand.score is not None:
-            archive.insert(cand, record=False)
+        archive.insert(candidate_from_json(entry))
     return archive
 
 

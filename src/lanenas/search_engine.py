@@ -2,8 +2,8 @@
 
 A Pareto archive of mutually non-dominated candidates is grown by
 mutating uniformly-selected front members; evaluation is delegated to a
-pluggable evaluator (builtin synthetic, proposal replay, or an external
-process speaking newline-delimited JSON).
+pluggable evaluator (builtin synthetic, or an external process speaking
+newline-delimited JSON).
 
 Evaluator protocol: `evaluate(arch, eval_id, cost) -> float` returns a
 score in [0, 1]. `eval_id` is the id the search records in its history
@@ -27,6 +27,7 @@ import numpy as np
 from . import data_io, point_blend
 from .arch_space import (
     ArchEncoding,
+    FusionSpec,
     SpaceConfig,
     mutate_backbone,
     mutate_fusion,
@@ -73,17 +74,13 @@ class ParetoArchive:
         self.history: list[Candidate] = []
         self._ids: set[str] = set()
 
-    def record(self, cand: Candidate):
+    def insert(self, cand: Candidate):
+        """Add an evaluated candidate; failed evaluations (score None)
+        are logged in history only."""
         if cand.eval_id in self._ids:
             raise DuplicateError(cand.eval_id)
         self._ids.add(cand.eval_id)
         self.history.append(cand)
-
-    def insert(self, cand: Candidate, record=True):
-        """Add an evaluated candidate; failed evaluations (score None)
-        are logged in history only."""
-        if record:
-            self.record(cand)
         if cand.score is None:
             return
         if any(dominates(m, cand) for m in self.members):
@@ -122,9 +119,6 @@ class SyntheticEvaluator:
     accuracy/FLOPS trade-off with an enumerable true front.
     """
 
-    is_deterministic = True
-    cost_class = "Cheap"
-
     def evaluate(self, arch: ArchEncoding, eval_id: str, cost: CostReport) -> float:
         bb = arch.backbone
         depth = (bb.num_blocks - 10) / 35.0
@@ -146,18 +140,15 @@ class SyntheticEvaluator:
 
 class ExternalEvaluator:
     """Runs a child process per evaluation: request JSON on stdin, one
-    response JSON line on stdout."""
+    response JSON line on stdout. The request's resolution is the one the
+    search priced the candidate at."""
 
-    is_deterministic = False
-    cost_class = "Expensive"
-
-    def __init__(self, command, timeout=3600.0, resolution=DEFAULT_RESOLUTION):
+    def __init__(self, command, timeout=3600.0):
         self.argv = shlex.split(command)
         self.timeout = timeout
-        self.resolution = resolution
 
     def evaluate(self, arch: ArchEncoding, eval_id: str, cost: CostReport) -> float:
-        request = data_io.eval_request_to_json(eval_id, arch, self.resolution)
+        request = data_io.eval_request_to_json(eval_id, arch, cost.input_resolution)
         try:
             proc = subprocess.run(
                 self.argv,
@@ -196,50 +187,35 @@ class SearchConfig:
     seed: int = 0
     space: SpaceConfig = SpaceConfig()
     resolution: tuple[int, int] = DEFAULT_RESOLUTION
-    # mutation-kind weights; blend applies only when genomes carry params
-    p_backbone: float = 0.4
-    p_fusion: float = 0.3
-    p_blend: float = 0.3
-    blend_space: BlendParamSpace = BlendParamSpace()
-    with_blend: bool = False
-    default_blend_levels: tuple[int, ...] = (1, 2)
     # pin the fusion genome (and skip fusion mutation); used when the
     # search is restricted to an enumerable backbone-only space
-    fixed_fusion: object = None
-    # retry mutation this many times before accepting an already-seen
-    # genome (deterministic evaluators make re-evaluation a waste)
-    dedup_retries: int = 16
+    fixed_fusion: FusionSpec | None = None
+
+
+# relative weights of backbone and fusion mutation
+_MUTATION_WEIGHTS = (0.4, 0.3)
+# retry mutation this many times before accepting an already-seen genome
+# (deterministic evaluators make re-evaluation a waste)
+_DEDUP_RETRIES = 16
 
 
 def _random_arch(rng, cfg: SearchConfig) -> ArchEncoding:
     bb = random_backbone(rng, cfg.space)
     fusion = cfg.fixed_fusion or random_fusion(rng, bb.num_stages, cfg.space)
-    blend = (
-        BlendParamSet.identity(cfg.default_blend_levels)
-        if cfg.with_blend
-        else None
-    )
-    return ArchEncoding(backbone=bb, fusion=fusion, blend=blend)
+    return ArchEncoding(backbone=bb, fusion=fusion)
 
 
 def mutate_arch(arch: ArchEncoding, rng, cfg: SearchConfig) -> ArchEncoding:
-    weights = [cfg.p_backbone]
-    kinds = ["backbone"]
-    if cfg.fixed_fusion is None:
-        weights.append(cfg.p_fusion)
-        kinds.append("fusion")
-    if arch.blend is not None:
-        weights.append(cfg.p_blend)
-        kinds.append("blend")
+    kinds = ["backbone"] if cfg.fixed_fusion is not None else ["backbone", "fusion"]
+    weights = _MUTATION_WEIGHTS[: len(kinds)]
+    # draw even when one kind is left: skipping it would shift every later draw
     probs = np.array(weights) / sum(weights)
     kind = kinds[int(rng.choice(len(kinds), p=probs))]
     if kind == "backbone":
         return replace(arch, backbone=mutate_backbone(arch.backbone, rng, cfg.space))
-    if kind == "fusion":
-        return replace(
-            arch, fusion=mutate_fusion(arch.fusion, arch.backbone.num_stages, rng)
-        )
-    return replace(arch, blend=point_blend.perturb(arch.blend, cfg.blend_space, rng))
+    return replace(
+        arch, fusion=mutate_fusion(arch.fusion, arch.backbone.num_stages, rng)
+    )
 
 
 def _evaluate(evaluator, arch, eval_id, cost, parent, step) -> Candidate:
@@ -261,20 +237,17 @@ def run_search(config: SearchConfig, evaluator, on_eval=None) -> ParetoArchive:
     rng = np.random.default_rng(config.seed)
     archive = ParetoArchive()
     counter = 0
-    seen = set()
-
-    def genome_key(arch):
-        return json.dumps(data_io.arch_to_json(arch), sort_keys=True)
+    seen: set[ArchEncoding] = set()
 
     def next_child(step):
         """Mutate a front member, retrying a few times to avoid genomes
         that were already evaluated."""
         if not archive.members:
             return _random_arch(rng, config), None
-        for _ in range(max(config.dedup_retries, 1)):
+        for _ in range(_DEDUP_RETRIES):
             parent = archive.select_parent(rng)
             child = mutate_arch(parent.arch, rng, config)
-            if genome_key(child) not in seen:
+            if child not in seen:
                 break
         return child, parent.eval_id
 
@@ -282,7 +255,7 @@ def run_search(config: SearchConfig, evaluator, on_eval=None) -> ParetoArchive:
         nonlocal counter
         eval_id = f"e{counter:06d}"
         counter += 1
-        seen.add(genome_key(arch))
+        seen.add(arch)
         cost = candidate_cost(arch, config.resolution)
         return arch, eval_id, cost, parent, step
 

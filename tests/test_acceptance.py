@@ -189,9 +189,6 @@ def test_criterion_4_search_efficacy():
             seed=seed,
             space=REDUCED_SPACE,
             fixed_fusion=FIXED_FUSION,
-            p_backbone=1.0,
-            p_fusion=0.0,
-            p_blend=0.0,
         )
         archive = run_search(cfg, evaluator)
         got = {(c.flops, c.score) for c in archive.members}

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -165,6 +166,20 @@ class TestSearchCommand:
                 "--workers", "1", "--seed", "9", "--out", str(out_dir))
             blobs.append((out_dir / "history.jsonl").read_bytes())
         assert blobs[0] == blobs[1]
+
+    @pytest.mark.parametrize("seed, digest", [
+        (0, "2bb057dd1acacbd38772342b44cfd16877ff504ce620d6ac6e0f041443b62fbd"),
+        (1, "205c1d79dd159a4b1bc4642fe9075545e7e63706c62bb7e2248e9ed026ebbf3e"),
+    ])
+    def test_history_matches_golden_digest(self, tmp_path, capsys, seed, digest):
+        """The single-worker history is byte-identical across code changes,
+        not only between two runs of the same code."""
+        out_dir = tmp_path / "run"
+        code, _, _ = run(capsys, "search", "--budget", "200", "--workers", "1",
+                         "--seed", str(seed), "--out", str(out_dir))
+        assert code == 0
+        got = hashlib.sha256((out_dir / "history.jsonl").read_bytes()).hexdigest()
+        assert got == digest
 
     def test_external_evaluator_stub(self, tmp_path, capsys):
         import sys

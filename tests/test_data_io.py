@@ -7,7 +7,7 @@ import pytest
 from lanenas import data_io
 from lanenas.errors import FormatError, SchemaError, VersionError
 from lanenas.lane_model import AnchorLayout, GridCell, HeadGrid, LaneProposalSet
-from lanenas.point_blend import BlendParams, BlendParamSet
+from lanenas.point_blend import BlendParams
 from lanenas.search_engine import Candidate, ParetoArchive
 from lanenas.synth import SynthSceneConfig, generate_synthetic_scenes
 from conftest import make_arch
@@ -63,21 +63,16 @@ class TestArchJson:
         doc = data_io.arch_to_json(arch)
         assert data_io.arch_from_json(doc) == arch
 
-    def test_round_trip_with_blend(self, arch):
-        from dataclasses import replace
-
-        blend = BlendParamSet(
-            per_level={1: BlendParams(0.01, -0.5, 0.002, (256.0, 144.0))},
-            score_threshold=0.4,
+    def test_infinite_sigma_read_from_string(self):
+        doc = json.loads(
+            '{"per_level": {"1": {"alpha1": 0.01, "beta1": -0.5, "alpha2": 0.002,'
+            ' "center": [256.0, 144.0]}}, "score_threshold": 0.4,'
+            ' "group_distance": 60.0, "locality_sigma": "inf"}'
         )
-        full = replace(arch, blend=blend)
-        assert data_io.arch_from_json(data_io.arch_to_json(full)) == full
-
-    def test_infinite_sigma_serializes(self, arch):
-        blend = BlendParamSet(per_level={1: BlendParams()}, locality_sigma=math.inf)
-        doc = data_io.blend_to_json(blend)
-        assert json.loads(json.dumps(doc))  # valid strict JSON
-        assert math.isinf(data_io.blend_from_json(doc).locality_sigma)
+        params = data_io.blend_from_json(doc)
+        assert math.isinf(params.locality_sigma)
+        assert params.per_level == {1: BlendParams(0.01, -0.5, 0.002, (256.0, 144.0))}
+        assert (params.score_threshold, params.group_distance) == (0.4, 60.0)
 
     def test_missing_fusion_field(self):
         with pytest.raises(SchemaError):

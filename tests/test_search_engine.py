@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lanenas import search_engine
+from lanenas import data_io, search_engine
 from lanenas.arch_space import (
     BlockKind,
     FusionLayer,
@@ -183,9 +183,6 @@ def reduced_config(**kw):
         seed=0,
         space=REDUCED_SPACE,
         fixed_fusion=FIXED_FUSION,
-        p_backbone=1.0,
-        p_fusion=0.0,
-        p_blend=0.0,
     )
     defaults.update(kw)
     return SearchConfig(**defaults)
@@ -216,9 +213,6 @@ class TestRunSearch:
 
     def test_failing_evaluator_skipped(self):
         class Flaky:
-            is_deterministic = True
-            cost_class = "Cheap"
-
             def __init__(self):
                 self.n = 0
                 self.inner = SyntheticEvaluator()
@@ -273,6 +267,33 @@ class TestRunSearch:
             assert c.flops == candidate_cost(c.arch, (512, 288)).total_flops
 
 
+class TestGenomeKey:
+    def test_equality_matches_json_key_equality(self):
+        """The genome is the dedup key: `==` and `hash` on ArchEncoding
+        agree with equality of its sorted JSON encoding."""
+
+        def old_key(arch):
+            return json.dumps(data_io.arch_to_json(arch), sort_keys=True)
+
+        rng = np.random.default_rng(11)
+        cfg = SearchConfig()
+        genomes, n_equal = [], 0
+        for _ in range(700):
+            parent = search_engine._random_arch(rng, cfg)
+            c1 = search_engine.mutate_arch(parent, rng, cfg)
+            c2 = search_engine.mutate_arch(parent, rng, cfg)
+            for a, b in ((parent, c1), (parent, c2), (c1, c2)):
+                assert (a == b) == (old_key(a) == old_key(b))
+                if a == b:
+                    assert hash(a) == hash(b)
+                    n_equal += 1
+            genomes += [parent, c1, c2]
+        assert n_equal > 0  # both outcomes were exercised
+        by_key = {old_key(g): g for g in genomes}
+        assert len(set(genomes)) == len(by_key)
+        assert all(by_key[old_key(g)] == g for g in genomes)
+
+
 class TestSyntheticEvaluator:
     def test_score_in_unit_interval(self, rng):
         from lanenas.arch_space import random_backbone, random_fusion
@@ -304,6 +325,13 @@ STUB_OK = (
 STUB_FAIL = "import sys; sys.exit(3)\n"
 STUB_SLEEP = "import time; time.sleep(30)\n"
 STUB_GARBAGE = "print('not json at all')\n"
+STUB_LOG_RESOLUTION = (
+    "import sys, json\n"
+    "req = json.loads(sys.stdin.readline())\n"
+    "with open(sys.argv[1], 'a') as fh:\n"
+    "    fh.write(json.dumps(req['resolution']) + '\\n')\n"
+    "print(json.dumps({'eval_id': req['eval_id'], 'score': 0.5}))\n"
+)
 
 
 def stub_command(tmp_path, code, name):
@@ -336,6 +364,15 @@ class TestExternalEvaluator:
         ev = ExternalEvaluator("/nonexistent/trainer-binary")
         with pytest.raises(SpawnError):
             evaluate(ev, arch)
+
+    def test_request_resolution_is_the_priced_one(self, tmp_path):
+        log = tmp_path / "resolutions.log"
+        command = stub_command(tmp_path, STUB_LOG_RESOLUTION, "res") + f" {log}"
+        cfg = reduced_config(budget=1, init_population=1, resolution=(256, 144))
+        archive = run_search(cfg, ExternalEvaluator(command))
+        logged = [json.loads(line) for line in log.read_text().splitlines()]
+        assert len(logged) == len(archive.history) == 2
+        assert all(r == [256, 144] for r in logged)
 
     def test_search_continues_past_failures(self, tmp_path):
         ev = ExternalEvaluator(stub_command(tmp_path, STUB_FAIL, "fail2"))
