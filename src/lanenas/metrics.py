@@ -82,23 +82,67 @@ def lane_iou(a, b, width=DEFAULT_LANE_WIDTH, canvas=DEFAULT_CANVAS):
     return runs_iou(_lane_runs(a, width, canvas), _lane_runs(b, width, canvas))
 
 
-def score_scene(
-    pred,
-    gt,
-    iou_threshold=DEFAULT_IOU_THRESHOLD,
-    width=DEFAULT_LANE_WIDTH,
-    canvas=DEFAULT_CANVAS,
-) -> SceneCounts:
+class SceneScorer:
+    """CULane scoring of predictions against fixed ground-truth scenes.
+
+    Each ground-truth lane is drawn once, here. Per scene, a predicted
+    lane's IoUs against that scene's ground-truth lanes are kept under
+    the lane's exact coordinates (the float64 bytes of `_as_xy`), so a
+    lane met again is never redrawn. A lane's runs depend only on its
+    coordinates, the width and the canvas, so every kept IoU equals the
+    recomputed one and scores are exact.
+    """
+
+    def __init__(
+        self,
+        gt_scenes,
+        iou_threshold=DEFAULT_IOU_THRESHOLD,
+        width=DEFAULT_LANE_WIDTH,
+        canvas=DEFAULT_CANVAS,
+    ):
+        self.iou_threshold = iou_threshold
+        self._radius = _radius(width)
+        self._canvas = canvas
+        self._gt_runs = [
+            [_lane_runs(g, width, canvas) for g in gt] for gt in gt_scenes
+        ]
+        self._ious = [{} for _ in self._gt_runs]
+
+    def _iou_row(self, scene, line):
+        xs, ys = _as_xy(line)
+        key = xs.tobytes() + ys.tobytes()
+        known = self._ious[scene]
+        row = known.get(key)
+        if row is None:
+            runs = polyline_runs(xs, ys, self._radius, self._canvas)
+            row = known[key] = tuple(runs_iou(runs, g) for g in self._gt_runs[scene])
+        return row
+
+    def scene_counts(self, scene, pred) -> SceneCounts:
+        """Counts of the predicted lanes `pred` on ground-truth scene
+        number `scene`."""
+        rows = [self._iou_row(scene, p) for p in pred]
+        return _match(rows, len(self._gt_runs[scene]), self.iou_threshold)
+
+    def report(self, pred_scenes) -> MetricsReport:
+        """`match_and_score` of `pred_scenes` against the ground truth."""
+        if len(pred_scenes) != len(self._gt_runs):
+            raise ValueError("pred and gt scene lists differ in length")
+        return _report(
+            tuple(self.scene_counts(i, p) for i, p in enumerate(pred_scenes))
+        )
+
+
+def _match(iou_rows, n_gt, iou_threshold) -> SceneCounts:
     """Greedy one-to-one matching in descending IoU order; IoU strictly
-    above the threshold counts as a true positive."""
-    pairs = []
-    pred_runs = [_lane_runs(p, width, canvas) for p in pred]
-    gt_runs = [_lane_runs(g, width, canvas) for g in gt]
-    for i, pr in enumerate(pred_runs):
-        for j, gr in enumerate(gt_runs):
-            iou = runs_iou(pr, gr)
-            if iou > iou_threshold:
-                pairs.append((iou, i, j))
+    above the threshold counts as a true positive. `iou_rows[i][j]` is
+    the IoU of predicted lane i and ground-truth lane j."""
+    pairs = [
+        (iou, i, j)
+        for i, row in enumerate(iou_rows)
+        for j, iou in enumerate(row)
+        if iou > iou_threshold
+    ]
     pairs.sort(key=lambda t: (-t[0], t[1], t[2]))
     used_p, used_g = set(), set()
     tp = 0
@@ -108,25 +152,13 @@ def score_scene(
         used_p.add(i)
         used_g.add(j)
         tp += 1
-    return SceneCounts(tp=tp, fp=len(pred) - tp, fn=len(gt) - tp)
+    return SceneCounts(tp=tp, fp=len(iou_rows) - tp, fn=n_gt - tp)
 
 
-def match_and_score(
-    pred_scenes,
-    gt_scenes,
-    iou_threshold=DEFAULT_IOU_THRESHOLD,
-    width=DEFAULT_LANE_WIDTH,
-    canvas=DEFAULT_CANVAS,
-) -> MetricsReport:
+def _report(per_scene) -> MetricsReport:
     """Aggregate F1 over scenes: raw counts are summed first, then the
     precision/recall/F1 formulas are applied once (never averaged
     per-scene)."""
-    if len(pred_scenes) != len(gt_scenes):
-        raise ValueError("pred and gt scene lists differ in length")
-    per_scene = tuple(
-        score_scene(p, g, iou_threshold, width, canvas)
-        for p, g in zip(pred_scenes, gt_scenes)
-    )
     tp = sum(s.tp for s in per_scene)
     fp = sum(s.fp for s in per_scene)
     fn = sum(s.fn for s in per_scene)
@@ -139,6 +171,37 @@ def match_and_score(
         recall=total.recall,
         f1=total.f1,
         per_scene=per_scene,
+    )
+
+
+def score_scene(
+    pred,
+    gt,
+    iou_threshold=DEFAULT_IOU_THRESHOLD,
+    width=DEFAULT_LANE_WIDTH,
+    canvas=DEFAULT_CANVAS,
+) -> SceneCounts:
+    """Counts of one scene: greedy one-to-one matching in descending IoU
+    order, IoU strictly above the threshold a true positive (`_match`)."""
+    return SceneScorer([gt], iou_threshold, width, canvas).scene_counts(0, pred)
+
+
+def match_and_score(
+    pred_scenes,
+    gt_scenes,
+    iou_threshold=DEFAULT_IOU_THRESHOLD,
+    width=DEFAULT_LANE_WIDTH,
+    canvas=DEFAULT_CANVAS,
+) -> MetricsReport:
+    """Aggregate F1 over scenes, each scored once. Scenes are scored one
+    at a time, so only one scene's ground-truth runs are held at once."""
+    if len(pred_scenes) != len(gt_scenes):
+        raise ValueError("pred and gt scene lists differ in length")
+    return _report(
+        tuple(
+            score_scene(p, g, iou_threshold, width, canvas)
+            for p, g in zip(pred_scenes, gt_scenes)
+        )
     )
 
 

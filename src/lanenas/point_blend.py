@@ -146,18 +146,23 @@ def blend_group(group, locality_sigma) -> LaneLine:
         for p in line.points:
             candidates.setdefault(p.y, []).append(p)
 
-    def weight(p):
-        if math.isinf(locality_sigma):
+    if math.isinf(locality_sigma):
+        def weight(p):
             return p.source.score
-        dy = p.y - p.source.cell_center[1]
-        return p.source.score * math.exp(-(dy * dy) / (locality_sigma**2))
+    else:
+        s2 = locality_sigma**2
+
+        def weight(p):
+            dy = p.y - p.source.cell_center[1]
+            return p.source.score * math.exp(-(dy * dy) / s2)
 
     out = []
     for rp in rep.points:
         best, best_w = rp, weight(rp)
         for cand in candidates.get(rp.y, ()):
-            if weight(cand) > best_w:
-                best, best_w = cand, weight(cand)
+            w = weight(cand)
+            if w > best_w:
+                best, best_w = cand, w
         out.append(best)
     return LaneLine(points=tuple(out), score=rep.score)
 

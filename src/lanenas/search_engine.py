@@ -42,7 +42,7 @@ from .errors import (
     ProtocolError,
     SpawnError,
 )
-from .metrics import match_and_score
+from .metrics import SceneScorer
 from .point_blend import BlendParamSet, BlendParamSpace, postprocess
 
 
@@ -122,10 +122,9 @@ class SyntheticEvaluator:
     def evaluate(self, arch: ArchEncoding, eval_id: str, cost: CostReport) -> float:
         bb = arch.backbone
         depth = (bb.num_blocks - 10) / 35.0
-        rf = sum(
-            sum(1 for d in bb.downsample_at if d <= b)
-            for b in range(1, bb.num_blocks + 1)
-        ) / (3.0 * 45.0)
+        # downsamples at or before each block, summed over the blocks;
+        # validation keeps every index d in [2, num_blocks]
+        rf = sum(bb.num_blocks - d + 1 for d in bb.downsample_at) / (3.0 * 45.0)
         min_head = min(arch.fusion.heads_at)
         res = (4 - min_head) / 3.0
         cap = (math.log10(cost.total_params) - 5.0) / 3.5
@@ -302,14 +301,30 @@ class InnerSearchConfig:
     lane_width: int = 30
 
 
-def evaluate_blend_params(scenes, params: BlendParamSet, lane_width=30) -> float:
-    """Aggregate F1 of postprocess(params) over frozen proposal dumps."""
-    preds, gts = [], []
-    for proposals, gt_lanes in scenes:
-        preds.append(postprocess(proposals, params))
-        gts.append(gt_lanes)
-    canvas = scenes[0][0].layout.image_size
-    return match_and_score(preds, gts, width=lane_width, canvas=canvas).f1
+def _blend_scorer(scenes, lane_width) -> SceneScorer:
+    """One scorer over the scenes' ground truth, on their common canvas."""
+    if not scenes:
+        raise EmptyDatasetError("no proposal scenes supplied")
+    canvases = {proposals.layout.image_size for proposals, _ in scenes}
+    if len(canvases) > 1:
+        raise ValueError(f"scenes mix canvas sizes {sorted(canvases)}")
+    return SceneScorer(
+        [gt_lanes for _, gt_lanes in scenes], width=lane_width, canvas=canvases.pop()
+    )
+
+
+def evaluate_blend_params(
+    scenes, params: BlendParamSet, lane_width=30, scorer: SceneScorer | None = None
+) -> float:
+    """Aggregate F1 of postprocess(params) over frozen proposal dumps.
+
+    `scorer` scores against these scenes' ground truth and keeps every
+    lane's IoUs across calls; without one, a fresh scorer is built.
+    """
+    if scorer is None:
+        scorer = _blend_scorer(scenes, lane_width)
+    preds = [postprocess(proposals, params) for proposals, _ in scenes]
+    return scorer.report(preds).f1
 
 
 def run_blend_inner_search(
@@ -319,15 +334,16 @@ def run_blend_inner_search(
     init_params: BlendParamSet,
 ) -> BlendParamSet:
     """Hill-climb with Gaussian perturbations; never returns anything
-    scoring below the initial (default) parameters."""
-    if not scenes:
-        raise EmptyDatasetError("no proposal scenes supplied")
+    scoring below the initial (default) parameters. One scorer serves
+    the whole search, so each ground-truth lane is drawn once and each
+    distinct predicted lane once per scene; scores are exact."""
+    scorer = _blend_scorer(scenes, config.lane_width)
     rng = np.random.default_rng(config.seed)
     best = init_params
-    best_score = evaluate_blend_params(scenes, best, config.lane_width)
+    best_score = evaluate_blend_params(scenes, best, config.lane_width, scorer)
     for _ in range(config.budget):
         cand = point_blend.perturb(best, space, rng)
-        score = evaluate_blend_params(scenes, cand, config.lane_width)
+        score = evaluate_blend_params(scenes, cand, config.lane_width, scorer)
         if score > best_score:
             best, best_score = cand, score
     return best

@@ -7,6 +7,7 @@ from lanenas.errors import DegenerateLineError
 from lanenas.metrics import (
     MetricsReport,
     SceneCounts,
+    SceneScorer,
     lane_iou,
     match_and_score,
     rasterize_lane,
@@ -181,6 +182,34 @@ class TestMatchAndScore:
         report = match_and_score([[]], [[]], canvas=self.CANVAS)
         assert (report.precision, report.recall) == (1.0, 1.0)
         assert report.f1 == 1.0
+
+
+
+class TestSceneScorer:
+    CANVAS = (512, 288)
+
+    def lane(self, x):
+        return [(x, 10.0), (x, 280.0)]
+
+    def test_same_lane_scored_against_each_scenes_own_truth(self):
+        gts = [[self.lane(100)], [self.lane(300)], [self.lane(100), self.lane(104)]]
+        scorer = SceneScorer(gts, canvas=self.CANVAS)
+        pred = [self.lane(102)]
+        for _ in range(2):  # the second pass is served from the kept IoUs
+            report = scorer.report([pred, pred, pred])
+            assert report.per_scene == tuple(
+                score_scene(pred, g, canvas=self.CANVAS) for g in gts
+            )
+            assert report == match_and_score([pred] * 3, gts, canvas=self.CANVAS)
+
+    def test_rejects_scene_count_mismatch(self):
+        scorer = SceneScorer([[self.lane(100)]], canvas=self.CANVAS)
+        with pytest.raises(ValueError):
+            scorer.report([[], []])
+
+    def test_rejects_nonpositive_width(self):
+        with pytest.raises(ValueError):
+            SceneScorer([[]], width=0, canvas=self.CANVAS)
 
 
 class TestTuSimple:

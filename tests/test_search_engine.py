@@ -1,3 +1,4 @@
+import hashlib
 import json
 import sys
 from collections import Counter
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lanenas import data_io, search_engine
+from lanenas import data_io, metrics, search_engine
 from lanenas.arch_space import (
     BlockKind,
     FusionLayer,
@@ -23,7 +24,14 @@ from lanenas.errors import (
     ProtocolError,
     SpawnError,
 )
-from lanenas.point_blend import BlendParamSet, BlendParamSpace, plain_nms_params
+from lanenas.metrics import SceneScorer, match_and_score, score_scene
+from lanenas.point_blend import (
+    BlendParamSet,
+    BlendParamSpace,
+    perturb,
+    plain_nms_params,
+    postprocess,
+)
 from lanenas.search_engine import (
     Candidate,
     ExternalEvaluator,
@@ -438,3 +446,125 @@ class TestBlendInnerSearch:
             scenes, BlendParamSpace(), InnerSearchConfig(budget=20, seed=2), init
         )
         assert a == b
+
+    def test_evaluate_empty_dataset(self):
+        with pytest.raises(EmptyDatasetError):
+            evaluate_blend_params([], default_params())
+
+    def test_mixed_canvases_rejected(self):
+        small = blend_scenes(sigma=20.0, n=2)
+        cfg = SynthSceneConfig(num_scenes=2, remote_noise_sigma=20.0, image_size=(640, 360))
+        large = [(props, rec.gt_lanes) for props, rec in generate_synthetic_scenes(cfg)]
+        with pytest.raises(ValueError, match="canvas"):
+            evaluate_blend_params(small + large, default_params())
+        with pytest.raises(ValueError, match="canvas"):
+            run_blend_inner_search(
+                small + large, BlendParamSpace(), InnerSearchConfig(budget=1), default_params()
+            )
+
+    @pytest.mark.parametrize("seed, digest", [
+        (4, "684adb169db40045bff0f91b31af0d2db0352eaa729e2297295bf0af156e37d4"),
+        (9, "15ffb2c0f5aa857c24fd862f63cf9c5cfe806788a058cc896d9ec3cd0b1d5f33"),
+    ])
+    def test_result_matches_golden_digest(self, seed, digest):
+        """The inner search returns the same parameters across code
+        changes, not only between two runs of the same code."""
+        scenes = blend_scenes(sigma=40.0, n=6, seed=3)
+        init = default_params(locality_sigma=60.0)
+        best = run_blend_inner_search(
+            scenes, BlendParamSpace(), InnerSearchConfig(budget=40, seed=seed), init
+        )
+        assert best != init
+        assert hashlib.sha256(repr(best).encode()).hexdigest() == digest
+
+
+def unmemoized_inner_search(scenes, space, config, init_params):
+    """The inner search without a shared scorer: every step draws every
+    lane of every scene again."""
+    gts = [gt for _, gt in scenes]
+    canvas = scenes[0][0].layout.image_size
+
+    def f1(params):
+        preds = [postprocess(proposals, params) for proposals, _ in scenes]
+        return match_and_score(preds, gts, width=config.lane_width, canvas=canvas).f1
+
+    rng = np.random.default_rng(config.seed)
+    best, best_score = init_params, f1(init_params)
+    for _ in range(config.budget):
+        cand = perturb(best, space, rng)
+        score = f1(cand)
+        if score > best_score:
+            best, best_score = cand, score
+    return best
+
+
+@pytest.fixture(scope="module")
+def noisy_scenes():
+    return blend_scenes(sigma=40.0, n=4, seed=3)
+
+
+class TestBlendScorer:
+    def test_report_equals_per_scene_scoring_on_perturb_chains(self, noisy_scenes):
+        gts = [gt for _, gt in noisy_scenes]
+        canvas = noisy_scenes[0][0].layout.image_size
+        scorer = SceneScorer(gts, width=30, canvas=canvas)
+        rng = np.random.default_rng(0)
+        for _ in range(50):
+            params = default_params(locality_sigma=60.0)
+            for _ in range(int(rng.integers(1, 6))):
+                params = perturb(params, BlendParamSpace(), rng)
+            preds = [postprocess(proposals, params) for proposals, _ in noisy_scenes]
+            per_scene = tuple(
+                score_scene(p, g, width=30, canvas=canvas) for p, g in zip(preds, gts)
+            )
+            report = scorer.report(preds)
+            assert report.per_scene == per_scene
+            assert report == match_and_score(preds, gts, width=30, canvas=canvas)
+
+    @pytest.mark.parametrize("budget", [3, 40])
+    @pytest.mark.parametrize("seed", [1, 4, 9])
+    def test_search_equals_unmemoized_search(self, noisy_scenes, seed, budget):
+        init = default_params(locality_sigma=60.0)
+        cfg = InnerSearchConfig(budget=budget, seed=seed)
+        best = run_blend_inner_search(noisy_scenes, BlendParamSpace(), cfg, init)
+        assert best == unmemoized_inner_search(noisy_scenes, BlendParamSpace(), cfg, init)
+
+    def test_each_lane_drawn_once_per_search(self, noisy_scenes, monkeypatch):
+        drawn = []
+        draw = metrics.polyline_runs
+        monkeypatch.setattr(
+            metrics, "polyline_runs", lambda *a: drawn.append(1) or draw(*a)
+        )
+        scene_of = {id(proposals): i for i, (proposals, _) in enumerate(noisy_scenes)}
+        seen = [set() for _ in noisy_scenes]
+        run = search_engine.postprocess
+
+        def postprocess_logged(proposals, params):
+            lanes = run(proposals, params)
+            for lane in lanes:
+                xs, ys = metrics._as_xy(lane)
+                seen[scene_of[id(proposals)]].add(xs.tobytes() + ys.tobytes())
+            return lanes
+
+        monkeypatch.setattr(search_engine, "postprocess", postprocess_logged)
+        run_blend_inner_search(
+            noisy_scenes, BlendParamSpace(), InnerSearchConfig(budget=30, seed=2),
+            default_params(locality_sigma=60.0),
+        )
+        n_gt = sum(len(gt) for _, gt in noisy_scenes)
+        assert len(drawn) == n_gt + sum(len(keys) for keys in seen)
+
+    def test_repeated_step_draws_nothing(self, noisy_scenes, monkeypatch):
+        drawn = []
+        draw = metrics.polyline_runs
+        monkeypatch.setattr(
+            metrics, "polyline_runs", lambda *a: drawn.append(1) or draw(*a)
+        )
+        gts = [gt for _, gt in noisy_scenes]
+        scorer = SceneScorer(gts, width=30, canvas=noisy_scenes[0][0].layout.image_size)
+        params = default_params(locality_sigma=60.0)
+        first = evaluate_blend_params(noisy_scenes, params, 30, scorer)
+        assert drawn
+        drawn.clear()
+        assert evaluate_blend_params(noisy_scenes, params, 30, scorer) == first
+        assert drawn == []
