@@ -210,20 +210,15 @@ def cmd_blend(args):
     out_doc = {"version": data_io.FORMAT_VERSION, "scenes": []}
     for image_id, proposals in scenes:
         lanes = point_blend.postprocess(proposals, params)
-        out_doc["scenes"].append(
-            {
-                "image_id": image_id,
-                "lanes": [
-                    {"score": l.score, "points": [[p.x, p.y] for p in l.points]}
-                    for l in lanes
-                ],
-            }
-        )
+        out_doc["scenes"].append({
+            "image_id": image_id,
+            "lanes": [{"score": l.score, "points": l.points} for l in lanes],
+        })
         if args.culane_out:
             os.makedirs(args.culane_out, exist_ok=True)
             data_io.write_culane_lines(
                 os.path.join(args.culane_out, f"{image_id}.lines.txt"),
-                [[(p.x, p.y) for p in l.points] for l in lanes],
+                [l.points for l in lanes],
             )
     if args.out:
         with open(args.out, "w") as fh:
@@ -295,12 +290,15 @@ def cmd_eval_tusimple(args):
 
 
 def cmd_gen_synth(args):
-    cfg = synth.SynthSceneConfig(
-        num_scenes=args.num_scenes,
-        remote_noise_sigma=args.noise,
-        lanes_per_scene=args.lanes,
-        seed=args.seed,
-    )
+    try:
+        cfg = synth.SynthSceneConfig(
+            num_scenes=args.num_scenes,
+            remote_noise_sigma=args.noise,
+            lanes_per_scene=args.lanes,
+            seed=args.seed,
+        )
+    except ValueError as exc:  # a flag out of range
+        raise _UsageError(str(exc)) from exc
     scenes = synth.generate_synthetic_scenes(cfg)
     os.makedirs(args.out, exist_ok=True)
     gt_dir = os.path.join(args.out, "gt")

@@ -131,6 +131,8 @@ def blend_from_json(doc: dict) -> BlendParamSet:
         )
     except KeyError as exc:
         raise SchemaError(f"blend.{exc.args[0]}", "missing field") from exc
+    except (TypeError, ValueError) as exc:
+        raise SchemaError("blend", str(exc)) from exc
 
 
 def arch_to_json(arch: ArchEncoding) -> dict:
@@ -163,11 +165,22 @@ def _cell_to_json(c: GridCell) -> dict:
     }
 
 
-def _cell_from_json(doc, path):
+def _checked(path, make, **fields):
+    """`make(**fields)`, a value it rejects reported at JSON path `path`."""
+    try:
+        return make(**fields)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(path, str(exc)) from exc
+
+
+def _cell_from_json(doc, path, num_rows):
     for key in ("cx", "cy", "score", "offsets", "end_y"):
         if key not in doc:
             raise SchemaError(f"{path}.{key}", "missing field")
-    return GridCell(
+    if not isinstance(doc["offsets"], list) or len(doc["offsets"]) != num_rows:
+        raise SchemaError(f"{path}.offsets", f"need one offset per anchor row ({num_rows})")
+    return _checked(
+        f"{path}.score", GridCell,
         center=(doc["cx"], doc["cy"]),
         score=doc["score"],
         offsets=tuple(doc["offsets"]),
@@ -199,7 +212,8 @@ def proposals_from_json(doc: dict):
     if doc.get("version", FORMAT_VERSION) != FORMAT_VERSION:
         raise VersionError(f"unsupported proposals version {doc.get('version')}")
     try:
-        layout = AnchorLayout(
+        layout = _checked(
+            "layout.rows", AnchorLayout,
             image_size=tuple(doc["layout"]["image_size"]),
             rows=tuple(doc["layout"]["rows"]),
         )
@@ -211,12 +225,13 @@ def proposals_from_json(doc: dict):
             if key not in h:
                 raise SchemaError(f"heads[{hi}].{key}", "missing field")
         cells = tuple(
-            _cell_from_json(c, f"heads[{hi}].cells[{ci}]")
+            _cell_from_json(c, f"heads[{hi}].cells[{ci}]", len(layout.rows))
             for ci, c in enumerate(h["cells"])
         )
-        heads.append(
-            HeadGrid(level=h["level"], grid_w=h["grid_w"], grid_h=h["grid_h"], cells=cells)
-        )
+        heads.append(_checked(
+            f"heads[{hi}].cells", HeadGrid,
+            level=h["level"], grid_w=h["grid_w"], grid_h=h["grid_h"], cells=cells,
+        ))
     return doc.get("image_id", ""), LaneProposalSet(layout=layout, heads=tuple(heads))
 
 

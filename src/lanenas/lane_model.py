@@ -3,12 +3,15 @@
 Each prediction head covers the image with a grid; a grid cell proposes
 at most one lane as horizontal offsets from its center column at fixed
 vertical anchor rows, plus an upper ending row and a confidence score.
+A decoded lane's points are plain `(x, y)` pairs, like ground-truth
+lanes; its proposing cell is recorded once, in `LaneLine.source`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DegenerateLineError
 
@@ -63,35 +66,32 @@ class HeadGrid:
 
 
 @dataclass(frozen=True)
-class PointSource:
-    """Provenance of one decoded point: which cell proposed it."""
+class LaneSource:
+    """Provenance of a decoded lane: which cell proposed it."""
 
     level: int
     cell_index: int
-    score: float                      # masked score of the proposing cell
     cell_center: tuple[float, float]
 
 
-@dataclass(frozen=True)
-class LanePoint:
+class LanePoint(NamedTuple):
     x: float
     y: float
-    source: PointSource
 
 
 @dataclass(frozen=True)
 class LaneLine:
     points: tuple[LanePoint, ...]
-    score: float
+    score: float                      # masked score of the proposing cell
+    source: LaneSource
 
     def __post_init__(self):
         object.__setattr__(self, "points", tuple(self.points))
         if any(b.y <= a.y for a, b in zip(self.points, self.points[1:])):
             raise ValueError("points must be sorted by y")
 
-    def x_at(self):
-        """Dict of row y -> x, for distance computations."""
-        return {p.y: p.x for p in self.points}
+    def __iter__(self):  # a lane is its (x, y) points, like a polyline
+        return iter(self.points)
 
 
 @dataclass(frozen=True)
@@ -113,49 +113,46 @@ def decode_cell(
     """Decode one cell into a lane polyline.
 
     A point is emitted at every anchor row at or below the ending row
-    (the ending point is the lane's upper terminus); each point records
-    the proposing cell. `score` overrides the cell's raw score when the
-    caller has already applied masking.
+    (the ending point is the lane's upper terminus); the lane records the
+    proposing cell once, in `source`. `score` overrides the cell's raw
+    score when the caller has already applied masking.
     """
-    s = cell.score if score is None else score
-    src = PointSource(level, cell_index, s, cell.center)
     cx = cell.center[0]
-    pts = []
-    for z, y in enumerate(layout.rows):
-        if y < cell.end_y:
-            continue
-        dx = cell.offsets[z]
-        if dx is None:
-            continue
-        pts.append(LanePoint(cx + dx, y, src))
+    pts = [
+        LanePoint(cx + dx, y)
+        for y, dx in zip(layout.rows, cell.offsets, strict=True)
+        if dx is not None and not y < cell.end_y
+    ]
     if len(pts) < 2:
         raise DegenerateLineError(
             f"cell at {cell.center} decodes to {len(pts)} point(s)"
         )
-    return LaneLine(points=tuple(pts), score=s)
+    s = cell.score if score is None else score
+    return LaneLine(tuple(pts), s, LaneSource(level, cell_index, cell.center))
 
 
 def line_distance(a: LaneLine, b: LaneLine) -> float:
     """Mean |x_a(y) - x_b(y)| over shared anchor rows; +inf if disjoint."""
-    xb = b.x_at()
-    gaps = [abs(p.x - xb[p.y]) for p in a.points if p.y in xb]
+    xb = {y: x for x, y in b.points}
+    gaps = [abs(x - xb[y]) for x, y in a.points if y in xb]
     if not gaps:
         return math.inf
     return sum(gaps) / len(gaps)
 
 
-def decode_all(proposals: LaneProposalSet, score_threshold: float):
-    """One LaneLine per cell whose (already masked) score passes the
-    threshold and decodes to at least 2 points."""
+def decode_all(proposals: LaneProposalSet, score_threshold: float, scores=None):
+    """One LaneLine per cell whose score passes the threshold and decodes
+    to at least 2 points. `scores[h][i]`, when given, replaces the score
+    of cell `i` of head `h` (the masked scores of `mask_proposals`), both
+    for the threshold and on the lane."""
     lines = []
-    for head in proposals.heads:
+    for h, head in enumerate(proposals.heads):
         for idx, cell in enumerate(head.cells):
-            if cell.score < score_threshold:
+            s = cell.score if scores is None else scores[h][idx]
+            if s < score_threshold:
                 continue
             try:
-                lines.append(
-                    decode_cell(cell, proposals.layout, head.level, idx)
-                )
+                lines.append(decode_cell(cell, proposals.layout, head.level, idx, s))
             except DegenerateLineError:
                 continue
     return lines

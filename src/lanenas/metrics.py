@@ -9,7 +9,6 @@ import numpy as np
 
 from ._kernels import polyline_runs, rasterize_polyline, runs_iou
 from .errors import DegenerateLineError
-from .lane_model import LaneLine
 
 DEFAULT_LANE_WIDTH = 30
 DEFAULT_CANVAS = (1640, 590)  # CULane resolution
@@ -48,11 +47,9 @@ class MetricsReport:
 
 
 def _as_xy(line):
-    """Accept a LaneLine or a raw iterable of (x, y) points."""
-    if isinstance(line, LaneLine):
-        pts = [(p.x, p.y) for p in line.points]
-    else:
-        pts = [(float(x), float(y)) for x, y in line]
+    """The x and y arrays of an iterable of (x, y) points, such as a
+    LaneLine or a ground-truth polyline."""
+    pts = [(float(x), float(y)) for x, y in line]
     if len(pts) < 2:
         raise DegenerateLineError(f"{len(pts)} point(s)")
     return np.array([p[0] for p in pts]), np.array([p[1] for p in pts])

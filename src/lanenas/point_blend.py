@@ -41,9 +41,9 @@ class BlendParamSet:
     def __post_init__(self):
         if not 0.0 <= self.score_threshold <= 1.0:
             raise ValueError("score_threshold must be in [0, 1]")
-        if self.group_distance <= 0:
+        if not self.group_distance > 0:
             raise ValueError("group_distance must be positive")
-        if self.locality_sigma <= 0:
+        if not self.locality_sigma > 0:
             raise ValueError("locality_sigma must be positive")
 
     @classmethod
@@ -96,17 +96,16 @@ def apply_mask(score: float, logit_mask: float) -> float:
     return 1.0 / (1.0 + math.exp(-(logit_s + logit_mask)))
 
 
-def mask_proposals(proposals: LaneProposalSet, params: BlendParamSet) -> LaneProposalSet:
-    """Rewrite every cell score with its masked value."""
-    heads = []
+def mask_proposals(proposals: LaneProposalSet, params: BlendParamSet):
+    """The masked score of every cell: `scores[h][i]` for cell `i` of
+    head `h`. The proposals themselves are left as they are."""
+    scores = []
     for head in proposals.heads:
         p = params.per_level.get(head.level, BlendParams())
-        cells = tuple(
-            replace(c, score=apply_mask(c.score, mask_logit(p, c.center)))
-            for c in head.cells
+        scores.append(
+            [apply_mask(c.score, mask_logit(p, c.center)) for c in head.cells]
         )
-        heads.append(replace(head, cells=cells))
-    return replace(proposals, heads=tuple(heads))
+    return scores
 
 
 def group_lines(lines, group_distance):
@@ -134,37 +133,29 @@ def group_lines(lines, group_distance):
 
 def blend_group(group, locality_sigma) -> LaneLine:
     """Blend one group into its representative (the seed, highest masked
-    score). Each representative row keeps the candidate point whose
-    proposing cell has the best score x Gaussian-locality weight; ties
-    go to the representative. No coordinates are invented: every output
-    point comes verbatim from a group member."""
+    score), keeping its score and source. Each representative row keeps
+    the member point whose lane has the best score x Gaussian weight of
+    the row's distance from the lane's cell centre row (score alone at
+    infinite sigma); ties go to the representative, then to the earlier
+    member. Every output point comes verbatim from a group member."""
     rep = group[0]
     if len(group) == 1:
         return rep
-    candidates = {}
+    s2 = locality_sigma**2
+    row = {y: i for i, (_, y) in enumerate(rep.points)}
+    out = list(rep.points)
+    best_w = [-math.inf] * len(row)
     for line in group:
+        cy = line.source.cell_center[1]
         for p in line.points:
-            candidates.setdefault(p.y, []).append(p)
-
-    if math.isinf(locality_sigma):
-        def weight(p):
-            return p.source.score
-    else:
-        s2 = locality_sigma**2
-
-        def weight(p):
-            dy = p.y - p.source.cell_center[1]
-            return p.source.score * math.exp(-(dy * dy) / s2)
-
-    out = []
-    for rp in rep.points:
-        best, best_w = rp, weight(rp)
-        for cand in candidates.get(rp.y, ()):
-            w = weight(cand)
-            if w > best_w:
-                best, best_w = cand, w
-        out.append(best)
-    return LaneLine(points=tuple(out), score=rep.score)
+            i = row.get(p.y)
+            if i is None:
+                continue
+            dy = p.y - cy
+            w = line.score * math.exp(-(dy * dy) / s2)
+            if w > best_w[i]:
+                out[i], best_w[i] = p, w
+    return LaneLine(tuple(out), rep.score, rep.source)
 
 
 def postprocess(proposals: LaneProposalSet, params: BlendParamSet):
@@ -174,8 +165,8 @@ def postprocess(proposals: LaneProposalSet, params: BlendParamSet):
     locality sigma this reduces to plain Line-NMS (highest-score line
     per group, untouched).
     """
-    masked = mask_proposals(proposals, params)
-    lines = decode_all(masked, params.score_threshold)
+    scores = mask_proposals(proposals, params)
+    lines = decode_all(proposals, params.score_threshold, scores)
     groups = group_lines(lines, params.group_distance)
     return [blend_group(g, params.locality_sigma) for g in groups]
 

@@ -33,7 +33,7 @@ class SynthSceneConfig:
     def __post_init__(self):
         if self.num_scenes <= 0 or self.lanes_per_scene <= 0:
             raise ValueError("num_scenes and lanes_per_scene must be positive")
-        if self.remote_noise_sigma < 0:
+        if not self.remote_noise_sigma >= 0:
             raise ValueError("remote_noise_sigma must be non-negative")
 
 

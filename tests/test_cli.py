@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 
 import pytest
@@ -16,6 +17,42 @@ def run(capsys, *argv):
 def read_history(out_dir):
     with open(out_dir / "history.jsonl") as fh:
         return [json.loads(line) for line in fh]
+
+
+def write_params(path, **fields):
+    """A `blend --params` file: identity masks on levels 1 and 2, and
+    grouping wide enough to blend the noisy synthetic lanes."""
+    identity = {"alpha1": 0.0, "beta1": 0.0, "alpha2": 0.0, "center": [0, 0]}
+    doc = {
+        "per_level": {"1": identity, "2": identity},
+        "score_threshold": 0.3,
+        "group_distance": 60.0,
+        "locality_sigma": 60.0,
+        **fields,
+    }
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def gen_synth(capsys, out_dir, *argv):
+    code, out, _ = run(capsys, "gen-synth", "--out", str(out_dir), *argv, "--json")
+    assert code == 0
+    return json.loads(out)
+
+
+# each edit to a well-formed proposals document, and the JSON path the
+# error names
+MALFORMED_PROPOSALS = {
+    "short offsets": (lambda doc: doc["heads"][0]["cells"][0]["offsets"].pop(),
+                      "heads[0].cells[0].offsets"),
+    "long offsets": (lambda doc: doc["heads"][0]["cells"][0]["offsets"].append(0.0),
+                     "heads[0].cells[0].offsets"),
+    "score above 1": (lambda doc: doc["heads"][0]["cells"][0].update(score=1.5),
+                      "heads[0].cells[0].score"),
+    "rows not increasing": (lambda doc: doc["layout"]["rows"].reverse(), "layout.rows"),
+    "grid size mismatch": (lambda doc: doc["heads"][0].update(grid_w=doc["heads"][0]["grid_w"] + 1),
+                           "heads[0].cells"),
+}
 
 
 class TestParseArch:
@@ -115,25 +152,81 @@ class TestPipeline:
         _, out, _ = run(capsys, "gen-synth", "--out", str(out_dir),
                         "--num-scenes", "8", "--noise", "20", "--seed", "5", "--json")
         doc = json.loads(out)
-        params = tmp_path / "params.json"
-        params.write_text(json.dumps({
-            "per_level": {
-                "1": {"alpha1": 0.0, "beta1": 0.0, "alpha2": 0.0, "center": [0, 0]},
-                "2": {"alpha1": 0.0, "beta1": 0.0, "alpha2": 0.0, "center": [0, 0]},
-            },
-            "score_threshold": 0.3,
-            "group_distance": 60.0,
-            "locality_sigma": 60.0,
-        }))
+        params = write_params(tmp_path / "params.json")
         f1 = {}
         for mode, extra in (("blend", []), ("plain", ["--plain-nms"])):
             pred = tmp_path / mode
             run(capsys, "blend", "--proposals", doc["proposals"],
-                "--params", str(params), "--culane-out", str(pred), *extra)
+                "--params", params, "--culane-out", str(pred), *extra)
             _, out, _ = run(capsys, "eval-f1", "--pred", str(pred),
                             "--gt", doc["gt_dir"], "--canvas", "512x288", "--json")
             f1[mode] = json.loads(out)["f1"]
         assert f1["blend"] > f1["plain"]
+
+    @pytest.mark.parametrize("flags, blend_digest, f1_digest", [
+        pytest.param(
+            [], "157671a620fd2cb564a857d1628f7a96764324f55b7b531663d69487426ec482",
+            "09980cba12ef0747fc99520495b7d6dc6711fa7bdf00f0f5f7d2f7286acb380b", id="default"),
+        pytest.param(
+            ["--plain-nms"], "157671a620fd2cb564a857d1628f7a96764324f55b7b531663d69487426ec482",
+            "09980cba12ef0747fc99520495b7d6dc6711fa7bdf00f0f5f7d2f7286acb380b", id="plain-nms"),
+        pytest.param(
+            ["--params"], "a81f211f23da07992fb27c710582f97af048cc848fb0c551aff2ed9429724707",
+            "5bd7f59a585f9ba79589f0ecf7ab10d7fdf0e443a561d67656dcb464f5bd1d45", id="params"),
+    ])
+    def test_blend_and_eval_match_golden_digests(
+        self, tmp_path, capsys, flags, blend_digest, f1_digest
+    ):
+        """`blend --json` and `eval-f1 --json` are byte-identical across
+        code changes. Default grouping leaves every lane of this corpus
+        alone, so it reads as plain Line-NMS; the params file groups and
+        blends."""
+        doc = gen_synth(capsys, tmp_path / "corpus",
+                        "--num-scenes", "20", "--noise", "40", "--seed", "5")
+        if flags == ["--params"]:
+            flags = flags + [write_params(tmp_path / "params.json")]
+        pred = tmp_path / "pred"
+        code, out, _ = run(capsys, "blend", "--proposals", doc["proposals"],
+                           "--culane-out", str(pred), "--json", *flags)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == blend_digest
+        code, out, _ = run(capsys, "eval-f1", "--pred", str(pred), "--gt", doc["gt_dir"],
+                           "--canvas", "512x288", "--json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == f1_digest
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_PROPOSALS))
+    def test_malformed_proposals_are_data_errors(self, tmp_path, capsys, case):
+        edit, path = MALFORMED_PROPOSALS[case]
+        doc = gen_synth(capsys, tmp_path / "corpus", "--num-scenes", "1")
+        with open(doc["proposals"]) as fh:
+            scene = json.loads(fh.readline())
+        edit(scene)
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(json.dumps(scene) + "\n")
+        code, _, err = run(capsys, "blend", "--proposals", str(bad))
+        assert code == 2
+        assert f"error: {path}:" in err
+
+    @pytest.mark.parametrize("fields", [
+        {"score_threshold": 2.0}, {"group_distance": math.nan}, {"locality_sigma": "abc"},
+    ], ids=str)
+    def test_malformed_params_are_data_errors(self, tmp_path, capsys, fields):
+        doc = gen_synth(capsys, tmp_path / "corpus", "--num-scenes", "1")
+        params = write_params(tmp_path / "params.json", **fields)
+        code, _, err = run(capsys, "blend", "--proposals", doc["proposals"], "--params", params)
+        assert code == 2
+        assert "error: blend:" in err
+
+    @pytest.mark.parametrize("flags", [
+        ["--num-scenes", "0"], ["--lanes", "0"], ["--lanes", "-2"],
+        ["--noise", "-1"], ["--noise", "nan"],
+    ], ids=" ".join)
+    def test_gen_synth_bad_values_are_usage_errors(self, tmp_path, capsys, flags):
+        code, _, err = run(capsys, "gen-synth", "--out", str(tmp_path / "corpus"), *flags)
+        assert code == 1
+        assert "usage" in err
+        assert not (tmp_path / "corpus").exists()
 
 
 class TestSearchCommand:

@@ -10,7 +10,7 @@ from lanenas.lane_model import (
     LaneLine,
     LanePoint,
     LaneProposalSet,
-    PointSource,
+    LaneSource,
     decode_all,
     decode_cell,
     line_distance,
@@ -26,9 +26,8 @@ def cell(cx=100.0, cy=200.0, score=0.8, offsets=None, end_y=0.0):
 
 
 def simple_line(xs_by_row, score=0.5, cy=0.0):
-    src = PointSource(1, 0, score, (0.0, cy))
-    pts = tuple(LanePoint(x, y, src) for y, x in sorted(xs_by_row.items()))
-    return LaneLine(points=pts, score=score)
+    pts = tuple(LanePoint(x, y) for y, x in sorted(xs_by_row.items()))
+    return LaneLine(points=pts, score=score, source=LaneSource(1, 0, (0.0, cy)))
 
 
 class TestDecodeCell:
@@ -71,9 +70,15 @@ class TestDecodeCell:
             assert pb.x - pa.x == pytest.approx(17.5)
 
     def test_source_records_cell(self):
-        line = decode_cell(cell(score=0.7), LAYOUT, level=2, cell_index=9)
-        src = line.points[0].source
-        assert (src.level, src.cell_index, src.score) == (2, 9, 0.7)
+        line = decode_cell(cell(cx=30.0, cy=40.0, score=0.7), LAYOUT, level=2, cell_index=9)
+        assert line.source == LaneSource(level=2, cell_index=9, cell_center=(30.0, 40.0))
+        assert line.score == 0.7
+        assert LanePoint._fields == ("x", "y")
+        assert all(type(p) is LanePoint and p == (p.x, p.y) for p in line.points)
+
+    def test_score_override(self):
+        line = decode_cell(cell(score=0.7), LAYOUT, score=0.25)
+        assert line.score == 0.25
 
 
 class TestLineDistance:
@@ -122,6 +127,11 @@ class TestDecodeAll:
         assert len(lines) == 3
         assert sorted(l.score for l in lines) == [0.7, 0.8, 0.9]
 
+    def test_given_scores_threshold_and_label(self):
+        proposals = self.proposals([0.9, 0.2, 0.8])
+        lines = decode_all(proposals, 0.5, [[0.1, 0.6, 0.7]])
+        assert [(l.source.cell_index, l.score) for l in lines] == [(1, 0.6), (2, 0.7)]
+
     def test_degenerate_cells_skipped(self):
         good = cell(score=0.9)
         bad = GridCell(
@@ -149,6 +159,6 @@ class TestLayoutValidation:
             AnchorLayout((100, 100), (10.0,))
 
     def test_points_sorted_enforced(self):
-        src = PointSource(1, 0, 0.5, (0.0, 0.0))
+        src = LaneSource(1, 0, (0.0, 0.0))
         with pytest.raises(ValueError):
-            LaneLine(points=(LanePoint(0, 10, src), LanePoint(0, 5, src)), score=0.5)
+            LaneLine(points=(LanePoint(0, 10), LanePoint(0, 5)), score=0.5, source=src)

@@ -10,7 +10,7 @@ from lanenas.lane_model import (
     LaneLine,
     LanePoint,
     LaneProposalSet,
-    PointSource,
+    LaneSource,
     decode_cell,
 )
 from lanenas.point_blend import (
@@ -21,6 +21,7 @@ from lanenas.point_blend import (
     blend_group,
     group_lines,
     mask_logit,
+    mask_proposals,
     perturb,
     plain_nms_params,
     postprocess,
@@ -29,10 +30,31 @@ from lanenas.point_blend import (
 LAYOUT = AnchorLayout.uniform((512, 288), 72)
 
 
+def reference_blend(group, locality_sigma):
+    """Per-row blend: every group member's point on the row, in group
+    order, weighed by its lane's score and locality; the representative's
+    point is kept unless another weighs strictly more."""
+    def weight(line, y):
+        if math.isinf(locality_sigma):
+            return line.score
+        dy = y - line.source.cell_center[1]
+        return line.score * math.exp(-(dy * dy) / locality_sigma**2)
+
+    rep = group[0]
+    out = []
+    for rp in rep.points:
+        best, best_w = rp, weight(rep, rp.y)
+        for line in group:
+            for p in line.points:
+                if p.y == rp.y and weight(line, p.y) > best_w:
+                    best, best_w = p, weight(line, p.y)
+        out.append(best)
+    return out
+
+
 def vertical_line(x, score, cy=200.0):
-    src = PointSource(1, 0, score, (x, cy))
-    pts = tuple(LanePoint(x, y, src) for y in LAYOUT.rows)
-    return LaneLine(points=pts, score=score)
+    pts = tuple(LanePoint(x, y) for y in LAYOUT.rows)
+    return LaneLine(points=pts, score=score, source=LaneSource(1, 0, (x, cy)))
 
 
 class TestMaskLogit:
@@ -75,6 +97,58 @@ class TestApplyMask:
     def test_clamps_extreme_scores(self):
         assert 0.0 < apply_mask(0.0, 0.0) < 1e-5
         assert 1.0 - 1e-5 < apply_mask(1.0, 0.0) < 1.0
+
+
+class TestMaskProposals:
+    def test_masked_score_of_every_cell_and_input_untouched(self):
+        rng = np.random.default_rng(5)
+        heads = tuple(
+            HeadGrid(
+                level=lvl, grid_w=3, grid_h=2,
+                cells=tuple(
+                    GridCell(
+                        center=(float(rng.uniform(0, 512)), float(rng.uniform(0, 288))),
+                        score=float(rng.uniform()),
+                        offsets=(0.0,) * len(LAYOUT.rows),
+                        end_y=0.0,
+                    )
+                    for _ in range(6)
+                ),
+            )
+            for lvl in (1, 2, 3)
+        )
+        cells = [h.cells for h in heads]
+        proposals = LaneProposalSet(layout=LAYOUT, heads=heads)
+        # level 3 has no entry and is masked with the identity
+        params = BlendParamSet(per_level={
+            1: BlendParams(0.01, -0.5, 0.002, (256.0, 144.0)),
+            2: BlendParams(beta1=1.0),
+        })
+        scores = mask_proposals(proposals, params)
+        assert scores == [
+            [apply_mask(c.score, mask_logit(params.per_level.get(h.level, BlendParams()), c.center))
+             for c in h.cells]
+            for h in heads
+        ]
+        assert proposals.heads is heads
+        assert all(h.cells is c for h, c in zip(proposals.heads, cells))
+
+    def test_postprocess_builds_no_proposal_objects(self, monkeypatch):
+        proposals = LaneProposalSet(layout=LAYOUT, heads=(HeadGrid(
+            level=1, grid_w=2, grid_h=1,
+            cells=tuple(
+                GridCell(center=(cx, 200.0), score=0.6, offsets=(0.0,) * len(LAYOUT.rows), end_y=0.0)
+                for cx in (100.0, 110.0)
+            ),
+        ),))
+
+        def built(self):
+            raise AssertionError(f"postprocess built a {type(self).__name__}")
+
+        for cls in (GridCell, HeadGrid, LaneProposalSet):
+            monkeypatch.setattr(cls, "__post_init__", built)
+        params = BlendParamSet(per_level={1: BlendParams(beta1=0.5)}, locality_sigma=60.0)
+        assert len(postprocess(proposals, params)) == 1
 
 
 class TestGroupLines:
@@ -129,7 +203,35 @@ class TestBlendGroup:
         assert out.points[0].x == 110.0
         # at y=284: rep weight ~0.9 dominates
         assert out.points[-1].x == 100.0
-        assert out.score == rep.score
+        assert (out.score, out.source) == (rep.score, rep.source)
+
+    @pytest.mark.parametrize("sigma", [60.0, math.inf])
+    def test_ties_go_to_representative_then_group_order(self, sigma):
+        rep = vertical_line(0.0, 0.5, cy=100.0)
+        twin = vertical_line(3.0, 0.5, cy=100.0)
+        first = vertical_line(5.0, 0.8, cy=100.0)
+        second = vertical_line(9.0, 0.8, cy=100.0)
+        assert blend_group([rep, twin], sigma).points == rep.points
+        out = blend_group([rep, twin, first, second], sigma)
+        assert all(p.x == 5.0 for p in out.points)
+
+    @pytest.mark.parametrize("sigma", [5.0, 40.0, 300.0, math.inf])
+    def test_matches_per_row_reference(self, sigma):
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            group = []
+            for k in range(int(rng.integers(2, 6))):
+                # coarse scores and centers make ties; partial rows make
+                # rows the representative lacks or shares with few members
+                rows = [y for y in LAYOUT.rows if rng.uniform() < 0.7]
+                group.append(LaneLine(
+                    points=tuple(LanePoint(float(10 * k + rng.integers(0, 8)), y) for y in rows),
+                    score=float(rng.integers(1, 4)) / 4,
+                    source=LaneSource(1, k, (0.0, float(rng.integers(0, 3)) * 100.0)),
+                ))
+            out = blend_group(group, sigma)
+            assert list(out.points) == reference_blend(group, sigma)
+            assert (out.score, out.source) == (group[0].score, group[0].source)
 
     def test_infinite_sigma_pure_score(self):
         rep = vertical_line(100.0, 0.9, cy=280.0)
@@ -151,11 +253,12 @@ class TestBlendGroup:
         rng = np.random.default_rng(3)
         lines = []
         for k in range(4):
-            src = PointSource(1, k, float(rng.uniform(0.3, 1.0)), (0.0, float(rng.uniform(0, 288))))
+            score = float(rng.uniform(0.3, 1.0))
+            src = LaneSource(1, k, (0.0, float(rng.uniform(0, 288))))
             pts = tuple(
-                LanePoint(float(rng.uniform(0, 512)), y, src) for y in LAYOUT.rows
+                LanePoint(float(rng.uniform(0, 512)), y) for y in LAYOUT.rows
             )
-            lines.append(LaneLine(points=pts, score=src.score))
+            lines.append(LaneLine(points=pts, score=score, source=src))
         lines.sort(key=lambda l: -l.score)
         out = blend_group(lines, 40.0)
         allowed = {(p.x, p.y) for l in lines for p in l.points}
