@@ -18,7 +18,6 @@ from .arch_space import (
     parse_backbone,
     serialize_backbone,
     space_cardinality,
-    stage_layout,
 )
 from .cost_model import CostReport, candidate_cost, conv_cost
 from .errors import LaneNasError

@@ -21,9 +21,6 @@ NUM_BLOCKS_MIN = 10
 NUM_BLOCKS_MAX = 45
 ALLOWED_STAGE_LIST_LENS = (2, 3)  # 3 or 4 stages
 
-# Fixed stem: two 3x3 stride-2 convs before block 1.
-STEM_FACTOR = 4
-
 KIND_CODES = {"RB": "basic", "BB": "bottleneck"}
 CODE_FOR_KIND = {v: k for k, v in KIND_CODES.items()}
 
@@ -177,39 +174,6 @@ def serialize_backbone(spec: BackboneSpec) -> str:
 
 
 @dataclass(frozen=True)
-class StageInfo:
-    """Per-block resolution/channel summary."""
-
-    block_index: int
-    downsample_factor: int
-    channels: int
-    is_downsample: bool
-    doubles_channels: bool
-
-
-def stage_layout(spec: BackboneSpec) -> list[StageInfo]:
-    """Per-block downsample factor and channel count.
-
-    Block b sits at factor STEM_FACTOR * 2^(downsamples at or before b)
-    and carries base_channels * 2^(doublings at or before b) channels.
-    """
-    out = []
-    for b in range(1, spec.num_blocks + 1):
-        n_down = sum(1 for d in spec.downsample_at if d <= b)
-        n_dbl = sum(1 for c in spec.double_channels_at if c <= b)
-        out.append(
-            StageInfo(
-                block_index=b,
-                downsample_factor=STEM_FACTOR * 2**n_down,
-                channels=spec.base_channels * 2**n_dbl,
-                is_downsample=b in spec.downsample_at,
-                doubles_channels=b in spec.double_channels_at,
-            )
-        )
-    return out
-
-
-@dataclass(frozen=True)
 class SpaceConfig:
     """Pins the boundaries of the searchable backbone/fusion space.
 
@@ -287,19 +251,21 @@ def space_cardinality(cfg: SpaceConfig = SpaceConfig()) -> CardinalityReport:
 
 
 def _list_move_candidates(spec: BackboneSpec):
-    """All (field, position, delta) neighbor moves that keep the spec valid."""
+    """All (field, position, delta) neighbor moves that keep the spec valid.
+
+    An index may move down while it stays above its left neighbor (or
+    >= 2) and up while it stays below its right neighbor (or <=
+    num_blocks); moves are listed by field, position, then delta."""
     moves = []
     for fld in ("downsample_at", "double_channels_at"):
         idxs = getattr(spec, fld)
-        for pos in range(len(idxs)):
-            for delta in (-1, 1):
-                new = list(idxs)
-                new[pos] += delta
-                if new[pos] < 2 or new[pos] > spec.num_blocks:
-                    continue
-                if any(b <= a for a, b in zip(new, new[1:])):
-                    continue
-                moves.append((fld, pos, delta))
+        lows = (1,) + idxs
+        highs = idxs[1:] + (spec.num_blocks + 1,)
+        for pos, (low, i, high) in enumerate(zip(lows, idxs, highs)):
+            if i - 1 > low:
+                moves.append((fld, pos, -1))
+            if i + 1 < high:
+                moves.append((fld, pos, 1))
     return moves
 
 

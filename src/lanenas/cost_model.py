@@ -8,8 +8,9 @@ candidates). Spatial sizes use ceil division under stride.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
-from .arch_space import ArchEncoding, BackboneSpec, BlockKind, stage_layout
+from .arch_space import NUM_BLOCKS_MAX, ArchEncoding, BackboneSpec, BlockKind
 
 BOTTLENECK_EXPANSION = 4
 DEFAULT_RESOLUTION = (512, 288)
@@ -76,9 +77,21 @@ def _block_cost(kind, in_ch, out_ch, stride, out_w, out_h):
     return flops, params, block_out
 
 
+# per_component label of block b is _BLOCK_LABELS[b]
+_BLOCK_LABELS = ("",) + tuple(f"block{b}" for b in range(1, NUM_BLOCKS_MAX + 1))
+
+
 def _backbone_components(spec: BackboneSpec, resolution):
     """Yield (label, flops, params) for stem and every block, plus the
-    per-level output (channels, w, h) map for the fusion stage."""
+    per-level output (channels, w, h) map for the fusion stage.
+
+    Blocks are priced run by run. A run starts at block 1 or at a
+    downsample / channel-doubling index and ends before the next one;
+    every block after a run's first takes the same `_block_cost`
+    arguments (stride 1, the run's channels and spatial size), so it is
+    priced once and repeated. A block is re-priced whenever its argument
+    tuple differs from the previous block's: adjacent downsample indices
+    keep the channels but halve the spatial size."""
     w, h = resolution
     comps = []
 
@@ -89,21 +102,34 @@ def _backbone_components(spec: BackboneSpec, resolution):
     f2, p2 = conv_cost(spec.base_channels, spec.base_channels, 3, 2, w2, h2)
     comps.append(("stem", f1 + f2, p1 + p2))
 
+    kind = spec.block_kind
+    down, dbl = spec.downsample_at, spec.double_channels_at
     cur_w, cur_h = w2, h2
-    in_ch = spec.base_channels
+    in_ch = ch = spec.base_channels
     level_shapes = {}
     level = 1
-    for info in stage_layout(spec):
-        stride = 2 if info.is_downsample else 1
-        if stride == 2:
+    key = None
+    starts = sorted(set(down + dbl))
+    for start, end in zip([1] + starts, starts + [spec.num_blocks + 1]):
+        stride = 1
+        if start in down:
+            stride = 2
             cur_w, cur_h = _ceil_div(cur_w, 2), _ceil_div(cur_h, 2)
             level += 1
-        flops, params, out_ch = _block_cost(
-            spec.block_kind, in_ch, info.channels, stride, cur_w, cur_h
-        )
-        comps.append((f"block{info.block_index}", flops, params))
-        in_ch = out_ch
-        level_shapes[level] = (out_ch, cur_w, cur_h)
+        if start in dbl:
+            ch *= 2
+        args = (in_ch, ch, stride, cur_w, cur_h)
+        if args != key:
+            key = args
+            flops, params, in_ch = _block_cost(kind, *args)
+        comps.append((_BLOCK_LABELS[start], flops, params))
+        if end - start > 1:
+            args = (in_ch, ch, 1, cur_w, cur_h)
+            if args != key:
+                key = args
+                flops, params, in_ch = _block_cost(kind, *args)
+            comps.extend(zip(_BLOCK_LABELS[start + 1 : end], repeat(flops), repeat(params)))
+        level_shapes[level] = (in_ch, cur_w, cur_h)
     return comps, level_shapes
 
 
@@ -139,11 +165,10 @@ def candidate_cost(
         f, p = conv_cost(c, head_out, 1, 1, gw, gh)
         comps.append((f"head_level{lvl}", f, p))
 
-    total_f = sum(f for _, f, _ in comps)
-    total_p = sum(p for _, _, p in comps)
+    _, flops_col, params_col = zip(*comps)
     return CostReport(
-        total_flops=total_f,
-        total_params=total_p,
+        total_flops=sum(flops_col),
+        total_params=sum(params_col),
         per_component=tuple(comps),
         input_resolution=tuple(resolution),
     )

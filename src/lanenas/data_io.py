@@ -113,15 +113,13 @@ def blend_from_json(doc: dict) -> BlendParamSet:
     """Read a `blend --params` document. A `locality_sigma` of "inf"
     (strict JSON has no infinity) means no locality weighting."""
     try:
-        per_level = {
-            int(lvl): BlendParams(
-                alpha1=p["alpha1"],
-                beta1=p["beta1"],
-                alpha2=p["alpha2"],
-                center=tuple(p["center"]),
+        per_level = {}
+        for lvl, p in doc["per_level"].items():
+            scalars = {key: p[key] for key in ("alpha1", "beta1", "alpha2")}
+            _check_numbers(
+                f"blend.per_level.{lvl}", scalars, "center", p["center"], _NUMBER_TYPES, size=2
             )
-            for lvl, p in doc["per_level"].items()
-        }
+            per_level[int(lvl)] = BlendParams(**scalars, center=tuple(p["center"]))
         sigma = doc["locality_sigma"]
         return BlendParamSet(
             per_level=per_level,
@@ -165,6 +163,37 @@ def _cell_to_json(c: GridCell) -> dict:
     }
 
 
+_NUMBER_TYPES = frozenset({int, float})
+_NUMBER_OR_NULL_TYPES = _NUMBER_TYPES | {type(None)}
+_OBJECT_TYPES = frozenset({dict})
+
+
+def _check_numbers(path, scalars, list_name, values, value_types, size=None):
+    """Check in one pass that every value of `scalars` (a name -> value
+    dict) is a JSON number and that `values` is a JSON list (named
+    `list_name`, of length `size` when given) whose entries have types in
+    `value_types`. Only a failing object is searched for the field to
+    name in the SchemaError. JSON booleans are not numbers."""
+    if (
+        set(map(type, scalars.values())) <= _NUMBER_TYPES
+        and type(values) is list
+        and set(map(type, values)) <= value_types
+        and (size is None or len(values) == size)
+    ):
+        return
+    for name, value in scalars.items():
+        if type(value) not in _NUMBER_TYPES:
+            raise SchemaError(f"{path}.{name}", f"{value!r} is not a number")
+    if type(values) is not list or (size is not None and len(values) != size):
+        need = f"a list of length {size}" if size is not None else "a list"
+        raise SchemaError(f"{path}.{list_name}", f"need {need}")
+    for i, value in enumerate(values):
+        if type(value) not in value_types:
+            raise SchemaError(
+                f"{path}.{list_name}[{i}]", f"{value!r} has wrong type {type(value).__name__}"
+            )
+
+
 def _checked(path, make, **fields):
     """`make(**fields)`, a value it rejects reported at JSON path `path`."""
     try:
@@ -177,8 +206,12 @@ def _cell_from_json(doc, path, num_rows):
     for key in ("cx", "cy", "score", "offsets", "end_y"):
         if key not in doc:
             raise SchemaError(f"{path}.{key}", "missing field")
-    if not isinstance(doc["offsets"], list) or len(doc["offsets"]) != num_rows:
-        raise SchemaError(f"{path}.offsets", f"need one offset per anchor row ({num_rows})")
+    # one offset (or null) per anchor row
+    _check_numbers(
+        path,
+        {"cx": doc["cx"], "cy": doc["cy"], "score": doc["score"], "end_y": doc["end_y"]},
+        "offsets", doc["offsets"], _NUMBER_OR_NULL_TYPES, size=num_rows,
+    )
     return _checked(
         f"{path}.score", GridCell,
         center=(doc["cx"], doc["cy"]),
@@ -212,18 +245,23 @@ def proposals_from_json(doc: dict):
     if doc.get("version", FORMAT_VERSION) != FORMAT_VERSION:
         raise VersionError(f"unsupported proposals version {doc.get('version')}")
     try:
-        layout = _checked(
-            "layout.rows", AnchorLayout,
-            image_size=tuple(doc["layout"]["image_size"]),
-            rows=tuple(doc["layout"]["rows"]),
-        )
+        image_size = doc["layout"]["image_size"]
+        rows = doc["layout"]["rows"]
     except KeyError as exc:
         raise SchemaError(f"layout.{exc.args[0]}", "missing field") from exc
+    _check_numbers("layout", {}, "image_size", image_size, _NUMBER_TYPES, size=2)
+    layout = _checked(
+        "layout.rows", AnchorLayout, image_size=tuple(image_size), rows=tuple(rows)
+    )
     heads = []
     for hi, h in enumerate(doc.get("heads", [])):
         for key in ("level", "grid_w", "grid_h", "cells"):
             if key not in h:
                 raise SchemaError(f"heads[{hi}].{key}", "missing field")
+        _check_numbers(
+            f"heads[{hi}]", {"level": h["level"], "grid_w": h["grid_w"], "grid_h": h["grid_h"]},
+            "cells", h["cells"], _OBJECT_TYPES,
+        )
         cells = tuple(
             _cell_from_json(c, f"heads[{hi}].cells[{ci}]", len(layout.rows))
             for ci, c in enumerate(h["cells"])
@@ -334,9 +372,11 @@ def candidate_from_json(doc: dict):
 def snapshot_archive(archive, history_lines, path):
     """Write `archive.json`: the front members plus the history, one
     candidate per line. `history_lines` are the `candidate_line` texts of
-    `archive.history`, already encoded once for `history.jsonl`, so a
-    snapshot costs the size of the file, not a re-encoding of the run."""
-    members = ",\n".join(candidate_line(c) for c in archive.members)
+    `archive.history`, already encoded once for `history.jsonl`; a front
+    member's line is taken from them by `eval_id`, so a snapshot costs
+    the size of the file, not a re-encoding of the run."""
+    line_of = {c.eval_id: line for c, line in zip(archive.history, history_lines)}
+    members = ",\n".join(line_of[c.eval_id] for c in archive.members)
     history = ",\n".join(history_lines)
     _atomic_write(
         path,

@@ -204,13 +204,17 @@ def _random_arch(rng, cfg: SearchConfig) -> ArchEncoding:
     return ArchEncoding(backbone=bb, fusion=fusion)
 
 
+# rng.choice probabilities over the first n mutation kinds (backbone,
+# then fusion), normalized once
+_KIND_PROBS = {
+    n: np.array(_MUTATION_WEIGHTS[:n]) / sum(_MUTATION_WEIGHTS[:n]) for n in (1, 2)
+}
+
+
 def mutate_arch(arch: ArchEncoding, rng, cfg: SearchConfig) -> ArchEncoding:
-    kinds = ["backbone"] if cfg.fixed_fusion is not None else ["backbone", "fusion"]
-    weights = _MUTATION_WEIGHTS[: len(kinds)]
+    n_kinds = 1 if cfg.fixed_fusion is not None else 2
     # draw even when one kind is left: skipping it would shift every later draw
-    probs = np.array(weights) / sum(weights)
-    kind = kinds[int(rng.choice(len(kinds), p=probs))]
-    if kind == "backbone":
+    if rng.choice(n_kinds, p=_KIND_PROBS[n_kinds]) == 0:
         return replace(arch, backbone=mutate_backbone(arch.backbone, rng, cfg.space))
     return replace(
         arch, fusion=mutate_fusion(arch.fusion, arch.backbone.num_stages, rng)

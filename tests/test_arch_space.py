@@ -17,9 +17,10 @@ from lanenas.arch_space import (
     random_backbone,
     serialize_backbone,
     space_cardinality,
-    stage_layout,
 )
 from lanenas.errors import ConstraintError, EncodingSyntaxError
+
+from block_oracle import stage_layout
 
 
 def backbone_strategy():
@@ -112,6 +113,8 @@ class TestSerialize:
 
 
 class TestStageLayout:
+    """The layout walk of the tests' per-block cost oracle."""
+
     def test_hand_trace(self):
         spec = parse_backbone("BB_64_13_[5,9]_[7,12]")
         layout = stage_layout(spec)

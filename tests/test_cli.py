@@ -52,6 +52,19 @@ MALFORMED_PROPOSALS = {
     "rows not increasing": (lambda doc: doc["layout"]["rows"].reverse(), "layout.rows"),
     "grid size mismatch": (lambda doc: doc["heads"][0].update(grid_w=doc["heads"][0]["grid_w"] + 1),
                            "heads[0].cells"),
+    # non-numeric values; the score is raised so the cell is decoded
+    "offset not a number": (lambda doc: doc["heads"][0]["cells"][0].update(
+        score=0.9, offsets=["a"] + doc["heads"][0]["cells"][0]["offsets"][1:]),
+        "heads[0].cells[0].offsets[0]"),
+    "end_y not a number": (lambda doc: doc["heads"][0]["cells"][0].update(score=0.9, end_y="top"),
+                           "heads[0].cells[0].end_y"),
+    "cx not a number": (lambda doc: doc["heads"][0]["cells"][0].update(score=0.9, cx="a"),
+                        "heads[0].cells[0].cx"),
+    "image_size one value": (lambda doc: doc["layout"].update(image_size=[512]),
+                             "layout.image_size"),
+    "level not a number": (lambda doc: doc["heads"][0].update(level="x"), "heads[0].level"),
+    "cell not an object": (lambda doc: doc["heads"][0]["cells"].__setitem__(0, 5),
+                           "heads[0].cells[0]"),
 }
 
 
@@ -217,6 +230,16 @@ class TestPipeline:
         code, _, err = run(capsys, "blend", "--proposals", doc["proposals"], "--params", params)
         assert code == 2
         assert "error: blend:" in err
+
+    @pytest.mark.parametrize("field,value", [("alpha1", "x"), ("center", [0, "y"])],
+                             ids=["alpha1", "center"])
+    def test_non_numeric_params_are_data_errors(self, tmp_path, capsys, field, value):
+        doc = gen_synth(capsys, tmp_path / "corpus", "--num-scenes", "1")
+        level = {"alpha1": 0.0, "beta1": 0.0, "alpha2": 0.0, "center": [0, 0], field: value}
+        params = write_params(tmp_path / "params.json", per_level={"1": level, "2": level})
+        code, _, err = run(capsys, "blend", "--proposals", doc["proposals"], "--params", params)
+        assert code == 2
+        assert f"error: blend.per_level.1.{field}" in err
 
     @pytest.mark.parametrize("flags", [
         ["--num-scenes", "0"], ["--lanes", "0"], ["--lanes", "-2"],

@@ -4,8 +4,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from lanenas.arch_space import BlockKind, parse_backbone, random_backbone, random_fusion
+from lanenas.arch_space import (
+    ArchEncoding,
+    BlockKind,
+    parse_backbone,
+    random_backbone,
+    random_fusion,
+)
 from lanenas.cost_model import candidate_cost, conv_cost
+from lanenas.search_engine import SearchConfig, mutate_arch
+from block_oracle import oracle_components
 from conftest import make_arch
 
 
@@ -159,3 +167,48 @@ class TestCandidateCost:
         a = make_arch("BB_64_13_[5,9]_[7,12]")
         b = make_arch("BB_64_14_[5,9]_[7,12]")
         assert candidate_cost(b).total_flops > candidate_cost(a).total_flops
+
+
+def assert_matches_block_oracle(arch, resolution):
+    report = candidate_cost(arch, resolution)
+    comps = oracle_components(arch, resolution)
+    assert list(report.per_component) == comps
+    assert report.total_flops == sum(f for _, f, _ in comps)
+    assert report.total_params == sum(p for _, _, p in comps)
+    assert report.input_resolution == resolution
+
+
+ORACLE_RESOLUTIONS = [(512, 288), (1640, 590), (33, 17)]
+
+
+class TestPerBlockOracle:
+    """The cost model prices a run of identical blocks once; every block
+    must still get the cost a block-by-block walk gives it."""
+
+    @pytest.mark.parametrize("encoding", [
+        # adjacent downsamples with unchanged channels: same (in, out,
+        # stride) at half the spatial size
+        "BB_64_12_[5,6]_[8,9]",
+        "RB_48_10_[2,3]_[2,3]",
+        "BB_96_20_[4,5,6]_[10,11,12]",
+        "RB_64_14_[5,6,7]_[10,11,12]",
+        "BB_64_13_[5,9]_[7,12]",
+        "BB_128_45_[43,44,45]_[2,3,4]",
+    ])
+    @pytest.mark.parametrize("resolution", ORACLE_RESOLUTIONS + [(1, 1)], ids=str)
+    def test_hand_cases(self, encoding, resolution):
+        backbone = parse_backbone(encoding)
+        rng = np.random.default_rng(0)
+        arch = ArchEncoding(backbone, random_fusion(rng, backbone.num_stages))
+        assert_matches_block_oracle(arch, resolution)
+
+    def test_random_genomes_and_children(self):
+        rng = np.random.default_rng(909)
+        cfg = SearchConfig()
+        for _ in range(2000):
+            bb = random_backbone(rng)
+            parent = ArchEncoding(bb, random_fusion(rng, bb.num_stages))
+            child = mutate_arch(parent, rng, cfg)
+            for arch in (parent, child):
+                for resolution in ORACLE_RESOLUTIONS:
+                    assert_matches_block_oracle(arch, resolution)

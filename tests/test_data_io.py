@@ -8,7 +8,13 @@ from lanenas import data_io
 from lanenas.errors import FormatError, SchemaError, VersionError
 from lanenas.lane_model import AnchorLayout, GridCell, HeadGrid, LaneProposalSet
 from lanenas.point_blend import BlendParams
-from lanenas.search_engine import Candidate, ParetoArchive
+from lanenas.search_engine import (
+    Candidate,
+    ParetoArchive,
+    SearchConfig,
+    SyntheticEvaluator,
+    run_search,
+)
 from lanenas.synth import SynthSceneConfig, generate_synthetic_scenes
 from conftest import make_arch
 
@@ -158,6 +164,26 @@ class TestArchiveSnapshot:
         b = data_io.load_archive(path)
         # appending nothing leaves the front untouched
         assert {c.eval_id for c in b.members} == {c.eval_id for c in a.members}
+
+    @pytest.mark.parametrize("source", ["inserted", "threaded-search"])
+    def test_file_equals_members_encoded_afresh(self, tmp_path, source):
+        """Front members' lines come from the history lines; the file is
+        byte-identical to one that encodes every member again. A threaded
+        search records its history out of eval_id order."""
+        if source == "inserted":
+            a = self.archive(seed=3)
+        else:
+            cfg = SearchConfig(budget=60, init_population=8, workers=3, seed=4)
+            a = run_search(cfg, SyntheticEvaluator())
+        path = tmp_path / "a.json"
+        self.snapshot(a, path)
+        members = ",\n".join(data_io.candidate_line(c) for c in a.members)
+        history = ",\n".join(data_io.candidate_line(c) for c in a.history)
+        expected = (
+            f'{{"history": [\n{history}\n],\n"members": [\n{members}\n],\n'
+            f'"version": {data_io.FORMAT_VERSION}}}\n'
+        )
+        assert path.read_text() == expected
 
     def test_corrupted_member_names_eval_id(self, tmp_path):
         a = self.archive(n=3)

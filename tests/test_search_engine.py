@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lanenas import data_io, metrics, search_engine
+from lanenas import arch_space, data_io, metrics, search_engine
 from lanenas.arch_space import (
     BlockKind,
     FusionLayer,
@@ -300,6 +300,75 @@ class TestGenomeKey:
         by_key = {old_key(g): g for g in genomes}
         assert len(set(genomes)) == len(by_key)
         assert all(by_key[old_key(g)] == g for g in genomes)
+
+
+def reference_list_moves(spec):
+    """`_list_move_candidates` as a try-every-move filter."""
+    moves = []
+    for fld in ("downsample_at", "double_channels_at"):
+        idxs = getattr(spec, fld)
+        for pos in range(len(idxs)):
+            for delta in (-1, 1):
+                new = list(idxs)
+                new[pos] += delta
+                if new[pos] < 2 or new[pos] > spec.num_blocks:
+                    continue
+                if any(b <= a for a, b in zip(new, new[1:])):
+                    continue
+                moves.append((fld, pos, delta))
+    return moves
+
+
+def reference_mutate_backbone(spec, rng, cfg, p_extended=0.2):
+    index_moves = reference_list_moves(spec)
+    extended_moves = arch_space._extended_move_candidates(spec, cfg)
+    use_extended = extended_moves and (not index_moves or rng.random() < p_extended)
+    if use_extended:
+        fld, value = extended_moves[rng.integers(len(extended_moves))]
+        return replace(spec, **{fld: value})
+    fld, pos, delta = index_moves[rng.integers(len(index_moves))]
+    idxs = list(getattr(spec, fld))
+    idxs[pos] += delta
+    return replace(spec, **{fld: tuple(idxs)})
+
+
+def reference_mutate_arch(arch, rng, cfg):
+    """`mutate_arch` with its kind probabilities built on every call."""
+    kinds = ["backbone"] if cfg.fixed_fusion is not None else ["backbone", "fusion"]
+    weights = (0.4, 0.3)[: len(kinds)]
+    probs = np.array(weights) / sum(weights)
+    kind = kinds[int(rng.choice(len(kinds), p=probs))]
+    if kind == "backbone":
+        return replace(arch, backbone=reference_mutate_backbone(arch.backbone, rng, cfg.space))
+    return replace(
+        arch, fusion=arch_space.mutate_fusion(arch.fusion, arch.backbone.num_stages, rng)
+    )
+
+
+class TestMutationStream:
+    """`mutate_arch` returns the same child as a move-by-move reference
+    and consumes the same random draws, so seeded runs are unchanged."""
+
+    @pytest.mark.parametrize("cfg", [SearchConfig(), reduced_config()],
+                             ids=["full", "reduced-fixed-fusion"])
+    def test_same_children_and_rng_state(self, cfg):
+        parents = np.random.default_rng(77)
+        for seed in range(1000):
+            parent = search_engine._random_arch(parents, cfg)
+            rng_new, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            # two generations: children of children are covered too
+            for _ in range(2):
+                child = search_engine.mutate_arch(parent, rng_new, cfg)
+                assert child == reference_mutate_arch(parent, rng_ref, cfg)
+                assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+                parent = child
+
+    def test_move_list_matches_reference_over_small_space(self):
+        small = SpaceConfig(
+            block_kinds=(BlockKind.BASIC,), base_channels=(48,), num_blocks_range=(10, 11)
+        )
+        for spec in arch_space.enumerate_backbones(small):
+            assert arch_space._list_move_candidates(spec) == reference_list_moves(spec)
 
 
 class TestSyntheticEvaluator:
