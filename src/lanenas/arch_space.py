@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 from .errors import ConstraintError, EncodingSyntaxError, ExhaustedError
@@ -275,7 +275,7 @@ def neighbor_specs(spec: BackboneSpec) -> list[BackboneSpec]:
     for fld, pos, delta in _list_move_candidates(spec):
         idxs = list(getattr(spec, fld))
         idxs[pos] += delta
-        out.append(replace(spec, **{fld: tuple(idxs)}))
+        out.append(BackboneSpec(**{**vars(spec), fld: tuple(idxs)}))
     return out
 
 
@@ -317,15 +317,17 @@ def mutate_backbone(
     use_extended = extended_moves and (
         not index_moves or rng.random() < p_extended
     )
+    # the constructor validates the mutant; vars() of these dataclasses
+    # holds exactly their init fields (cheaper than dataclasses.replace)
     if use_extended:
         fld, value = extended_moves[rng.integers(len(extended_moves))]
-        return replace(spec, **{fld: value})
+        return BackboneSpec(**{**vars(spec), fld: value})
     if not index_moves:
         raise ExhaustedError(f"no valid mutation for {serialize_backbone(spec)}")
     fld, pos, delta = index_moves[rng.integers(len(index_moves))]
     idxs = list(getattr(spec, fld))
     idxs[pos] += delta
-    return replace(spec, **{fld: tuple(idxs)})
+    return BackboneSpec(**{**vars(spec), fld: tuple(idxs)})
 
 
 def mutate_fusion(spec: FusionSpec, t: int, rng) -> FusionSpec:
@@ -336,8 +338,8 @@ def mutate_fusion(spec: FusionSpec, t: int, rng) -> FusionSpec:
         li, fi = divmod(int(choice), 3)
         fld = ("input_a", "input_b", "output_level")[fi]
         layers = list(spec.layers)
-        layers[li] = replace(layers[li], **{fld: int(rng.integers(1, t + 1))})
-        return replace(spec, layers=tuple(layers))
+        layers[li] = FusionLayer(**{**vars(layers[li]), fld: int(rng.integers(1, t + 1))})
+        return FusionSpec(tuple(layers), spec.channels, spec.heads_at)
     lvl = int(rng.integers(1, t + 1))
     heads = set(spec.heads_at)
     if lvl in heads:
@@ -348,7 +350,7 @@ def mutate_fusion(spec: FusionSpec, t: int, rng) -> FusionSpec:
             heads = {1 + (lvl % t)}
     else:
         heads.add(lvl)
-    return replace(spec, heads_at=frozenset(heads))
+    return FusionSpec(spec.layers, spec.channels, frozenset(heads))
 
 
 def random_backbone(rng, cfg: SpaceConfig = SpaceConfig()) -> BackboneSpec:

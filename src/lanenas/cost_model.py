@@ -8,6 +8,7 @@ candidates). Spatial sizes use ceil division under stride.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import repeat
 
 from .arch_space import NUM_BLOCKS_MAX, ArchEncoding, BackboneSpec, BlockKind
@@ -47,10 +48,16 @@ def _ceil_div(a, b):
     return -(-a // b)
 
 
+@lru_cache(maxsize=None)
 def _block_cost(kind, in_ch, out_ch, stride, out_w, out_h):
     """One residual block: basic = two 3x3 convs; bottleneck = 1x1, 3x3,
     1x1 with expansion 4. A 1x1 projection shortcut is counted whenever
-    stride or channel count changes."""
+    stride or channel count changes.
+
+    Returns the tuple (flops, params, block output channels). Each
+    distinct block shape is priced once per process: the key space is
+    bounded by the search space and the input resolution, not by the
+    number of candidates priced."""
     flops = params = 0
     if kind is BlockKind.BASIC:
         for f, p in (
@@ -89,9 +96,7 @@ def _backbone_components(spec: BackboneSpec, resolution):
     downsample / channel-doubling index and ends before the next one;
     every block after a run's first takes the same `_block_cost`
     arguments (stride 1, the run's channels and spatial size), so it is
-    priced once and repeated. A block is re-priced whenever its argument
-    tuple differs from the previous block's: adjacent downsample indices
-    keep the channels but halve the spatial size."""
+    looked up once and repeated."""
     w, h = resolution
     comps = []
 
@@ -108,7 +113,6 @@ def _backbone_components(spec: BackboneSpec, resolution):
     in_ch = ch = spec.base_channels
     level_shapes = {}
     level = 1
-    key = None
     starts = sorted(set(down + dbl))
     for start, end in zip([1] + starts, starts + [spec.num_blocks + 1]):
         stride = 1
@@ -118,16 +122,10 @@ def _backbone_components(spec: BackboneSpec, resolution):
             level += 1
         if start in dbl:
             ch *= 2
-        args = (in_ch, ch, stride, cur_w, cur_h)
-        if args != key:
-            key = args
-            flops, params, in_ch = _block_cost(kind, *args)
+        flops, params, in_ch = _block_cost(kind, in_ch, ch, stride, cur_w, cur_h)
         comps.append((_BLOCK_LABELS[start], flops, params))
         if end - start > 1:
-            args = (in_ch, ch, 1, cur_w, cur_h)
-            if args != key:
-                key = args
-                flops, params, in_ch = _block_cost(kind, *args)
+            flops, params, in_ch = _block_cost(kind, in_ch, ch, 1, cur_w, cur_h)
             comps.extend(zip(_BLOCK_LABELS[start + 1 : end], repeat(flops), repeat(params)))
         level_shapes[level] = (in_ch, cur_w, cur_h)
     return comps, level_shapes

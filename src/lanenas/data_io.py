@@ -114,6 +114,8 @@ def blend_from_json(doc: dict) -> BlendParamSet:
     (strict JSON has no infinity) means no locality weighting."""
     try:
         per_level = {}
+        if type(doc["per_level"]) is not dict:
+            raise SchemaError("blend.per_level", "need an object")
         for lvl, p in doc["per_level"].items():
             scalars = {key: p[key] for key in ("alpha1", "beta1", "alpha2")}
             _check_numbers(
@@ -242,19 +244,29 @@ def proposals_to_json(image_id, proposals: LaneProposalSet) -> dict:
 
 
 def proposals_from_json(doc: dict):
+    if type(doc) is not dict:
+        raise SchemaError("scene", "need an object")
     if doc.get("version", FORMAT_VERSION) != FORMAT_VERSION:
         raise VersionError(f"unsupported proposals version {doc.get('version')}")
     try:
+        if type(doc["layout"]) is not dict:
+            raise SchemaError("layout", "need an object")
         image_size = doc["layout"]["image_size"]
         rows = doc["layout"]["rows"]
     except KeyError as exc:
         raise SchemaError(f"layout.{exc.args[0]}", "missing field") from exc
     _check_numbers("layout", {}, "image_size", image_size, _NUMBER_TYPES, size=2)
+    _check_numbers("layout", {}, "rows", rows, _NUMBER_TYPES)
     layout = _checked(
         "layout.rows", AnchorLayout, image_size=tuple(image_size), rows=tuple(rows)
     )
+    heads_doc = doc.get("heads", [])
+    if type(heads_doc) is not list:
+        raise SchemaError("heads", "need a list")
     heads = []
-    for hi, h in enumerate(doc.get("heads", [])):
+    for hi, h in enumerate(heads_doc):
+        if type(h) is not dict:
+            raise SchemaError(f"heads[{hi}]", "need an object")
         for key in ("level", "grid_w", "grid_h", "cells"):
             if key not in h:
                 raise SchemaError(f"heads[{hi}].{key}", "missing field")

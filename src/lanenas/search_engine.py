@@ -20,7 +20,7 @@ import math
 import shlex
 import subprocess
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -204,20 +204,30 @@ def _random_arch(rng, cfg: SearchConfig) -> ArchEncoding:
     return ArchEncoding(backbone=bb, fusion=fusion)
 
 
-# rng.choice probabilities over the first n mutation kinds (backbone,
-# then fusion), normalized once
+# probabilities over the first n mutation kinds (backbone, then fusion)
 _KIND_PROBS = {
     n: np.array(_MUTATION_WEIGHTS[:n]) / sum(_MUTATION_WEIGHTS[:n]) for n in (1, 2)
 }
 
 
+# the normalized cumulative weights `Generator.choice` builds from p
+_KIND_CDF = {n: p.cumsum() / p.cumsum()[-1] for n, p in _KIND_PROBS.items()}
+
+
+def _draw_kind(rng, n_kinds) -> int:
+    """`rng.choice(n_kinds, p=_KIND_PROBS[n_kinds])` without its argument
+    checks: `Generator.choice` draws one `rng.random()` and searches
+    `_KIND_CDF`, as here. It draws even when one kind is left; skipping
+    the draw would shift every later one."""
+    return int(_KIND_CDF[n_kinds].searchsorted(rng.random(), side="right"))
+
+
 def mutate_arch(arch: ArchEncoding, rng, cfg: SearchConfig) -> ArchEncoding:
     n_kinds = 1 if cfg.fixed_fusion is not None else 2
-    # draw even when one kind is left: skipping it would shift every later draw
-    if rng.choice(n_kinds, p=_KIND_PROBS[n_kinds]) == 0:
-        return replace(arch, backbone=mutate_backbone(arch.backbone, rng, cfg.space))
-    return replace(
-        arch, fusion=mutate_fusion(arch.fusion, arch.backbone.num_stages, rng)
+    if _draw_kind(rng, n_kinds) == 0:
+        return ArchEncoding(mutate_backbone(arch.backbone, rng, cfg.space), arch.fusion)
+    return ArchEncoding(
+        arch.backbone, mutate_fusion(arch.fusion, arch.backbone.num_stages, rng)
     )
 
 

@@ -65,6 +65,11 @@ MALFORMED_PROPOSALS = {
     "level not a number": (lambda doc: doc["heads"][0].update(level="x"), "heads[0].level"),
     "cell not an object": (lambda doc: doc["heads"][0]["cells"].__setitem__(0, 5),
                            "heads[0].cells[0]"),
+    # structure: objects and lists where the format needs them
+    "layout not an object": (lambda doc: doc.update(layout=5), "layout"),
+    "rows not a list": (lambda doc: doc["layout"].update(rows=5), "layout.rows"),
+    "heads not a list": (lambda doc: doc.update(heads=5), "heads"),
+    "head not an object": (lambda doc: doc["heads"].__setitem__(0, 5), "heads[0]"),
 }
 
 
@@ -221,6 +226,13 @@ class TestPipeline:
         assert code == 2
         assert f"error: {path}:" in err
 
+    def test_scene_not_an_object_is_a_data_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("5\n")
+        code, _, err = run(capsys, "blend", "--proposals", str(bad))
+        assert code == 2
+        assert "error: scene:" in err
+
     @pytest.mark.parametrize("fields", [
         {"score_threshold": 2.0}, {"group_distance": math.nan}, {"locality_sigma": "abc"},
     ], ids=str)
@@ -230,6 +242,13 @@ class TestPipeline:
         code, _, err = run(capsys, "blend", "--proposals", doc["proposals"], "--params", params)
         assert code == 2
         assert "error: blend:" in err
+
+    def test_per_level_not_an_object_is_a_data_error(self, tmp_path, capsys):
+        doc = gen_synth(capsys, tmp_path / "corpus", "--num-scenes", "1")
+        params = write_params(tmp_path / "params.json", per_level=5)
+        code, _, err = run(capsys, "blend", "--proposals", doc["proposals"], "--params", params)
+        assert code == 2
+        assert "error: blend.per_level:" in err
 
     @pytest.mark.parametrize("field,value", [("alpha1", "x"), ("center", [0, "y"])],
                              ids=["alpha1", "center"])

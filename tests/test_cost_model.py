@@ -11,6 +11,7 @@ from lanenas.arch_space import (
     random_backbone,
     random_fusion,
 )
+from lanenas import cost_model
 from lanenas.cost_model import candidate_cost, conv_cost
 from lanenas.search_engine import SearchConfig, mutate_arch
 from block_oracle import oracle_components
@@ -203,12 +204,37 @@ class TestPerBlockOracle:
         assert_matches_block_oracle(arch, resolution)
 
     def test_random_genomes_and_children(self):
-        rng = np.random.default_rng(909)
-        cfg = SearchConfig()
-        for _ in range(2000):
-            bb = random_backbone(rng)
-            parent = ArchEncoding(bb, random_fusion(rng, bb.num_stages))
-            child = mutate_arch(parent, rng, cfg)
-            for arch in (parent, child):
-                for resolution in ORACLE_RESOLUTIONS:
-                    assert_matches_block_oracle(arch, resolution)
+        for arch in random_genomes_and_children():
+            for resolution in ORACLE_RESOLUTIONS:
+                assert_matches_block_oracle(arch, resolution)
+
+    def test_block_price_memo_matches_unmemoized(self, monkeypatch):
+        """Every block shape the cost model prices gets the value a fresh
+        computation gives, as a tuple of ints no caller can change."""
+        memo = cost_model._block_cost
+        keys = set()
+
+        def checked(*args):
+            got = memo(*args)
+            assert got == memo.__wrapped__(*args)
+            assert type(got) is tuple and all(type(v) is int for v in got)
+            keys.add(args)
+            return got
+
+        monkeypatch.setattr(cost_model, "_block_cost", checked)
+        for arch in random_genomes_and_children():
+            for resolution in ORACLE_RESOLUTIONS:
+                candidate_cost(arch, resolution)
+        assert len(keys) > 100
+
+
+def random_genomes_and_children():
+    """2,000 seeded random genomes, each followed by one `mutate_arch`
+    child."""
+    rng = np.random.default_rng(909)
+    cfg = SearchConfig()
+    for _ in range(2000):
+        bb = random_backbone(rng)
+        parent = ArchEncoding(bb, random_fusion(rng, bb.num_stages))
+        yield parent
+        yield mutate_arch(parent, rng, cfg)

@@ -371,6 +371,20 @@ class TestMutationStream:
             assert arch_space._list_move_candidates(spec) == reference_list_moves(spec)
 
 
+class TestKindDraw:
+    """`_draw_kind` repeats `Generator.choice`'s draw without its checks;
+    this pins that reading of numpy's internals."""
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_equals_generator_choice(self, n):
+        rng_new, rng_ref = np.random.default_rng(2024), np.random.default_rng(2024)
+        for _ in range(100_000):
+            assert search_engine._draw_kind(rng_new, n) == int(
+                rng_ref.choice(n, p=search_engine._KIND_PROBS[n])
+            )
+        assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+
+
 class TestSyntheticEvaluator:
     def test_score_in_unit_interval(self, rng):
         from lanenas.arch_space import random_backbone, random_fusion
