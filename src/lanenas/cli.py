@@ -349,8 +349,7 @@ def build_parser():
     p = add("search", cmd_search, help="run the multi-objective search")
     p.add_argument("--budget", type=int, default=200)
     p.add_argument("--init-population", type=int, default=16)
-    p.add_argument("--workers", type=int,
-                   default=int(os.environ.get("LANENAS_WORKERS", "1")))
+    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--evaluator", default="builtin:synthetic",
                    help="builtin:synthetic or exec:<command>")

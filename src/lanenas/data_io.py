@@ -2,7 +2,8 @@
 
 Everything is JSON or JSON-lines with an explicit "version" field; CSV
 appears only in the final front export. Coordinates are floating-point
-pixels in image space.
+pixels in image space. Every JSON reader checks its document against one
+of the schemas below with `_check` before it builds anything from it.
 """
 
 from __future__ import annotations
@@ -41,7 +42,8 @@ def read_culane_lines(path):
     """Parse one .lines.txt file into a list of polylines.
 
     Points with negative x (the dataset's missing-point convention) are
-    dropped; each lane's points are sorted by y.
+    dropped; each lane's points are sorted by y. Coordinates must be
+    finite.
     """
     lanes = []
     with open(path) as fh:
@@ -51,33 +53,141 @@ def read_culane_lines(path):
                 continue
             if len(toks) % 2 != 0:
                 raise FormatError(line_no, toks[-1], "odd token count")
-            pts = []
-            for k in range(0, len(toks), 2):
-                try:
-                    x, y = float(toks[k]), float(toks[k + 1])
-                except ValueError as exc:
-                    bad = toks[k] if _not_float(toks[k]) else toks[k + 1]
-                    raise FormatError(line_no, bad, "not a number") from exc
-                if x < 0:
-                    continue
-                pts.append((x, y))
+            try:
+                vals = list(map(float, toks))
+                ok = math.isfinite(sum(vals))  # a finite sum has no NaN or inf term
+            except ValueError:
+                ok = False
+            if not ok:  # find the token at fault
+                for tok in toks:
+                    try:
+                        v = float(tok)
+                    except ValueError:
+                        raise FormatError(line_no, tok, "not a number") from None
+                    if not math.isfinite(v):
+                        raise FormatError(line_no, tok, "not finite")
+            pts = [(x, y) for x, y in zip(vals[::2], vals[1::2]) if x >= 0]
             pts.sort(key=lambda p: p[1])
             lanes.append(tuple(pts))
     return lanes
-
-
-def _not_float(tok):
-    try:
-        float(tok)
-        return False
-    except ValueError:
-        return True
 
 
 def write_culane_lines(path, lanes):
     with open(path, "w") as fh:
         for lane in lanes:
             fh.write(" ".join(f"{x:.4f} {y:.4f}" for x, y in lane) + "\n")
+
+
+# ---------------------------------------------------------------------------
+# schema checks for every JSON document read
+
+def _number(v):
+    """a finite number"""
+    return type(v) is int or (type(v) is float and math.isfinite(v))
+
+
+def _number_or_null(v):
+    """a finite number or null"""
+    return v is None or _number(v)
+
+
+def _unit(v):
+    """a number in [0, 1]"""
+    return _number(v) and 0 <= v <= 1
+
+
+def _text_or_null(v):
+    """a string or null"""
+    return v is None or type(v) is str
+
+
+def _sigma(v):
+    """a finite number or "inf\""""
+    return v == "inf" or _number(v)
+
+
+# lists of these leaves are first checked whole: all floats (or nulls)
+# with a finite sum, so none is NaN or infinite
+_WHOLE_LIST_TYPES = {_number: {float}, _number_or_null: {float, type(None)}}
+
+
+def _check(value, schema, path):
+    """Raise SchemaError at the JSON path of the first place where
+    `value` breaks `schema`. A schema is one of:
+
+    - a leaf: a type the value's type must be exactly (so `int` is a JSON
+      integer and never a boolean, `dict` an object), or a predicate
+      whose docstring names what it accepts;
+    - an object `{key: schema}`: each key is required unless written
+      with a trailing "?"; keys the schema does not name are ignored;
+    - a list `[item]`, or `[item, length]` for a fixed length.
+
+    `path` names `value`; an empty path leaves object keys unprefixed.
+    """
+    if type(schema) is dict:
+        if type(value) is not dict:
+            raise SchemaError(path, f"need an object, got {value!r:.40}")
+        for key, item in schema.items():
+            name = key.rstrip("?")
+            at = f"{path}.{name}" if path else name
+            if name in value:
+                _check(value[name], item, at)
+            elif name == key:
+                raise SchemaError(at, "missing field")
+    elif type(schema) is list:
+        item, *length = schema
+        if type(value) is not list or length and len(value) != length[0]:
+            need = f"a list of length {length[0]}" if length else "a list"
+            raise SchemaError(path, f"need {need}, got {value!r:.40}")
+        types = _WHOLE_LIST_TYPES.get(item) if callable(item) else None
+        if not (types and set(map(type, value)) <= types
+                and math.isfinite(sum(filter(None, value)))):
+            for i, v in enumerate(value):
+                _check(v, item, f"{path}[{i}]")
+    elif type(schema) is type:
+        if type(value) is not schema:
+            raise SchemaError(path, f"need {schema.__name__}, got {value!r:.40}")
+    elif not schema(value):
+        raise SchemaError(path, f"need {schema.__doc__}, got {value!r:.40}")
+
+
+def _checked(path, make, *args):
+    """`make(*args)`, a value it rejects reported at JSON path `path`."""
+    try:
+        return make(*args)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(path, str(exc)) from exc
+
+
+_FUSION = {
+    "layers": [{"input_a": int, "input_b": int, "output_level": int}],
+    "channels?": int,
+    "heads_at": [int],
+}
+_ARCH = {"backbone": str, "fusion": _FUSION}
+_CANDIDATE = {
+    "eval_id": str,
+    "arch": _ARCH,
+    "flops": int,
+    "score": _number_or_null,
+    "parent?": _text_or_null,
+    "birth_step?": int,
+    "error?": _text_or_null,
+}
+_BLEND = {
+    "per_level": dict, "score_threshold": _number, "group_distance": _number,
+    "locality_sigma": _sigma,
+}
+_LEVEL_PARAMS = {"alpha1": _number, "beta1": _number, "alpha2": _number, "center": [_number, 2]}
+_SCENE = {"image_id?": str, "layout": {"image_size": [_number, 2], "rows": [_number]}}
+_RESPONSE = {"eval_id": str, "score": _unit}
+
+
+def _heads_schema(num_rows):
+    """A scene's heads; each cell has one offset (or null) per anchor row."""
+    cell = {"cx": _number, "cy": _number, "score": _unit,
+            "offsets": [_number_or_null, num_rows], "end_y": _number}
+    return {"heads?": [{"level": _number, "grid_w": _number, "grid_h": _number, "cells": [cell]}]}
 
 
 # ---------------------------------------------------------------------------
@@ -95,44 +205,27 @@ def fusion_to_json(spec: FusionSpec) -> dict:
 
 
 def fusion_from_json(doc: dict) -> FusionSpec:
-    try:
-        layers = tuple(
-            FusionLayer(l["input_a"], l["input_b"], l["output_level"])
-            for l in doc["layers"]
-        )
-        return FusionSpec(
-            layers=layers,
-            channels=doc.get("channels", 128),
-            heads_at=frozenset(doc["heads_at"]),
-        )
-    except KeyError as exc:
-        raise SchemaError(f"fusion.{exc.args[0]}", "missing field") from exc
+    _check(doc, _FUSION, "fusion")
+    layers = [FusionLayer(l["input_a"], l["input_b"], l["output_level"]) for l in doc["layers"]]
+    return FusionSpec(layers, doc.get("channels", 128), doc["heads_at"])
 
 
 def blend_from_json(doc: dict) -> BlendParamSet:
     """Read a `blend --params` document. A `locality_sigma` of "inf"
     (strict JSON has no infinity) means no locality weighting."""
-    try:
-        per_level = {}
-        if type(doc["per_level"]) is not dict:
-            raise SchemaError("blend.per_level", "need an object")
-        for lvl, p in doc["per_level"].items():
-            scalars = {key: p[key] for key in ("alpha1", "beta1", "alpha2")}
-            _check_numbers(
-                f"blend.per_level.{lvl}", scalars, "center", p["center"], _NUMBER_TYPES, size=2
-            )
-            per_level[int(lvl)] = BlendParams(**scalars, center=tuple(p["center"]))
-        sigma = doc["locality_sigma"]
-        return BlendParamSet(
-            per_level=per_level,
-            score_threshold=doc["score_threshold"],
-            group_distance=doc["group_distance"],
-            locality_sigma=math.inf if sigma == "inf" else float(sigma),
+    _check(doc, _BLEND, "blend")
+    per_level = {}
+    for lvl, p in doc["per_level"].items():
+        path = f"blend.per_level.{lvl}"
+        _check(p, _LEVEL_PARAMS, path)
+        per_level[_checked(path, int, lvl)] = BlendParams(
+            p["alpha1"], p["beta1"], p["alpha2"], tuple(p["center"])
         )
-    except KeyError as exc:
-        raise SchemaError(f"blend.{exc.args[0]}", "missing field") from exc
-    except (TypeError, ValueError) as exc:
-        raise SchemaError("blend", str(exc)) from exc
+    sigma = doc["locality_sigma"]
+    return _checked(
+        "blend", BlendParamSet, per_level, doc["score_threshold"], doc["group_distance"],
+        math.inf if sigma == "inf" else float(sigma),
+    )
 
 
 def arch_to_json(arch: ArchEncoding) -> dict:
@@ -144,84 +237,12 @@ def arch_to_json(arch: ArchEncoding) -> dict:
 
 
 def arch_from_json(doc: dict) -> ArchEncoding:
-    try:
-        backbone = parse_backbone(doc["backbone"])
-        fusion = fusion_from_json(doc["fusion"])
-    except KeyError as exc:
-        raise SchemaError(exc.args[0], "missing field") from exc
-    return ArchEncoding(backbone=backbone, fusion=fusion)
+    _check(doc, _ARCH, "arch")
+    return ArchEncoding(parse_backbone(doc["backbone"]), fusion_from_json(doc["fusion"]))
 
 
 # ---------------------------------------------------------------------------
 # proposal dumps: JSON-lines, one scene per line
-
-def _cell_to_json(c: GridCell) -> dict:
-    return {
-        "cx": c.center[0],
-        "cy": c.center[1],
-        "score": c.score,
-        "offsets": [o for o in c.offsets],
-        "end_y": c.end_y,
-    }
-
-
-_NUMBER_TYPES = frozenset({int, float})
-_NUMBER_OR_NULL_TYPES = _NUMBER_TYPES | {type(None)}
-_OBJECT_TYPES = frozenset({dict})
-
-
-def _check_numbers(path, scalars, list_name, values, value_types, size=None):
-    """Check in one pass that every value of `scalars` (a name -> value
-    dict) is a JSON number and that `values` is a JSON list (named
-    `list_name`, of length `size` when given) whose entries have types in
-    `value_types`. Only a failing object is searched for the field to
-    name in the SchemaError. JSON booleans are not numbers."""
-    if (
-        set(map(type, scalars.values())) <= _NUMBER_TYPES
-        and type(values) is list
-        and set(map(type, values)) <= value_types
-        and (size is None or len(values) == size)
-    ):
-        return
-    for name, value in scalars.items():
-        if type(value) not in _NUMBER_TYPES:
-            raise SchemaError(f"{path}.{name}", f"{value!r} is not a number")
-    if type(values) is not list or (size is not None and len(values) != size):
-        need = f"a list of length {size}" if size is not None else "a list"
-        raise SchemaError(f"{path}.{list_name}", f"need {need}")
-    for i, value in enumerate(values):
-        if type(value) not in value_types:
-            raise SchemaError(
-                f"{path}.{list_name}[{i}]", f"{value!r} has wrong type {type(value).__name__}"
-            )
-
-
-def _checked(path, make, **fields):
-    """`make(**fields)`, a value it rejects reported at JSON path `path`."""
-    try:
-        return make(**fields)
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(path, str(exc)) from exc
-
-
-def _cell_from_json(doc, path, num_rows):
-    for key in ("cx", "cy", "score", "offsets", "end_y"):
-        if key not in doc:
-            raise SchemaError(f"{path}.{key}", "missing field")
-    # one offset (or null) per anchor row
-    _check_numbers(
-        path,
-        {"cx": doc["cx"], "cy": doc["cy"], "score": doc["score"], "end_y": doc["end_y"]},
-        "offsets", doc["offsets"], _NUMBER_OR_NULL_TYPES, size=num_rows,
-    )
-    return _checked(
-        f"{path}.score", GridCell,
-        center=(doc["cx"], doc["cy"]),
-        score=doc["score"],
-        offsets=tuple(doc["offsets"]),
-        end_y=doc["end_y"],
-    )
-
 
 def proposals_to_json(image_id, proposals: LaneProposalSet) -> dict:
     return {
@@ -236,7 +257,11 @@ def proposals_to_json(image_id, proposals: LaneProposalSet) -> dict:
                 "level": h.level,
                 "grid_w": h.grid_w,
                 "grid_h": h.grid_h,
-                "cells": [_cell_to_json(c) for c in h.cells],
+                "cells": [
+                    {"cx": c.center[0], "cy": c.center[1], "score": c.score,
+                     "offsets": list(c.offsets), "end_y": c.end_y}
+                    for c in h.cells
+                ],
             }
             for h in proposals.heads
         ],
@@ -244,45 +269,21 @@ def proposals_to_json(image_id, proposals: LaneProposalSet) -> dict:
 
 
 def proposals_from_json(doc: dict):
-    if type(doc) is not dict:
-        raise SchemaError("scene", "need an object")
+    _check(doc, dict, "scene")
     if doc.get("version", FORMAT_VERSION) != FORMAT_VERSION:
         raise VersionError(f"unsupported proposals version {doc.get('version')}")
-    try:
-        if type(doc["layout"]) is not dict:
-            raise SchemaError("layout", "need an object")
-        image_size = doc["layout"]["image_size"]
-        rows = doc["layout"]["rows"]
-    except KeyError as exc:
-        raise SchemaError(f"layout.{exc.args[0]}", "missing field") from exc
-    _check_numbers("layout", {}, "image_size", image_size, _NUMBER_TYPES, size=2)
-    _check_numbers("layout", {}, "rows", rows, _NUMBER_TYPES)
+    _check(doc, _SCENE, "")
     layout = _checked(
-        "layout.rows", AnchorLayout, image_size=tuple(image_size), rows=tuple(rows)
+        "layout.rows", AnchorLayout, tuple(doc["layout"]["image_size"]), tuple(doc["layout"]["rows"])
     )
-    heads_doc = doc.get("heads", [])
-    if type(heads_doc) is not list:
-        raise SchemaError("heads", "need a list")
-    heads = []
-    for hi, h in enumerate(heads_doc):
-        if type(h) is not dict:
-            raise SchemaError(f"heads[{hi}]", "need an object")
-        for key in ("level", "grid_w", "grid_h", "cells"):
-            if key not in h:
-                raise SchemaError(f"heads[{hi}].{key}", "missing field")
-        _check_numbers(
-            f"heads[{hi}]", {"level": h["level"], "grid_w": h["grid_w"], "grid_h": h["grid_h"]},
-            "cells", h["cells"], _OBJECT_TYPES,
-        )
-        cells = tuple(
-            _cell_from_json(c, f"heads[{hi}].cells[{ci}]", len(layout.rows))
-            for ci, c in enumerate(h["cells"])
-        )
-        heads.append(_checked(
-            f"heads[{hi}].cells", HeadGrid,
-            level=h["level"], grid_w=h["grid_w"], grid_h=h["grid_h"], cells=cells,
-        ))
-    return doc.get("image_id", ""), LaneProposalSet(layout=layout, heads=tuple(heads))
+    _check(doc, _heads_schema(len(layout.rows)), "")
+    heads = [
+        _checked(f"heads[{hi}].cells", HeadGrid, h["level"], h["grid_w"], h["grid_h"], [
+            GridCell((c["cx"], c["cy"]), c["score"], c["offsets"], c["end_y"]) for c in h["cells"]
+        ])
+        for hi, h in enumerate(doc.get("heads", []))
+    ]
+    return doc.get("image_id", ""), LaneProposalSet(layout, heads)
 
 
 def write_proposals(path, scenes):
@@ -314,15 +315,10 @@ def eval_request_to_json(eval_id, arch: ArchEncoding, resolution) -> dict:
 
 def eval_response_from_json(doc: dict, expect_eval_id=None):
     """Validated (eval_id, score, diagnostics)."""
-    if "eval_id" not in doc or "score" not in doc:
-        missing = "eval_id" if "eval_id" not in doc else "score"
-        raise SchemaError(missing, "missing field")
-    score = doc["score"]
-    if not isinstance(score, (int, float)) or not 0.0 <= score <= 1.0:
-        raise SchemaError("score", f"{score!r} not a number in [0, 1]")
+    _check(doc, _RESPONSE, "response")
     if expect_eval_id is not None and doc["eval_id"] != expect_eval_id:
-        raise SchemaError("eval_id", f"expected {expect_eval_id}, got {doc['eval_id']}")
-    return doc["eval_id"], float(score), doc.get("diagnostics")
+        raise SchemaError("response.eval_id", f"expected {expect_eval_id}, got {doc['eval_id']}")
+    return doc["eval_id"], float(doc["score"]), doc.get("diagnostics")
 
 
 # ---------------------------------------------------------------------------
@@ -366,18 +362,10 @@ def candidate_line(cand) -> str:
 def candidate_from_json(doc: dict):
     from .search_engine import Candidate
 
-    for key in ("eval_id", "arch", "flops", "score"):
-        if key not in doc:
-            eid = doc.get("eval_id", "<unknown>")
-            raise SchemaError(f"candidate[{eid}].{key}", "missing field")
+    _check(doc, _CANDIDATE, f"candidate[{doc.get('eval_id', '<unknown>')}]")
     return Candidate(
-        arch=arch_from_json(doc["arch"]),
-        flops=doc["flops"],
-        score=doc["score"],
-        eval_id=doc["eval_id"],
-        parent=doc.get("parent"),
-        birth_step=doc.get("birth_step", 0),
-        error=doc.get("error"),
+        arch_from_json(doc["arch"]), doc["flops"], doc["score"], doc["eval_id"],
+        doc.get("parent"), doc.get("birth_step", 0), doc.get("error"),
     )
 
 
@@ -402,6 +390,7 @@ def load_archive(path):
 
     with open(path) as fh:
         doc = json.load(fh)
+    _check(doc, {"history?": [dict]}, "archive")
     if doc.get("version") != FORMAT_VERSION:
         raise VersionError(f"unsupported archive version {doc.get('version')}")
     archive = ParetoArchive()

@@ -93,7 +93,10 @@ def apply_mask(score: float, logit_mask: float) -> float:
     if logit_mask == 0.0:
         return s
     logit_s = math.log(s / (1.0 - s))
-    return 1.0 / (1.0 + math.exp(-(logit_s + logit_mask)))
+    try:
+        return 1.0 / (1.0 + math.exp(-(logit_s + logit_mask)))
+    except OverflowError:  # a very negative logit: the sigmoid saturates
+        return 0.0
 
 
 def mask_proposals(proposals: LaneProposalSet, params: BlendParamSet):

@@ -17,18 +17,20 @@ from .data_io import SceneRecord
 from .lane_model import AnchorLayout, GridCell, HeadGrid, LaneProposalSet
 
 
+CURVATURE_RANGE = (1e-4, 4e-4)  # 1/px
+ANCHOR_ROWS = 72
+HIGH_SCORE = 0.9  # the bottom cell of each lane
+LOW_SCORE = 0.5   # upper-lane cells, plus up to 0.05
+LOW_CELLS_PER_LANE = 2
+
+
 @dataclass(frozen=True)
 class SynthSceneConfig:
     num_scenes: int = 50
-    curvature_range: tuple[float, float] = (1e-4, 4e-4)  # 1/px
-    remote_noise_sigma: float = 20.0                     # px
+    remote_noise_sigma: float = 20.0  # px
     lanes_per_scene: int = 2
     seed: int = 0
     image_size: tuple[int, int] = (512, 288)
-    anchor_rows: int = 72
-    high_score: float = 0.9
-    low_score: float = 0.5
-    low_cells_per_lane: int = 2
 
     def __post_init__(self):
         if self.num_scenes <= 0 or self.lanes_per_scene <= 0:
@@ -41,7 +43,7 @@ def _lane_curve(rng, cfg, slot):
     w, h = cfg.image_size
     x0 = w * (slot + 1) / (cfg.lanes_per_scene + 1) + rng.uniform(-15, 15)
     slope = rng.uniform(-0.25, 0.25)
-    lo, hi = cfg.curvature_range
+    lo, hi = CURVATURE_RANGE
     curv = rng.uniform(lo, hi) * (1 if rng.random() < 0.5 else -1)
     y_bottom = h - 1
 
@@ -71,7 +73,7 @@ def _corruption(rng, cfg):
 def generate_scene(rng, cfg: SynthSceneConfig, scene_idx: int):
     """One (LaneProposalSet, SceneRecord) pair."""
     w, h = cfg.image_size
-    layout = AnchorLayout.uniform(cfg.image_size, cfg.anchor_rows)
+    layout = AnchorLayout.uniform(cfg.image_size, ANCHOR_ROWS)
     gt_lanes = []
     high_cells = []
     low_cells = []
@@ -86,20 +88,20 @@ def generate_scene(rng, cfg: SynthSceneConfig, scene_idx: int):
         high_cells.append(
             GridCell(
                 center=(cx, cy),
-                score=cfg.high_score,
+                score=HIGH_SCORE,
                 offsets=tuple(x_at(y) + err_at(y) - cx for y in layout.rows),
                 end_y=0.0,
             )
         )
 
         # upper-lane cells: lower confidence, accurate everywhere local
-        for k in range(cfg.low_cells_per_lane):
+        for k in range(LOW_CELLS_PER_LANE):
             lcy = h * (0.12 + 0.22 * k)
             lcx = x_at(lcy)
             low_cells.append(
                 GridCell(
                     center=(lcx, lcy),
-                    score=cfg.low_score + 0.05 * rng.random(),
+                    score=LOW_SCORE + 0.05 * rng.random(),
                     offsets=tuple(x_at(y) - lcx for y in layout.rows),
                     end_y=0.0,
                 )

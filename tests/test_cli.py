@@ -70,6 +70,38 @@ MALFORMED_PROPOSALS = {
     "rows not a list": (lambda doc: doc["layout"].update(rows=5), "layout.rows"),
     "heads not a list": (lambda doc: doc.update(heads=5), "heads"),
     "head not an object": (lambda doc: doc["heads"].__setitem__(0, 5), "heads[0]"),
+    # numbers must be finite
+    "cx NaN": (lambda doc: doc["heads"][0]["cells"][0].update(cx=math.nan),
+               "heads[0].cells[0].cx"),
+    "offset Infinity": (lambda doc: doc["heads"][0]["cells"][0]["offsets"].__setitem__(
+        40, math.inf), "heads[0].cells[0].offsets[40]"),
+}
+
+
+# edits to a well-formed archive.json (at its second candidate, e000001)
+# and fusion spec, and the JSON path each error names
+MALFORMED_ARCHIVES = {
+    "flops a string": (lambda doc: doc["history"][1].update(flops="12"),
+                       "candidate[e000001].flops"),
+    "score a string": (lambda doc: doc["history"][1].update(score="0.5"),
+                       "candidate[e000001].score"),
+    "score NaN": (lambda doc: doc["history"][1].update(score=math.nan),
+                  "candidate[e000001].score"),
+    "history not a list": (lambda doc: doc.update(history=5), "archive.history"),
+    "entry not an object": (lambda doc: doc["history"].__setitem__(1, 5), "archive.history[1]"),
+    "heads_at not a list": (lambda doc: doc["history"][1]["arch"]["fusion"].update(heads_at=5),
+                            "candidate[e000001].arch.fusion.heads_at"),
+    "backbone not a string": (lambda doc: doc["history"][1]["arch"].update(backbone=5),
+                              "candidate[e000001].arch.backbone"),
+    "arch not an object": (lambda doc: doc["history"][1].update(arch=5),
+                           "candidate[e000001].arch"),
+}
+MALFORMED_FUSIONS = {
+    "layers not a list": (lambda doc: doc.update(layers=5), "fusion.layers"),
+    "level a string": (lambda doc: doc["layers"][0].update(input_a="1"),
+                       "fusion.layers[0].input_a"),
+    "heads_at not a list": (lambda doc: doc.update(heads_at=3), "fusion.heads_at"),
+    "channels a string": (lambda doc: doc.update(channels="x"), "fusion.channels"),
 }
 
 
@@ -233,15 +265,19 @@ class TestPipeline:
         assert code == 2
         assert "error: scene:" in err
 
-    @pytest.mark.parametrize("fields", [
-        {"score_threshold": 2.0}, {"group_distance": math.nan}, {"locality_sigma": "abc"},
-    ], ids=str)
-    def test_malformed_params_are_data_errors(self, tmp_path, capsys, fields):
+    @pytest.mark.parametrize("fields, path", [
+        pytest.param(fields, path, id=str(fields)) for fields, path in [
+            ({"score_threshold": 2.0}, "blend"),
+            ({"group_distance": math.nan}, "blend.group_distance"),
+            ({"locality_sigma": "abc"}, "blend.locality_sigma"),
+        ]
+    ])
+    def test_malformed_params_are_data_errors(self, tmp_path, capsys, fields, path):
         doc = gen_synth(capsys, tmp_path / "corpus", "--num-scenes", "1")
         params = write_params(tmp_path / "params.json", **fields)
         code, _, err = run(capsys, "blend", "--proposals", doc["proposals"], "--params", params)
         assert code == 2
-        assert "error: blend:" in err
+        assert f"error: {path}:" in err
 
     def test_per_level_not_an_object_is_a_data_error(self, tmp_path, capsys):
         doc = gen_synth(capsys, tmp_path / "corpus", "--num-scenes", "1")
@@ -269,6 +305,87 @@ class TestPipeline:
         assert code == 1
         assert "usage" in err
         assert not (tmp_path / "corpus").exists()
+
+
+class TestSchemaErrors:
+    """Malformed JSON inputs of every reader exit 2 and name the path."""
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_ARCHIVES))
+    def test_malformed_archive(self, tmp_path, capsys, case):
+        edit, path = MALFORMED_ARCHIVES[case]
+        out_dir = tmp_path / "run"
+        code, _, _ = run(capsys, "search", "--budget", "2", "--init-population", "2",
+                         "--seed", "0", "--out", str(out_dir))
+        assert code == 0
+        doc = json.loads((out_dir / "archive.json").read_text())
+        edit(doc)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "pareto-export", "--archive", str(bad),
+                           "--out", str(tmp_path / "front.csv"))
+        assert code == 2
+        assert f"error: {path}:" in err
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_FUSIONS))
+    def test_malformed_fusion(self, tmp_path, capsys, case):
+        edit, path = MALFORMED_FUSIONS[case]
+        good = tmp_path / "good.json"
+        doc = {"layers": [{"input_a": 1, "input_b": 2, "output_level": 1}],
+               "channels": 128, "heads_at": [1]}
+        good.write_text(json.dumps(doc))
+        code, _, _ = run(capsys, "cost", "BB_64_13_[5,9]_[7,12]", "--fusion", str(good))
+        assert code == 0
+        edit(doc)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "cost", "BB_64_13_[5,9]_[7,12]", "--fusion", str(bad))
+        assert code == 2
+        assert f"error: {path}:" in err
+
+    def test_non_finite_lane_file(self, tmp_path, capsys):
+        doc = gen_synth(capsys, tmp_path / "corpus", "--num-scenes", "1")
+        pred = tmp_path / "pred"
+        pred.mkdir()
+        (pred / "synth_00000.lines.txt").write_text("nan 100.0 10.0 200.0\n")
+        code, _, err = run(capsys, "eval-f1", "--pred", str(pred), "--gt", doc["gt_dir"])
+        assert code == 2
+        assert "line 1, token 'nan'" in err
+
+    def test_very_negative_mask_logit(self, tmp_path, capsys):
+        """A mask whose logit underflows the sigmoid scores its cells 0."""
+        doc = gen_synth(capsys, tmp_path / "corpus", "--num-scenes", "1")
+        level = {"alpha1": -1e300, "beta1": 0.0, "alpha2": 0.0, "center": [0, 0]}
+        params = write_params(tmp_path / "params.json", per_level={"1": level, "2": level})
+        code, out, _ = run(capsys, "blend", "--proposals", doc["proposals"],
+                           "--params", params, "--json")
+        assert code == 0
+        assert json.loads(out)["scenes"][0]["lanes"] == []
+
+    @pytest.mark.parametrize("response, path", [
+        ("{'eval_id': req['eval_id'], 'score': True}", "response.score"),
+        ("5", "response"),
+    ], ids=["score-true", "not-an-object"])
+    def test_malformed_evaluator_response(self, tmp_path, capsys, response, path):
+        """A response that breaks the schema fails its evaluation, and the
+        history names the path."""
+        import sys
+
+        stub = tmp_path / "stub.py"
+        stub.write_text(
+            "import sys, json\n"
+            "req = json.loads(sys.stdin.readline())\n"
+            f"print(json.dumps({response}))\n"
+        )
+        out_dir = tmp_path / "run"
+        code, _, _ = run(capsys, "search", "--budget", "1", "--init-population", "1",
+                         "--seed", "0", "--evaluator", f"exec:{sys.executable} {stub}",
+                         "--out", str(out_dir))
+        assert code == 0
+        history = read_history(out_dir)
+        assert len(history) == 2
+        for h in history:
+            assert h["score"] is None
+            assert h["error"].startswith(f"SchemaError: {path}:")
 
 
 class TestSearchCommand:

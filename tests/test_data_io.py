@@ -1,11 +1,13 @@
+import copy
 import json
 import math
+import random
 
 import numpy as np
 import pytest
 
 from lanenas import data_io
-from lanenas.errors import FormatError, SchemaError, VersionError
+from lanenas.errors import FormatError, LaneNasError, SchemaError, VersionError
 from lanenas.lane_model import AnchorLayout, GridCell, HeadGrid, LaneProposalSet
 from lanenas.point_blend import BlendParams
 from lanenas.search_engine import (
@@ -45,6 +47,22 @@ class TestCulaneLines:
             data_io.read_culane_lines(path)
         assert exc.value.line_no == 2
         assert exc.value.token == "x"
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "NaN", "Infinity"])
+    @pytest.mark.parametrize("where", ["x", "y"])
+    def test_non_finite_token(self, tmp_path, token, where):
+        path = tmp_path / "nonfinite.lines.txt"
+        point = f"{token} 4.0" if where == "x" else f"3.0 {token}"
+        path.write_text(f"1.0 2.0\n5.0 6.0 {point}\n")
+        with pytest.raises(FormatError) as exc:
+            data_io.read_culane_lines(path)
+        assert (exc.value.line_no, exc.value.token) == (2, token)
+
+    def test_huge_finite_coordinates_accepted(self, tmp_path):
+        # the sum overflows, but every token is finite
+        path = tmp_path / "huge.lines.txt"
+        path.write_text("1e308 2.0 1e308 3.0\n")
+        assert data_io.read_culane_lines(path) == [((1e308, 2.0), (1e308, 3.0))]
 
     def test_negative_x_dropped(self, tmp_path):
         path = tmp_path / "neg.lines.txt"
@@ -249,6 +267,90 @@ class TestWireProtocol:
             data_io.eval_response_from_json(
                 {"eval_id": "other", "score": 0.5}, expect_eval_id="e1"
             )
+
+
+def _paths(doc, prefix=()):
+    """Every path into `doc`, the root first; only the first two entries
+    of a list are entered, which reaches every field of a uniform list."""
+    yield prefix
+    if type(doc) is dict:
+        for key, value in doc.items():
+            yield from _paths(value, prefix + (key,))
+    elif type(doc) is list:
+        for i, value in enumerate(doc[:2]):
+            yield from _paths(value, prefix + (i,))
+
+
+_DELETE = object()
+
+
+def _edited(doc, path, value):
+    """A copy of `doc` with the entry at `path` set to `value`, or
+    deleted for `_DELETE` (a deleted root is an empty object)."""
+    if not path:
+        return {} if value is _DELETE else copy.deepcopy(value)
+    doc = copy.deepcopy(doc)
+    *where, last = path
+    parent = doc
+    for key in where:
+        parent = parent[key]
+    if value is _DELETE:
+        del parent[last]
+    else:
+        parent[last] = copy.deepcopy(value)
+    return doc
+
+
+class TestReaderFuzz:
+    """Single edits to well-formed documents: each reader returns or
+    raises a LaneNasError, never any other exception."""
+
+    VALUES = [5, -1, 1e308, "x", None, True, [], {}, math.nan, math.inf]
+    CASES = 300  # per document
+
+    def documents(self, tmp_path):
+        """(name, document, reader) for each JSON input the program reads."""
+        cfg = SynthSceneConfig(num_scenes=1, seed=3)
+        (props, rec), = generate_synthetic_scenes(cfg)
+        level = {"alpha1": 0.01, "beta1": -0.5, "alpha2": 0.002, "center": [256.0, 144.0]}
+        params = {"per_level": {"1": level, "2": dict(level)}, "score_threshold": 0.4,
+                  "group_distance": 60.0, "locality_sigma": "inf"}
+        archive = run_search(SearchConfig(budget=2, init_population=2, seed=1),
+                             SyntheticEvaluator())
+        archive_path = tmp_path / "archive.json"
+        data_io.snapshot_archive(
+            archive, [data_io.candidate_line(c) for c in archive.history], archive_path
+        )
+        edited_path = tmp_path / "edited.json"
+
+        def load_archive(doc):
+            edited_path.write_text(json.dumps(doc))
+            return data_io.load_archive(edited_path)
+
+        return [
+            ("scene", data_io.proposals_to_json(rec.image_id, props),
+             data_io.proposals_from_json),
+            ("params", params, data_io.blend_from_json),
+            ("fusion", data_io.fusion_to_json(make_arch().fusion), data_io.fusion_from_json),
+            ("archive", json.loads(archive_path.read_text()), load_archive),
+            ("response", {"eval_id": "e1", "score": 0.5, "diagnostics": {"loss": 0.2}},
+             lambda doc: data_io.eval_response_from_json(doc, expect_eval_id="e1")),
+        ]
+
+    def test_single_edits(self, tmp_path):
+        rng = random.Random(11)
+        for name, doc, reader in self.documents(tmp_path):
+            reader(copy.deepcopy(doc))  # the unedited document reads
+            paths = list(_paths(doc))
+            for _ in range(self.CASES):
+                path = rng.choice(paths)
+                value = rng.choice(self.VALUES + [_DELETE])
+                try:
+                    reader(_edited(doc, path, value))
+                except LaneNasError:
+                    pass
+                except Exception as exc:
+                    pytest.fail(f"{name} with {list(path)} set to {value!r}: {exc!r}")
 
 
 class TestFrontCsv:

@@ -98,6 +98,12 @@ class TestApplyMask:
         assert 0.0 < apply_mask(0.0, 0.0) < 1e-5
         assert 1.0 - 1e-5 < apply_mask(1.0, 0.0) < 1.0
 
+    def test_saturates_at_extreme_logits(self):
+        # exp(1e300) overflows; the sigmoid's limit is exact there
+        assert apply_mask(0.5, -1e300) == 0.0
+        assert apply_mask(0.5, -710.0) == 0.0
+        assert apply_mask(0.5, 1e300) == 1.0
+
 
 class TestMaskProposals:
     def test_masked_score_of_every_cell_and_input_untouched(self):
