@@ -24,7 +24,13 @@ from .arch_space import (
 )
 from .cost_model import DEFAULT_RESOLUTION, candidate_cost, gflops
 from .errors import LaneNasError
-from .metrics import match_and_score, tusimple_counts
+from .metrics import (
+    DEFAULT_CANVAS,
+    DEFAULT_IOU_THRESHOLD,
+    DEFAULT_LANE_WIDTH,
+    match_and_score,
+    tusimple_counts,
+)
 from .point_blend import BlendParamSet
 
 
@@ -150,28 +156,20 @@ def cmd_search(args):
     )
     history_path = os.path.join(args.out, "history.jsonl")
     snapshot_path = os.path.join(args.out, "archive.json")
-    hist_fh = open(history_path, "w")
-    history_lines = []  # each candidate is encoded once, for both files
 
-    def on_eval(cand, archive):
-        line = data_io.candidate_line(cand)
-        history_lines.append(line)
-        hist_fh.write(line + "\n")
-        hist_fh.flush()
-        n = len(archive.history)
-        if args.snapshot_every and n % args.snapshot_every == 0:
-            data_io.snapshot_archive(archive, history_lines, snapshot_path)
-        print(
-            f"eval {cand.eval_id}: flops={cand.flops} score={cand.score} "
-            f"front={len(archive.members)}",
-            file=sys.stderr,
-        )
+    with open(history_path, "w") as hist_fh:
+        def on_eval(cand, archive):
+            hist_fh.write(data_io.candidate_line(cand) + "\n")
+            hist_fh.flush()
+            print(
+                f"eval {cand.eval_id}: flops={cand.flops} score={cand.score} "
+                f"front={len(archive.members)}",
+                file=sys.stderr,
+            )
 
-    try:
         archive = search_engine.run_search(config, evaluator, on_eval=on_eval)
-    finally:
-        hist_fh.close()
-    data_io.snapshot_archive(archive, history_lines, snapshot_path)
+    with open(history_path) as fh:
+        data_io.snapshot_archive(archive, fh.read().splitlines(), snapshot_path)
     front_path = os.path.join(args.out, "front.csv")
     data_io.export_front_csv(archive, front_path)
     if args.json:
@@ -192,23 +190,23 @@ def cmd_search(args):
     return 0
 
 
-def _load_blend_params(args, levels):
+def _load_blend_params(args):
+    """The `--params` file, or the identity mask: a level missing from
+    `per_level` is masked by the identity."""
     if args.params:
         with open(args.params) as fh:
             params = data_io.blend_from_json(json.load(fh))
     else:
-        params = BlendParamSet.identity(levels)
+        params = BlendParamSet(per_level={})
     if args.plain_nms:
         params = point_blend.plain_nms_params(params)
     return params
 
 
 def cmd_blend(args):
-    scenes = list(data_io.read_proposals(args.proposals))
-    levels = sorted({h.level for _, p in scenes for h in p.heads}) or [1]
-    params = _load_blend_params(args, levels)
+    params = _load_blend_params(args)
     out_doc = {"version": data_io.FORMAT_VERSION, "scenes": []}
-    for image_id, proposals in scenes:
+    for image_id, proposals in data_io.read_proposals(args.proposals):
         lanes = point_blend.postprocess(proposals, params)
         out_doc["scenes"].append({
             "image_id": image_id,
@@ -354,7 +352,6 @@ def build_parser():
     p.add_argument("--evaluator", default="builtin:synthetic",
                    help="builtin:synthetic or exec:<command>")
     p.add_argument("--timeout", type=float, default=3600.0)
-    p.add_argument("--snapshot-every", type=int, default=50)
     p.add_argument("--out", required=True)
 
     p = add("blend", cmd_blend, help="post-process a proposals dump into lanes")
@@ -368,9 +365,9 @@ def build_parser():
     p = add("eval-f1", cmd_eval_f1, help="IoU-matched F1 over .lines.txt dirs")
     p.add_argument("--pred", required=True)
     p.add_argument("--gt", required=True)
-    p.add_argument("--iou", type=float, default=0.5)
-    p.add_argument("--width", type=int, default=30)
-    p.add_argument("--canvas", default="1640x590")
+    p.add_argument("--iou", type=float, default=DEFAULT_IOU_THRESHOLD)
+    p.add_argument("--width", type=int, default=DEFAULT_LANE_WIDTH)
+    p.add_argument("--canvas", default=f"{DEFAULT_CANVAS[0]}x{DEFAULT_CANVAS[1]}")
 
     p = add("eval-tusimple", cmd_eval_tusimple, help="point accuracy over .lines.txt dirs")
     p.add_argument("--pred", required=True)

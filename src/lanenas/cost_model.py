@@ -12,6 +12,7 @@ from functools import lru_cache
 from itertools import repeat
 
 from .arch_space import NUM_BLOCKS_MAX, ArchEncoding, BackboneSpec, BlockKind
+from .lane_model import ANCHOR_ROWS
 
 BOTTLENECK_EXPANSION = 4
 DEFAULT_RESOLUTION = (512, 288)
@@ -19,7 +20,6 @@ DEFAULT_RESOLUTION = (512, 288)
 # prediction head output channels per grid cell: Z offsets + ending row
 # + confidence + one padding channel
 HEAD_EXTRA_CHANNELS = 3
-DEFAULT_ANCHOR_ROWS = 72
 
 
 @dataclass(frozen=True)
@@ -131,11 +131,7 @@ def _backbone_components(spec: BackboneSpec, resolution):
     return comps, level_shapes
 
 
-def candidate_cost(
-    arch: ArchEncoding,
-    resolution=DEFAULT_RESOLUTION,
-    anchor_rows=DEFAULT_ANCHOR_ROWS,
-) -> CostReport:
+def candidate_cost(arch: ArchEncoding, resolution=DEFAULT_RESOLUTION) -> CostReport:
     """Sum stem + blocks + fusion 1x1 convs + per-head prediction convs."""
     comps, level_shapes = _backbone_components(arch.backbone, resolution)
 
@@ -157,7 +153,7 @@ def candidate_cost(
         params += p
         comps.append((f"fusion{i + 1}", flops, params))
 
-    head_out = anchor_rows + HEAD_EXTRA_CHANNELS
+    head_out = ANCHOR_ROWS + HEAD_EXTRA_CHANNELS
     for lvl in sorted(arch.fusion.heads_at):
         _, gw, gh = level_shapes[lvl]
         f, p = conv_cost(c, head_out, 1, 1, gw, gh)

@@ -12,7 +12,6 @@ import json
 import math
 import os
 import uuid
-from dataclasses import dataclass
 
 from .arch_space import (
     ArchEncoding,
@@ -21,18 +20,11 @@ from .arch_space import (
     parse_backbone,
     serialize_backbone,
 )
-from .errors import FormatError, SchemaError, VersionError
+from .errors import FormatError, LaneNasError, SchemaError, VersionError
 from .lane_model import AnchorLayout, GridCell, HeadGrid, LaneProposalSet
 from .point_blend import BlendParams, BlendParamSet
 
 FORMAT_VERSION = 1
-
-
-@dataclass(frozen=True)
-class SceneRecord:
-    image_id: str
-    image_size: tuple[int, int]
-    gt_lanes: tuple  # tuple of polylines, each a tuple of (x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +314,9 @@ def eval_response_from_json(doc: dict, expect_eval_id=None):
 
 
 # ---------------------------------------------------------------------------
-# archive snapshots
+# run log and archive: `history.jsonl` is the durable log of a run, one
+# candidate per line, flushed as each evaluation ends; `archive.json` is
+# written once, from the log, when the run ends
 
 def _atomic_write(path, text):
     """Replace `path` by a temporary file renamed over it. The temporary
@@ -371,10 +365,10 @@ def candidate_from_json(doc: dict):
 
 def snapshot_archive(archive, history_lines, path):
     """Write `archive.json`: the front members plus the history, one
-    candidate per line. `history_lines` are the `candidate_line` texts of
-    `archive.history`, already encoded once for `history.jsonl`; a front
-    member's line is taken from them by `eval_id`, so a snapshot costs
-    the size of the file, not a re-encoding of the run."""
+    candidate per line. `history_lines` are the lines of `history.jsonl`,
+    the `candidate_line` texts of `archive.history` in order; a front
+    member's line is taken from them by `eval_id`, so writing the file
+    costs its size, not a re-encoding of the run."""
     line_of = {c.eval_id: line for c, line in zip(archive.history, history_lines)}
     members = ",\n".join(line_of[c.eval_id] for c in archive.members)
     history = ",\n".join(history_lines)
@@ -385,15 +379,41 @@ def snapshot_archive(archive, history_lines, path):
     )
 
 
+def _history_log(path):
+    """The candidate documents of a `history.jsonl` log. A last line with
+    no newline was torn by a crash and is dropped unread; any other line
+    that is not a JSON object is an error naming its line number."""
+    with open(path) as fh:
+        for n, line in enumerate(fh, start=1):
+            if not line.endswith("\n"):
+                return
+            try:
+                doc = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise SchemaError(f"line {n}", f"not JSON: {exc.msg}") from None
+            _check(doc, {}, f"line {n}")
+            yield n, doc
+
+
 def load_archive(path):
+    """Rebuild a run's archive by replaying its history through
+    `ParetoArchive.insert`, from `archive.json` or from the `*.jsonl` log
+    of a finished or killed run."""
     from .search_engine import ParetoArchive
 
+    archive = ParetoArchive()
+    if os.fspath(path).endswith(".jsonl"):
+        for n, doc in _history_log(path):
+            try:
+                archive.insert(candidate_from_json(doc))
+            except LaneNasError as exc:
+                raise SchemaError(f"line {n}", str(exc)) from exc
+        return archive
     with open(path) as fh:
         doc = json.load(fh)
     _check(doc, {"history?": [dict]}, "archive")
     if doc.get("version") != FORMAT_VERSION:
         raise VersionError(f"unsupported archive version {doc.get('version')}")
-    archive = ParetoArchive()
     for entry in doc.get("history", []):
         archive.insert(candidate_from_json(entry))
     return archive

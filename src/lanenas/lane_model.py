@@ -15,6 +15,8 @@ from typing import NamedTuple
 
 from .errors import DegenerateLineError
 
+ANCHOR_ROWS = 72  # anchor rows per lane, as proposed and as priced per head
+
 
 @dataclass(frozen=True)
 class AnchorLayout:
@@ -31,7 +33,7 @@ class AnchorLayout:
             raise ValueError("anchor rows must lie within [0, height)")
 
     @classmethod
-    def uniform(cls, image_size, num_rows=72):
+    def uniform(cls, image_size, num_rows=ANCHOR_ROWS):
         """Evenly spaced rows over the image height (default one per 4 px
         on a 288-px-high input)."""
         w, h = image_size

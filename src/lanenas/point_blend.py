@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+from .errors import ConstraintError
 from .lane_model import (
     LaneLine,
     LaneProposalSet,
@@ -101,13 +102,19 @@ def apply_mask(score: float, logit_mask: float) -> float:
 
 def mask_proposals(proposals: LaneProposalSet, params: BlendParamSet):
     """The masked score of every cell: `scores[h][i]` for cell `i` of
-    head `h`. The proposals themselves are left as they are."""
+    head `h`. The proposals themselves are left as they are. A level
+    whose logit terms overflow (`inf - inf` is a NaN logit, and so a NaN
+    score) is a ConstraintError naming the level."""
     scores = []
     for head in proposals.heads:
         p = params.per_level.get(head.level, BlendParams())
-        scores.append(
-            [apply_mask(c.score, mask_logit(p, c.center)) for c in head.cells]
-        )
+        try:
+            row = [apply_mask(c.score, mask_logit(p, c.center)) for c in head.cells]
+            if math.isnan(sum(row)):
+                raise OverflowError
+        except OverflowError:
+            raise ConstraintError(f"blend.per_level.{head.level}", "mask logit overflows") from None
+        scores.append(row)
     return scores
 
 

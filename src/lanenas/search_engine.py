@@ -42,7 +42,7 @@ from .errors import (
     ProtocolError,
     SpawnError,
 )
-from .metrics import SceneScorer
+from .metrics import DEFAULT_LANE_WIDTH, SceneScorer
 from .point_blend import BlendParamSet, BlendParamSpace, postprocess
 
 
@@ -78,7 +78,7 @@ class ParetoArchive:
         """Add an evaluated candidate; failed evaluations (score None)
         are logged in history only."""
         if cand.eval_id in self._ids:
-            raise DuplicateError(cand.eval_id)
+            raise DuplicateError(f"{cand.eval_id} is already recorded")
         self._ids.add(cand.eval_id)
         self.history.append(cand)
         if cand.score is None:
@@ -312,7 +312,7 @@ def run_search(config: SearchConfig, evaluator, on_eval=None) -> ParetoArchive:
 class InnerSearchConfig:
     budget: int = 200
     seed: int = 0
-    lane_width: int = 30
+    lane_width: int = DEFAULT_LANE_WIDTH
 
 
 def _blend_scorer(scenes, lane_width) -> SceneScorer:
@@ -328,7 +328,10 @@ def _blend_scorer(scenes, lane_width) -> SceneScorer:
 
 
 def evaluate_blend_params(
-    scenes, params: BlendParamSet, lane_width=30, scorer: SceneScorer | None = None
+    scenes,
+    params: BlendParamSet,
+    lane_width=DEFAULT_LANE_WIDTH,
+    scorer: SceneScorer | None = None,
 ) -> float:
     """Aggregate F1 of postprocess(params) over frozen proposal dumps.
 

@@ -13,12 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data_io import SceneRecord
 from .lane_model import AnchorLayout, GridCell, HeadGrid, LaneProposalSet
 
 
 CURVATURE_RANGE = (1e-4, 4e-4)  # 1/px
-ANCHOR_ROWS = 72
 HIGH_SCORE = 0.9  # the bottom cell of each lane
 LOW_SCORE = 0.5   # upper-lane cells, plus up to 0.05
 LOW_CELLS_PER_LANE = 2
@@ -37,6 +35,14 @@ class SynthSceneConfig:
             raise ValueError("num_scenes and lanes_per_scene must be positive")
         if not self.remote_noise_sigma >= 0:
             raise ValueError("remote_noise_sigma must be non-negative")
+
+
+@dataclass(frozen=True)
+class SceneRecord:
+    """A synthetic scene's ground truth."""
+
+    image_id: str
+    gt_lanes: tuple  # tuple of polylines, each a tuple of (x, y)
 
 
 def _lane_curve(rng, cfg, slot):
@@ -73,7 +79,7 @@ def _corruption(rng, cfg):
 def generate_scene(rng, cfg: SynthSceneConfig, scene_idx: int):
     """One (LaneProposalSet, SceneRecord) pair."""
     w, h = cfg.image_size
-    layout = AnchorLayout.uniform(cfg.image_size, ANCHOR_ROWS)
+    layout = AnchorLayout.uniform(cfg.image_size)
     gt_lanes = []
     high_cells = []
     low_cells = []
@@ -112,12 +118,7 @@ def generate_scene(rng, cfg: SynthSceneConfig, scene_idx: int):
         HeadGrid(level=2, grid_w=len(high_cells), grid_h=1, cells=tuple(high_cells)),
     )
     proposals = LaneProposalSet(layout=layout, heads=heads)
-    record = SceneRecord(
-        image_id=f"synth_{scene_idx:05d}",
-        image_size=cfg.image_size,
-        gt_lanes=tuple(gt_lanes),
-    )
-    return proposals, record
+    return proposals, SceneRecord(f"synth_{scene_idx:05d}", tuple(gt_lanes))
 
 
 def generate_synthetic_scenes(cfg: SynthSceneConfig):

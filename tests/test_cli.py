@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from lanenas import data_io
 from lanenas.cli import main
 
 
@@ -17,6 +18,20 @@ def run(capsys, *argv):
 def read_history(out_dir):
     with open(out_dir / "history.jsonl") as fh:
         return [json.loads(line) for line in fh]
+
+
+def export(capsys, archive, out):
+    return run(capsys, "pareto-export", "--archive", str(archive), "--out", str(out))
+
+
+def brute_force_front(entries):
+    """eval_ids of the scored entries no other scored entry dominates."""
+    scored = [(e["eval_id"], e["flops"], e["score"]) for e in entries
+              if e["score"] is not None]
+    return {
+        i for i, f, s in scored
+        if not any(g <= f and t >= s and (g < f or t > s) for _, g, t in scored)
+    }
 
 
 def write_params(path, **fields):
@@ -361,6 +376,22 @@ class TestSchemaErrors:
         assert code == 0
         assert json.loads(out)["scenes"][0]["lanes"] == []
 
+    @pytest.mark.parametrize("level", [
+        {"alpha1": 1e308, "beta1": 0.0, "alpha2": -1e308, "center": [0, 0]},
+        {"alpha1": 0.0, "beta1": 0.0, "alpha2": 0.0, "center": [1e200, 0]},
+    ], ids=["inf-minus-inf", "radial-overflow"])
+    def test_overflowing_mask_logit_is_a_data_error(self, tmp_path, capsys, level):
+        """Finite coefficients whose logit terms overflow would score
+        lanes NaN; the level at fault is named instead."""
+        doc = gen_synth(capsys, tmp_path / "corpus", "--num-scenes", "2")
+        params = write_params(tmp_path / "params.json", per_level={"1": level, "2": level},
+                              score_threshold=0.0)
+        code, out, err = run(capsys, "blend", "--proposals", doc["proposals"],
+                             "--params", params, "--json")
+        assert code == 2
+        assert out == ""
+        assert "error: blend.per_level.1: mask logit overflows" in err
+
     @pytest.mark.parametrize("response, path", [
         ("{'eval_id': req['eval_id'], 'score': True}", "response.score"),
         ("5", "response"),
@@ -492,7 +523,7 @@ class TestSearchCommand:
         out_dir = tmp_path / "run"
         code, _, _ = run(capsys, "search", "--budget", "30",
                          "--init-population", "4", "--seed", "5",
-                         "--snapshot-every", "7", "--out", str(out_dir))
+                         "--out", str(out_dir))
         assert code == 0
         history = read_history(out_dir)
         doc = json.loads((out_dir / "archive.json").read_text())
@@ -500,25 +531,123 @@ class TestSearchCommand:
         assert doc["history"] == history
         assert {m["eval_id"] for m in doc["members"]} <= {h["eval_id"] for h in history}
 
-    def test_snapshot_interval_does_not_change_outputs(self, tmp_path, capsys):
-        runs = {}
-        for every in ("7", "0"):
-            out_dir = tmp_path / f"every{every}"
-            code, _, _ = run(capsys, "search", "--budget", "40",
-                             "--init-population", "4", "--seed", "11",
-                             "--snapshot-every", every, "--out", str(out_dir))
-            assert code == 0
-            runs[every] = (
-                (out_dir / "history.jsonl").read_bytes(),
-                json.loads((out_dir / "archive.json").read_text()),
-            )
-        assert runs["7"][0] == runs["0"][0]
-        assert runs["7"][1] == runs["0"][1]
+    def test_search_writes_the_archive_once(self, tmp_path, capsys, monkeypatch):
+        """`archive.json` is written at the end of a run and never during
+        it; `history.jsonl` is the run's log."""
+        writes = []
+        atomic_write = data_io._atomic_write
+
+        def counted(path, text):
+            writes.append(os.path.basename(path))
+            atomic_write(path, text)
+
+        monkeypatch.setattr(data_io, "_atomic_write", counted)
+        code, _, _ = run(capsys, "search", "--budget", "120", "--seed", "3",
+                         "--out", str(tmp_path / "run"))
+        assert code == 0
+        assert writes == ["archive.json"]
 
     def test_bad_evaluator_spec(self, tmp_path, capsys):
         code, _, _ = run(capsys, "search", "--out", str(tmp_path / "x"),
                          "--evaluator", "magic:thing")
         assert code == 1
+
+    def test_pareto_export_from_history_log(self, tmp_path, capsys):
+        """A finished run's log gives the same front.csv as its archive."""
+        out_dir = tmp_path / "run"
+        code, _, _ = run(capsys, "search", "--budget", "150", "--seed", "4",
+                         "--out", str(out_dir))
+        assert code == 0
+        assert export(capsys, out_dir / "history.jsonl", tmp_path / "log.csv")[0] == 0
+        assert export(capsys, out_dir / "archive.json", tmp_path / "archive.csv")[0] == 0
+        front = (out_dir / "front.csv").read_bytes()
+        assert (tmp_path / "log.csv").read_bytes() == front
+        assert (tmp_path / "archive.csv").read_bytes() == front
+
+    def test_killed_run_keeps_a_prefix_and_its_front(self, tmp_path, capsys):
+        """A search killed mid-run leaves complete log lines that are a
+        byte prefix of an uninterrupted run at the same seed, and
+        pareto-export recovers the brute-force front of those lines."""
+        import signal
+        import subprocess
+        import sys
+        import time
+
+        import lanenas
+
+        src = os.path.dirname(os.path.dirname(lanenas.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        killed = tmp_path / "killed"
+        log = killed / "history.jsonl"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "lanenas", "search", "--budget", "1000000",
+             "--seed", "6", "--out", str(killed)],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        )
+        try:
+            deadline = time.monotonic() + 60
+            while time.monotonic() < deadline and proc.poll() is None:
+                if log.exists() and log.read_bytes().count(b"\n") >= 300:
+                    break
+                time.sleep(0.01)
+            assert proc.poll() is None, "the search ended before it was killed"
+            proc.send_signal(signal.SIGKILL)
+        finally:
+            proc.kill()
+            proc.wait()
+        assert proc.returncode == -signal.SIGKILL
+        data = log.read_bytes()
+        complete = data[: data.rfind(b"\n") + 1]
+        n = complete.count(b"\n")
+        assert n >= 300
+
+        whole = tmp_path / "whole"
+        code, _, _ = run(capsys, "search", "--budget", str(n), "--seed", "6",
+                         "--out", str(whole))
+        assert code == 0
+        assert (whole / "history.jsonl").read_bytes().startswith(complete)
+
+        code, _, _ = export(capsys, log, tmp_path / "front.csv")
+        assert code == 0
+        with open(tmp_path / "front.csv") as fh:
+            exported = {row.split(",")[0] for row in fh.read().splitlines()[1:]}
+        assert exported == brute_force_front(json.loads(l) for l in complete.splitlines())
+
+    def test_torn_last_line_is_dropped(self, tmp_path, capsys):
+        out_dir = tmp_path / "run"
+        code, _, _ = run(capsys, "search", "--budget", "40", "--seed", "2",
+                         "--out", str(out_dir))
+        assert code == 0
+        lines = (out_dir / "history.jsonl").read_text().splitlines(keepends=True)
+        torn = tmp_path / "torn.jsonl"
+        torn.write_text("".join(lines[:-1]) + lines[-1][:25])
+        shorter = tmp_path / "shorter.jsonl"
+        shorter.write_text("".join(lines[:-1]))
+        assert export(capsys, torn, tmp_path / "torn.csv")[0] == 0
+        assert export(capsys, shorter, tmp_path / "shorter.csv")[0] == 0
+        assert (tmp_path / "torn.csv").read_bytes() == (tmp_path / "shorter.csv").read_bytes()
+
+    @pytest.mark.parametrize("second_line, message", [
+        (lambda first, second: '{"eval_id": "e000001"', "line 2: not JSON"),
+        (lambda first, second: "5", "line 2: need an object"),
+        (lambda first, second: json.dumps({**json.loads(second), "flops": "12"}),
+         "line 2: candidate[e000001].flops: need int"),
+        (lambda first, second: first, "line 2: e000000 is already recorded"),
+    ], ids=["bad-json", "not-an-object", "schema-break", "repeated"])
+    def test_malformed_log_line_is_a_data_error(self, tmp_path, capsys, second_line, message):
+        """A complete line that does not read is an error naming it, even
+        the last one."""
+        out_dir = tmp_path / "run"
+        code, _, _ = run(capsys, "search", "--budget", "1", "--init-population", "1",
+                         "--seed", "0", "--out", str(out_dir))
+        assert code == 0
+        first, second = (out_dir / "history.jsonl").read_text().splitlines()
+        log = tmp_path / "bad.jsonl"
+        log.write_text(f"{first}\n{second_line(first, second)}\n")
+        code, _, err = export(capsys, log, tmp_path / "front.csv")
+        assert code == 2
+        assert f"error: {message}" in err
 
     def test_pareto_export(self, tmp_path, capsys):
         out_dir = tmp_path / "run"

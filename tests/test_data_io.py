@@ -175,6 +175,26 @@ class TestArchiveSnapshot:
         assert b.members == a.members
         assert b.history == a.history
 
+    def test_history_log_loads_like_the_snapshot(self, tmp_path):
+        a = self.archive(seed=7)
+        lines = [data_io.candidate_line(c) for c in a.history]
+        log = tmp_path / "history.jsonl"
+        log.write_text("".join(line + "\n" for line in lines))
+        b = data_io.load_archive(log)
+        assert b.members == a.members
+        assert b.history == a.history
+
+    def test_history_log_drops_only_a_torn_last_line(self, tmp_path):
+        a = self.archive(n=5)
+        lines = [data_io.candidate_line(c) for c in a.history]
+        log = tmp_path / "history.jsonl"
+        log.write_text("".join(line + "\n" for line in lines[:4]) + lines[4][:-1])
+        assert data_io.load_archive(log).history == a.history[:4]
+        log.write_text("".join(line + "\n" for line in lines[:4]) + lines[4][:-1] + "\n")
+        with pytest.raises(SchemaError) as exc:
+            data_io.load_archive(log)
+        assert exc.value.path == "line 5"
+
     def test_resume_with_zero_budget_unchanged(self, tmp_path):
         a = self.archive(seed=9)
         path = tmp_path / "a.json"
@@ -322,10 +342,16 @@ class TestReaderFuzz:
             archive, [data_io.candidate_line(c) for c in archive.history], archive_path
         )
         edited_path = tmp_path / "edited.json"
+        log_path = tmp_path / "history.jsonl"
 
         def load_archive(doc):
             edited_path.write_text(json.dumps(doc))
             return data_io.load_archive(edited_path)
+
+        def load_log(doc):
+            entries = doc if type(doc) is list else [doc]
+            log_path.write_text("".join(json.dumps(e) + "\n" for e in entries))
+            return data_io.load_archive(log_path)
 
         return [
             ("scene", data_io.proposals_to_json(rec.image_id, props),
@@ -333,6 +359,7 @@ class TestReaderFuzz:
             ("params", params, data_io.blend_from_json),
             ("fusion", data_io.fusion_to_json(make_arch().fusion), data_io.fusion_from_json),
             ("archive", json.loads(archive_path.read_text()), load_archive),
+            ("history log", json.loads(archive_path.read_text())["history"], load_log),
             ("response", {"eval_id": "e1", "score": 0.5, "diagnostics": {"loss": 0.2}},
              lambda doc: data_io.eval_response_from_json(doc, expect_eval_id="e1")),
         ]
