@@ -36,9 +36,8 @@ from .point_blend import (
     BlendParams,
     BlendParamSet,
     BlendParamSpace,
+    LaneTable,
     apply_mask,
-    blend_group,
-    group_lines,
     mask_logit,
     postprocess,
 )

@@ -138,6 +138,10 @@ def cmd_space_size(args):
 
 
 def cmd_search(args):
+    history_path = os.path.join(args.out, "history.jsonl")
+    if os.path.isfile(history_path) and os.path.getsize(history_path) > 0:
+        # the log is a run's one durable record: never truncate it
+        raise LaneNasError(f"{history_path} already holds a run's log; search into another --out")
     if args.evaluator == "builtin:synthetic":
         evaluator = search_engine.SyntheticEvaluator()
     elif args.evaluator.startswith("exec:"):
@@ -154,7 +158,6 @@ def cmd_search(args):
         workers=args.workers,
         seed=args.seed,
     )
-    history_path = os.path.join(args.out, "history.jsonl")
     snapshot_path = os.path.join(args.out, "archive.json")
 
     with open(history_path, "w") as hist_fh:

@@ -134,12 +134,17 @@ def decode_cell(
 
 
 def line_distance(a: LaneLine, b: LaneLine) -> float:
-    """Mean |x_a(y) - x_b(y)| over shared anchor rows; +inf if disjoint."""
+    """Mean |x_a(y) - x_b(y)| over shared anchor rows; +inf if disjoint.
+    The gaps are added top to bottom, one at a time (from Python 3.12 on,
+    `sum` of floats compensates rounding, so it is not used)."""
     xb = {y: x for x, y in b.points}
     gaps = [abs(x - xb[y]) for x, y in a.points if y in xb]
     if not gaps:
         return math.inf
-    return sum(gaps) / len(gaps)
+    total = 0.0
+    for gap in gaps:
+        total += gap
+    return total / len(gaps)
 
 
 def decode_all(proposals: LaneProposalSet, score_threshold: float, scores=None):

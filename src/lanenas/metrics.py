@@ -47,8 +47,16 @@ class MetricsReport:
 
 
 def _as_xy(line):
-    """The x and y arrays of an iterable of (x, y) points, such as a
-    LaneLine or a ground-truth polyline."""
+    """The x and y float64 arrays of a lane: an iterable of (x, y) points,
+    such as a LaneLine or a ground-truth polyline, or an (n, 2) array of
+    them, such as the inner search's lanes (its columns, not copied)."""
+    if isinstance(line, np.ndarray):
+        if line.ndim != 2 or line.shape[1] != 2:
+            raise ValueError(f"a lane array has shape (n, 2), not {line.shape}")
+        pts = line.astype(np.float64, copy=False)
+        if len(pts) < 2:
+            raise DegenerateLineError(f"{len(pts)} point(s)")
+        return pts[:, 0], pts[:, 1]
     pts = [(float(x), float(y)) for x, y in line]
     if len(pts) < 2:
         raise DegenerateLineError(f"{len(pts)} point(s)")
@@ -84,7 +92,8 @@ class SceneScorer:
 
     Each ground-truth lane is drawn once, here. Per scene, a predicted
     lane's IoUs against that scene's ground-truth lanes are kept under
-    the lane's exact coordinates (the float64 bytes of `_as_xy`), so a
+    the lane's exact coordinates (the float64 bytes of `_as_xy`, the
+    same for a LaneLine and for an (n, 2) array of its points), so a
     lane met again is never redrawn. A lane's runs depend only on its
     coordinates, the width and the canvas, so every kept IoU equals the
     recomputed one and scores are exact.

@@ -3,7 +3,9 @@
 Pipeline: per-level score masking -> threshold filtering -> greedy
 distance-NMS grouping -> per-row point swapping into each group's
 representative line. All of the masking/threshold/grouping/locality
-parameters are searchable.
+parameters are searchable. Decoding, lane distances and locality
+factors do not depend on them, so a `LaneTable` holds them for every
+parameter set post-processing one proposal set meets.
 """
 
 from __future__ import annotations
@@ -11,13 +13,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .errors import ConstraintError
-from .lane_model import (
-    LaneLine,
-    LaneProposalSet,
-    decode_all,
-    line_distance,
-)
+from .lane_model import LaneLine, LanePoint, LaneProposalSet, LaneSource
 
 _EPS = 1e-6
 
@@ -118,67 +117,187 @@ def mask_proposals(proposals: LaneProposalSet, params: BlendParamSet):
     return scores
 
 
-def group_lines(lines, group_distance):
-    """Greedy NMS grouping: highest-score unassigned line seeds a group
-    and absorbs every unassigned line closer than the threshold. The
-    seed is each group's first element."""
-    order = sorted(range(len(lines)), key=lambda i: (-lines[i].score, i))
+class LaneTable:
+    """One proposal set's lanes, decoded once for post-processing it
+    under many blend parameter sets.
+
+    A cell's decoded points and its source do not depend on the blend
+    parameters, and neither does the distance between two cells' lanes
+    nor, for one locality sigma, a point's locality factor: only the
+    masked scores do. Entry `k` is a decodable cell (at least 2 points),
+    keyed by `keys[k] = (head index, cell index)`, in decode order. It
+    holds the cell's x values as row `k` of `xs`, a float64 matrix over
+    the layout's anchor rows with NaN where the cell has no point, and
+    its `sources[k]` and centre row `cy[k]`. Lane distances are filled
+    in per entry pair as grouping asks for them; locality factors per
+    sigma, for the two sigmas used last.
+    """
+
+    def __init__(self, proposals: LaneProposalSet):
+        self.cells = []  # the GridCell of each entry
+        self.keys, self.sources = [], []
+        self.layout_rows = proposals.layout.rows
+        self.ys = np.array(self.layout_rows)
+        xs = []
+        for h, head in enumerate(proposals.heads):
+            cells = head.cells
+            if not cells:
+                continue
+            if any(len(c.offsets) != len(self.ys) for c in cells):
+                raise ValueError(f"head {h}: a cell has no offset slot for every anchor row")
+            offsets = np.array([c.offsets for c in cells], dtype=np.float64)  # None -> NaN
+            cx = np.array([c.center[0] for c in cells], dtype=np.float64)
+            end_y = np.array([c.end_y for c in cells], dtype=np.float64)
+            # a point at every row with an offset, at or below the ending row
+            present = ~np.isnan(offsets) & ~(self.ys < end_y[:, None])
+            for idx in np.flatnonzero(np.count_nonzero(present, axis=1) >= 2).tolist():
+                cell = cells[idx]
+                self.cells.append(cell)
+                self.keys.append((h, idx))
+                self.sources.append(LaneSource(head.level, idx, cell.center))
+                xs.append(np.where(present[idx], cx[idx] + offsets[idx], np.nan))
+        self.xs = np.array(xs).reshape(len(xs), len(self.ys))
+        self.present = ~np.isnan(self.xs)
+        self.cy = [c.center[1] for c in self.cells]
+        self._distance = {}
+        self._factors = {}
+
+    def distance(self, a, b) -> float:
+        """`line_distance` of entries `a` and `b`, computed once per pair."""
+        key = (a, b) if a < b else (b, a)
+        d = self._distance.get(key)
+        if d is None:
+            d = self._distance[key] = line_distance(self.xs[a], self.xs[b])
+        return d
+
+    def factors(self, locality_sigma):
+        """Per entry and anchor row, the locality factor
+        `exp(-(dy * dy) / sigma**2)` of the row's distance `dy` from the
+        entry's centre row, computed by `math.exp` (numpy's `exp` rounds
+        differently): 1.0 throughout at infinite sigma."""
+        f = self._factors.pop(locality_sigma, None)
+        if f is None:
+            s2 = locality_sigma**2
+            by_cy = {
+                cy: [math.exp(-(dy * dy) / s2) for dy in (self.ys - cy).tolist()]
+                for cy in set(self.cy)
+            }
+            f = np.array([by_cy[cy] for cy in self.cy])
+            if len(self._factors) == 2:
+                del self._factors[next(iter(self._factors))]
+        self._factors[locality_sigma] = f  # the most recently used last
+        return f
+
+    def points(self, who, rows):
+        """The (n, 2) float64 points of a lane whose point on anchor row
+        `rows[i]` is entry `who[i]`'s."""
+        return np.column_stack((self.xs[who, rows], self.ys[rows]))
+
+    def lane_line(self, who, rows, score, rep) -> LaneLine:
+        """The same lane as a LaneLine with entry `rep`'s score and source.
+        Each x is `cx + dx` from the cell, as `decode_cell` computes it,
+        so integer coordinates in the input stay integers in the output."""
+        cells, ys = self.cells, self.layout_rows
+        pts = tuple(
+            LanePoint(cells[k].center[0] + cells[k].offsets[r], ys[r])
+            for k, r in zip(who.tolist(), rows.tolist())
+        )
+        return LaneLine(pts, score, self.sources[rep])
+
+
+def line_distance(xa, xb) -> float:
+    """Mean |xa - xb| over the anchor rows where both x arrays have a
+    point (NaN marks none); +inf if there is no such row. The gaps are
+    summed left to right (as `np.cumsum` does; `np.sum` adds pairwise),
+    so the result equals `lane_model.line_distance` of the two LaneLines
+    bit for bit."""
+    gaps = np.abs(xa - xb)[~(np.isnan(xa) | np.isnan(xb))]
+    if not len(gaps):
+        return math.inf
+    return float(np.add.accumulate(gaps)[-1] / len(gaps))  # np.cumsum's ufunc
+
+
+def decode_all(table: LaneTable, score_threshold, scores):
+    """The table's lanes whose masked score `scores[h][i]` passes the
+    threshold: `(entry, score)` pairs in decode order."""
+    lines = []
+    for k, (h, i) in enumerate(table.keys):
+        s = scores[h][i]
+        if not s < score_threshold:
+            lines.append((k, s))
+    return lines
+
+
+def group_lines(table: LaneTable, lines, group_distance):
+    """Greedy NMS grouping of `(entry, score)` pairs: the highest-score
+    unassigned line seeds a group and absorbs every unassigned line
+    closer than the threshold. The seed is each group's first element."""
+    order = sorted(range(len(lines)), key=lambda i: (-lines[i][1], i))
     assigned = [False] * len(lines)
     groups = []
     for i in order:
         if assigned[i]:
             continue
-        seed = lines[i]
+        seed = lines[i][0]
         assigned[i] = True
-        group = [seed]
+        group = [lines[i]]
         for j in order:
-            if assigned[j]:
-                continue
-            if line_distance(seed, lines[j]) < group_distance:
+            if not assigned[j] and table.distance(seed, lines[j][0]) < group_distance:
                 assigned[j] = True
                 group.append(lines[j])
         groups.append(group)
     return groups
 
 
-def blend_group(group, locality_sigma) -> LaneLine:
+def blend_group(table: LaneTable, group, locality_sigma):
     """Blend one group into its representative (the seed, highest masked
-    score), keeping its score and source. Each representative row keeps
-    the member point whose lane has the best score x Gaussian weight of
-    the row's distance from the lane's cell centre row (score alone at
-    infinite sigma); ties go to the representative, then to the earlier
-    member. Every output point comes verbatim from a group member."""
-    rep = group[0]
+    score). Returns `(who, rows)`: the representative's anchor rows and,
+    per row, the entry whose point the blended lane keeps. That is the
+    member whose weight, its score times the locality factor of the row
+    (score alone at infinite sigma), is largest; ties go to the
+    representative, then to the earlier member (the first maximum, in
+    group order). Every output point comes verbatim from a member."""
+    rep = group[0][0]
+    rows = np.flatnonzero(table.present[rep])
     if len(group) == 1:
-        return rep
-    s2 = locality_sigma**2
-    row = {y: i for i, (_, y) in enumerate(rep.points)}
-    out = list(rep.points)
-    best_w = [-math.inf] * len(row)
-    for line in group:
-        cy = line.source.cell_center[1]
-        for p in line.points:
-            i = row.get(p.y)
-            if i is None:
-                continue
-            dy = p.y - cy
-            w = line.score * math.exp(-(dy * dy) / s2)
-            if w > best_w[i]:
-                out[i], best_w[i] = p, w
-    return LaneLine(tuple(out), rep.score, rep.source)
+        return np.full(len(rows), rep), rows
+    members = np.array([k for k, _ in group])
+    scores = np.array([s for _, s in group])
+    at = np.ix_(members, rows)
+    weights = np.where(
+        table.present[at], scores[:, None] * table.factors(locality_sigma)[at], -np.inf
+    )
+    return members[weights.argmax(axis=0)], rows
 
 
-def postprocess(proposals: LaneProposalSet, params: BlendParamSet):
-    """Full pipeline: mask -> decode/threshold -> group -> blend.
+def postprocess(proposals: LaneProposalSet, params: BlendParamSet, table=None):
+    """Full pipeline: mask -> threshold -> group -> blend.
 
-    Returns one lane per group. With an identity mask and infinite
-    locality sigma this reduces to plain Line-NMS (highest-score line
-    per group, untouched).
+    Returns one lane per group, as a LaneLine with the representative's
+    score and source. With an identity mask and infinite locality sigma
+    this reduces to plain Line-NMS (highest-score line per group,
+    untouched).
+
+    `table` is `LaneTable(proposals)`, kept by a caller that
+    post-processes the same proposals under many parameter sets (the
+    inner search). Each lane is then returned as the (n, 2) float64
+    array of its points, and no LaneLine is built.
     """
+    kept = table is not None
+    if not kept:
+        table = LaneTable(proposals)
     scores = mask_proposals(proposals, params)
-    lines = decode_all(proposals, params.score_threshold, scores)
-    groups = group_lines(lines, params.group_distance)
-    return [blend_group(g, params.locality_sigma) for g in groups]
+    lines = decode_all(table, params.score_threshold, scores)
+    groups = group_lines(table, lines, params.group_distance)
+    lanes = []
+    for group in groups:
+        who, rows = blend_group(table, group, params.locality_sigma)
+        if kept:
+            lanes.append(table.points(who, rows))
+        else:
+            rep, score = group[0]
+            lanes.append(table.lane_line(who, rows, score, rep))
+    return lanes
 
 
 def perturb(params: BlendParamSet, space: BlendParamSpace, rng) -> BlendParamSet:

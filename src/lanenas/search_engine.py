@@ -43,7 +43,7 @@ from .errors import (
     SpawnError,
 )
 from .metrics import DEFAULT_LANE_WIDTH, SceneScorer
-from .point_blend import BlendParamSet, BlendParamSpace, postprocess
+from .point_blend import BlendParamSet, BlendParamSpace, LaneTable, postprocess
 
 
 @dataclass(frozen=True)
@@ -327,21 +327,53 @@ def _blend_scorer(scenes, lane_width) -> SceneScorer:
     )
 
 
+def _params_key(params: BlendParamSet):
+    """A parameter set's value as a hashable tuple (`per_level` is a dict).
+    Equal keys score alike: where -0.0 and 0.0 differ, so does nothing
+    that post-processing computes from them."""
+    return (
+        params.score_threshold,
+        params.group_distance,
+        params.locality_sigma,
+        tuple(sorted(params.per_level.items())),
+    )
+
+
+class BlendScenes:
+    """Frozen proposal dumps and their ground truth, prepared once for
+    scoring many blend parameter sets: one scorer over the ground truth,
+    one `LaneTable` per proposal set, and the F1 of each parameter value
+    scored so far, so an equal parameter set is not post-processed
+    again."""
+
+    def __init__(self, scenes, lane_width=DEFAULT_LANE_WIDTH):
+        self.scorer = _blend_scorer(scenes, lane_width)
+        self.tables = [(proposals, LaneTable(proposals)) for proposals, _ in scenes]
+        self._f1 = {}
+
+    def f1(self, params: BlendParamSet) -> float:
+        key = _params_key(params)
+        f1 = self._f1.get(key)
+        if f1 is None:
+            preds = [postprocess(proposals, params, table) for proposals, table in self.tables]
+            f1 = self._f1[key] = self.scorer.report(preds).f1
+        return f1
+
+
 def evaluate_blend_params(
     scenes,
     params: BlendParamSet,
     lane_width=DEFAULT_LANE_WIDTH,
-    scorer: SceneScorer | None = None,
+    prepared: BlendScenes | None = None,
 ) -> float:
     """Aggregate F1 of postprocess(params) over frozen proposal dumps.
 
-    `scorer` scores against these scenes' ground truth and keeps every
-    lane's IoUs across calls; without one, a fresh scorer is built.
+    `prepared` is `BlendScenes(scenes, lane_width)`, kept across calls;
+    without it, the scenes are prepared for this call alone.
     """
-    if scorer is None:
-        scorer = _blend_scorer(scenes, lane_width)
-    preds = [postprocess(proposals, params) for proposals, _ in scenes]
-    return scorer.report(preds).f1
+    if prepared is None:
+        prepared = BlendScenes(scenes, lane_width)
+    return prepared.f1(params)
 
 
 def run_blend_inner_search(
@@ -351,16 +383,18 @@ def run_blend_inner_search(
     init_params: BlendParamSet,
 ) -> BlendParamSet:
     """Hill-climb with Gaussian perturbations; never returns anything
-    scoring below the initial (default) parameters. One scorer serves
-    the whole search, so each ground-truth lane is drawn once and each
-    distinct predicted lane once per scene; scores are exact."""
-    scorer = _blend_scorer(scenes, config.lane_width)
+    scoring below the initial (default) parameters. The scenes are
+    prepared once for the whole search (`BlendScenes`): each cell is
+    decoded once, each ground-truth lane drawn once, each distinct
+    predicted lane once per scene, and each distinct parameter value
+    scored once; scores are exact."""
+    prepared = BlendScenes(scenes, config.lane_width)
     rng = np.random.default_rng(config.seed)
     best = init_params
-    best_score = evaluate_blend_params(scenes, best, config.lane_width, scorer)
+    best_score = evaluate_blend_params(scenes, best, config.lane_width, prepared)
     for _ in range(config.budget):
         cand = point_blend.perturb(best, space, rng)
-        score = evaluate_blend_params(scenes, cand, config.lane_width, scorer)
+        score = evaluate_blend_params(scenes, cand, config.lane_width, prepared)
         if score > best_score:
             best, best_score = cand, score
     return best

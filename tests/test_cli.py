@@ -547,6 +547,19 @@ class TestSearchCommand:
         assert code == 0
         assert writes == ["archive.json"]
 
+    def test_second_search_keeps_the_first_runs_log(self, tmp_path, capsys):
+        out_dir = tmp_path / "run"
+        code, _, _ = run(capsys, "search", "--budget", "400", "--seed", "2",
+                         "--out", str(out_dir))
+        assert code == 0
+        log = (out_dir / "history.jsonl").read_bytes()
+        assert len(log.splitlines()) == 416
+        code, _, err = run(capsys, "search", "--budget", "5", "--seed", "3",
+                           "--out", str(out_dir))
+        assert code == 2
+        assert str(out_dir / "history.jsonl") in err
+        assert (out_dir / "history.jsonl").read_bytes() == log
+
     def test_bad_evaluator_spec(self, tmp_path, capsys):
         code, _, _ = run(capsys, "search", "--out", str(tmp_path / "x"),
                          "--evaluator", "magic:thing")

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from lanenas import point_blend
 from lanenas.lane_model import (
     AnchorLayout,
     GridCell,
@@ -12,20 +13,22 @@ from lanenas.lane_model import (
     LaneProposalSet,
     LaneSource,
     decode_cell,
+    line_distance,
 )
 from lanenas.point_blend import (
     BlendParams,
     BlendParamSet,
     BlendParamSpace,
+    LaneTable,
     apply_mask,
-    blend_group,
-    group_lines,
     mask_logit,
     mask_proposals,
     perturb,
     plain_nms_params,
     postprocess,
 )
+import blend_oracle
+from blend_oracle import blend_group, group_lines
 
 LAYOUT = AnchorLayout.uniform((512, 288), 72)
 
@@ -187,8 +190,6 @@ class TestGroupLines:
     def test_seeds_mutually_distant(self):
         lines = [vertical_line(7.0 * i, 0.9 - 0.02 * i) for i in range(30)]
         groups = group_lines(lines, 40.0)
-        from lanenas.lane_model import line_distance
-
         seeds = [g[0] for g in groups]
         for i, a in enumerate(seeds):
             for b in seeds[i + 1 :]:
@@ -311,6 +312,125 @@ class TestPostprocess:
         )
         assert postprocess(proposals, suppress) == []
         assert len(postprocess(proposals, boost)) == 1
+
+
+def odd_proposals(rng):
+    """Proposals of shapes the synthetic scenes never have: None offsets,
+    end_y cuts, degenerate cells, members with different row sets, equal
+    scores and centre rows, -0.0 coordinates (a row at -0.0 too) and
+    integer coordinates, as a proposals file may hold them."""
+    rows = (-0.0,) + tuple(4.0 * i for i in range(1, int(rng.integers(3, 12))))
+    layout = AnchorLayout((64, 48), rows)
+    heads = []
+    for level in rng.choice([1, 1, 2, 3], size=int(rng.integers(0, 4))).tolist():
+        cells = []
+        for _ in range(int(rng.integers(0, 7))):
+            offsets = [
+                None if rng.uniform() < 0.25 else float(rng.choice([-0.0, 0.0, 1.5, -3.0, 7.25]))
+                for _ in rows
+            ]
+            cx = float(rng.choice([-0.0, 0.0, 10.0, 20.0, 30.0]))
+            if rng.uniform() < 0.2:
+                cx = int(cx)
+                offsets = [None if dx is None else int(dx) for dx in offsets]
+            cells.append(GridCell(
+                center=(cx, float(rng.choice([-0.0, 8.0, 40.0]))),
+                score=float(rng.choice([0.0, 0.25, 0.5, 0.5, 0.75, 1.0])),
+                offsets=tuple(offsets),
+                end_y=float(rng.choice([-0.0, 0.0, rows[len(rows) // 2], rows[-1], rows[-1] + 1.0])),
+            ))
+        heads.append(HeadGrid(level=level, grid_w=len(cells), grid_h=1, cells=tuple(cells)))
+    return LaneProposalSet(layout=layout, heads=tuple(heads))
+
+
+def odd_params(rng):
+    """Identity, boosting and saturating masks (a masked score of 0.0),
+    thresholds down to 0.0, and finite or infinite locality."""
+    per_level = {}
+    for level in (1, 2, 3):
+        kind = rng.integers(4)
+        if kind == 1:
+            per_level[level] = BlendParams(beta1=float(rng.choice([-1.0, 1.0])))
+        elif kind == 2:
+            per_level[level] = BlendParams(beta1=-1e300)  # masks every score to 0.0
+        elif kind == 3:
+            per_level[level] = BlendParams(0.01, -0.5, -0.002, (32.0, -0.0))
+    return BlendParamSet(
+        per_level=per_level,
+        score_threshold=float(rng.choice([0.0, 0.25, 0.5])),
+        group_distance=float(rng.choice([1.0, 5.0, 40.0])),
+        locality_sigma=float(rng.choice([0.5, 5.0, 40.0, math.inf])),
+    )
+
+
+def points_bytes(lanes):
+    """Each lane's (n, 2) float64 points as bytes, so -0.0 differs from 0.0."""
+    return [np.array([tuple(p) for p in lane], dtype=np.float64).tobytes() for lane in lanes]
+
+
+class TestLaneTable:
+    def test_postprocess_equals_object_pipeline(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(300):
+            proposals = odd_proposals(rng)
+            table = LaneTable(proposals)  # kept across parameter sets
+            for _ in range(4):
+                params = odd_params(rng)
+                want = blend_oracle.postprocess(proposals, params)
+                got = postprocess(proposals, params)
+                assert got == want
+                assert repr(got) == repr(want)  # -0.0 and types too
+                arrays = postprocess(proposals, params, table)
+                assert points_bytes(arrays) == points_bytes(want)
+
+    def test_line_distance_is_the_left_to_right_mean(self):
+        rng = np.random.default_rng(7)
+        rows = tuple(float(y) for y in range(72))
+        for _ in range(2000):
+            xa, xb = rng.uniform(-1e3, 1e3, size=(2, 72)) * 10.0 ** rng.integers(-3, 4, size=(2, 72))
+            xa[rng.uniform(size=72) < 0.3] = np.nan
+            xb[rng.uniform(size=72) < 0.3] = np.nan
+            gaps = [abs(a - b) for a, b in zip(xa.tolist(), xb.tolist())
+                    if not (math.isnan(a) or math.isnan(b))]
+            total = 0.0
+            for gap in gaps:  # left to right; `sum` compensates from Python 3.12
+                total += gap
+            want = total / len(gaps) if gaps else math.inf
+            assert point_blend.line_distance(xa, xb) == want
+            lines = [
+                LaneLine(tuple(LanePoint(x, y) for x, y in zip(xs.tolist(), rows) if not math.isnan(x)),
+                         0.5, LaneSource(1, 0, (0.0, 0.0)))
+                for xs in (xa, xb)
+            ]
+            if all(len(l.points) for l in lines):
+                assert line_distance(*lines) == want
+
+    def test_locality_factors_are_math_exp(self):
+        rng = np.random.default_rng(8)
+        cells = tuple(
+            GridCell(center=(100.0, float(rng.uniform(0, 288))), score=0.5,
+                     offsets=(0.0,) * len(LAYOUT.rows), end_y=0.0)
+            for _ in range(40)
+        )
+        table = LaneTable(LaneProposalSet(LAYOUT, (HeadGrid(1, len(cells), 1, cells),)))
+        for sigma in rng.uniform(5.0, 500.0, size=20).tolist() + [math.inf]:
+            want = [
+                [math.exp(-((y - c.center[1]) * (y - c.center[1])) / sigma**2) for y in LAYOUT.rows]
+                for c in cells
+            ]
+            assert table.factors(sigma).tolist() == want
+            assert len(table._factors) <= 2  # only the latest sigmas are kept
+
+    def test_kept_table_is_not_rebuilt(self, monkeypatch):
+        proposals = odd_proposals(np.random.default_rng(4))
+        table = LaneTable(proposals)
+        assert len(table.keys) >= 2
+        monkeypatch.setattr(point_blend, "LaneTable", None)  # building one fails
+        for sigma in (5.0, 40.0, 5.0, math.inf):
+            params = BlendParamSet.identity([1, 2, 3], score_threshold=0.0, locality_sigma=sigma)
+            want = blend_oracle.postprocess(proposals, params)
+            assert want
+            assert points_bytes(postprocess(proposals, params, table)) == points_bytes(want)
 
 
 class TestPerturb:

@@ -26,6 +26,7 @@ from lanenas.errors import (
 )
 from lanenas.metrics import SceneScorer, match_and_score, score_scene
 from lanenas.point_blend import (
+    BlendParams,
     BlendParamSet,
     BlendParamSpace,
     perturb,
@@ -33,6 +34,7 @@ from lanenas.point_blend import (
     postprocess,
 )
 from lanenas.search_engine import (
+    BlendScenes,
     Candidate,
     ExternalEvaluator,
     InnerSearchConfig,
@@ -45,6 +47,7 @@ from lanenas.search_engine import (
     run_search,
 )
 from lanenas.synth import SynthSceneConfig, generate_synthetic_scenes
+from blend_oracle import postprocess as oracle_postprocess
 from conftest import make_arch
 
 
@@ -562,13 +565,14 @@ class TestBlendInnerSearch:
 
 
 def unmemoized_inner_search(scenes, space, config, init_params):
-    """The inner search without a shared scorer: every step draws every
-    lane of every scene again."""
+    """The inner search without a shared scorer, lane tables or F1 memo:
+    every step post-processes every scene with the object pipeline of
+    `blend_oracle` and draws every lane again."""
     gts = [gt for _, gt in scenes]
     canvas = scenes[0][0].layout.image_size
 
     def f1(params):
-        preds = [postprocess(proposals, params) for proposals, _ in scenes]
+        preds = [oracle_postprocess(proposals, params) for proposals, _ in scenes]
         return match_and_score(preds, gts, width=config.lane_width, canvas=canvas).f1
 
     rng = np.random.default_rng(config.seed)
@@ -622,8 +626,8 @@ class TestBlendScorer:
         seen = [set() for _ in noisy_scenes]
         run = search_engine.postprocess
 
-        def postprocess_logged(proposals, params):
-            lanes = run(proposals, params)
+        def postprocess_logged(proposals, params, table):
+            lanes = run(proposals, params, table)
             for lane in lanes:
                 xs, ys = metrics._as_xy(lane)
                 seen[scene_of[id(proposals)]].add(xs.tobytes() + ys.tobytes())
@@ -643,11 +647,53 @@ class TestBlendScorer:
         monkeypatch.setattr(
             metrics, "polyline_runs", lambda *a: drawn.append(1) or draw(*a)
         )
-        gts = [gt for _, gt in noisy_scenes]
-        scorer = SceneScorer(gts, width=30, canvas=noisy_scenes[0][0].layout.image_size)
+        prepared = BlendScenes(noisy_scenes, 30)
         params = default_params(locality_sigma=60.0)
-        first = evaluate_blend_params(noisy_scenes, params, 30, scorer)
+        first = evaluate_blend_params(noisy_scenes, params, 30, prepared)
         assert drawn
         drawn.clear()
-        assert evaluate_blend_params(noisy_scenes, params, 30, scorer) == first
+        # a level no head has: another parameter value, the same lanes
+        same_lanes = replace(params, per_level={**params.per_level, 3: BlendParams(beta1=1.0)})
+        assert evaluate_blend_params(noisy_scenes, same_lanes, 30, prepared) == first
         assert drawn == []
+
+    def test_equal_parameter_step_is_not_postprocessed(self, noisy_scenes, monkeypatch):
+        calls = []
+        run = search_engine.postprocess
+        monkeypatch.setattr(search_engine, "postprocess", lambda *a: calls.append(1) or run(*a))
+        prepared = BlendScenes(noisy_scenes, 30)
+        params = BlendParamSet(
+            per_level={1: BlendParams(0.01, -0.5, 0.0, (256.0, 0.0)), 2: BlendParams()},
+            locality_sigma=60.0,
+        )
+        first = evaluate_blend_params(noisy_scenes, params, 30, prepared)
+        assert len(calls) == len(noisy_scenes)
+        # the same value built afresh, its levels in the other order
+        equal = BlendParamSet(
+            per_level={2: BlendParams(), 1: BlendParams(0.01, -0.5, 0.0, (256.0, 0.0))},
+            locality_sigma=60.0,
+        )
+        assert evaluate_blend_params(noisy_scenes, equal, 30, prepared) == first
+        assert len(calls) == len(noisy_scenes)
+        assert first == evaluate_blend_params(noisy_scenes, params)
+
+    def test_search_postprocesses_each_parameter_value_once(self, noisy_scenes, monkeypatch):
+        evaluated, calls = [], []
+        evaluate, run = search_engine.evaluate_blend_params, search_engine.postprocess
+        monkeypatch.setattr(
+            search_engine, "evaluate_blend_params",
+            lambda scenes, params, *a: evaluated.append(params) or evaluate(scenes, params, *a),
+        )
+        monkeypatch.setattr(search_engine, "postprocess", lambda *a: calls.append(1) or run(*a))
+        budget = 60
+        run_blend_inner_search(
+            noisy_scenes, BlendParamSpace(), InnerSearchConfig(budget=budget, seed=7),
+            default_params(locality_sigma=60.0),
+        )
+        distinct = []
+        for params in evaluated:
+            if params not in distinct:
+                distinct.append(params)
+        assert len(evaluated) == budget + 1
+        assert len(distinct) < len(evaluated)  # perturb clipped some steps onto a bound
+        assert len(calls) == len(noisy_scenes) * len(distinct)
