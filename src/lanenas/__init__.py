@@ -21,16 +21,7 @@ from .arch_space import (
 )
 from .cost_model import CostReport, candidate_cost, conv_cost
 from .errors import LaneNasError
-from .lane_model import (
-    AnchorLayout,
-    GridCell,
-    HeadGrid,
-    LaneLine,
-    LaneProposalSet,
-    decode_all,
-    decode_cell,
-    line_distance,
-)
+from .lane_model import AnchorLayout, GridCell, HeadGrid, LaneProposalSet
 from .metrics import lane_iou, match_and_score, rasterize_lane, tusimple_accuracy
 from .point_blend import (
     BlendParams,

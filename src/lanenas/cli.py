@@ -12,6 +12,8 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from . import data_io, point_blend, search_engine, synth
 from .arch_space import (
     ArchEncoding,
@@ -23,7 +25,7 @@ from .arch_space import (
     space_cardinality,
 )
 from .cost_model import DEFAULT_RESOLUTION, candidate_cost, gflops
-from .errors import LaneNasError
+from .errors import LaneNasError, SchemaError
 from .metrics import (
     DEFAULT_CANVAS,
     DEFAULT_IOU_THRESHOLD,
@@ -46,9 +48,12 @@ class _Parser(argparse.ArgumentParser):
 def _parse_resolution(text):
     try:
         w, h = text.lower().split("x")
-        return int(w), int(h)
+        w, h = int(w), int(h)
     except ValueError:
         raise _UsageError(f"bad resolution {text!r}, expected WxH")
+    if w <= 0 or h <= 0:
+        raise _UsageError(f"bad resolution {text!r}, both sides must be positive")
+    return w, h
 
 
 def _default_fusion(t):
@@ -206,26 +211,40 @@ def _load_blend_params(args):
     return params
 
 
+def _check_file_id(image_id, written):
+    """An `image_id` names its scene's `.lines.txt` file: it must be a
+    plain file name (not empty, `.` or `..`, no path separator or NUL)
+    that no earlier scene used. `written` holds the ids used so far."""
+    if image_id in ("", ".", "..") or any(c in image_id for c in ("/", os.sep, "\0")):
+        raise SchemaError("image_id", f"{image_id!r} cannot name a .lines.txt file")
+    if image_id in written:
+        raise SchemaError("image_id", f"{image_id!r} names an earlier scene's file too")
+    written.add(image_id)
+
+
 def cmd_blend(args):
     params = _load_blend_params(args)
     out_doc = {"version": data_io.FORMAT_VERSION, "scenes": []}
+    written = set()
     for image_id, proposals in data_io.read_proposals(args.proposals):
         lanes = point_blend.postprocess(proposals, params)
+        # points stay (n, 2) arrays until written; lists of pairs take several times the memory
         out_doc["scenes"].append({
             "image_id": image_id,
-            "lanes": [{"score": l.score, "points": l.points} for l in lanes],
+            "lanes": [{"score": score, "points": points} for score, points in lanes],
         })
         if args.culane_out:
+            _check_file_id(image_id, written)
             os.makedirs(args.culane_out, exist_ok=True)
             data_io.write_culane_lines(
                 os.path.join(args.culane_out, f"{image_id}.lines.txt"),
-                [l.points for l in lanes],
+                [points.tolist() for _, points in lanes],
             )
     if args.out:
         with open(args.out, "w") as fh:
-            json.dump(out_doc, fh)
+            json.dump(out_doc, fh, default=np.ndarray.tolist)
     if args.json:
-        print(json.dumps(out_doc))
+        print(json.dumps(out_doc, default=np.ndarray.tolist))
     else:
         n = sum(len(s["lanes"]) for s in out_doc["scenes"])
         print(f"{len(out_doc['scenes'])} scenes, {n} lanes")
@@ -246,6 +265,11 @@ def _paired_lane_files(pred_dir, gt_dir):
 
 
 def cmd_eval_f1(args):
+    if args.width <= 0:
+        raise _UsageError(f"--width must be positive, got {args.width}")
+    if not 0.0 <= args.iou < 1.0:
+        raise _UsageError(f"--iou must be in [0, 1), got {args.iou}")
+    canvas = _parse_resolution(args.canvas)
     pairs = _paired_lane_files(args.pred, args.gt)
     preds, gts = [], []
     for pred_path, gt_path in pairs:
@@ -256,7 +280,7 @@ def cmd_eval_f1(args):
         gts,
         iou_threshold=args.iou,
         width=args.width,
-        canvas=_parse_resolution(args.canvas),
+        canvas=canvas,
     )
     doc = {
         "tp": report.tp,

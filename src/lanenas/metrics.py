@@ -48,8 +48,8 @@ class MetricsReport:
 
 def _as_xy(line):
     """The x and y float64 arrays of a lane: an iterable of (x, y) points,
-    such as a LaneLine or a ground-truth polyline, or an (n, 2) array of
-    them, such as the inner search's lanes (its columns, not copied)."""
+    such as a ground-truth polyline, or an (n, 2) array of them, such as
+    the points of a `postprocess` lane (its columns, not copied)."""
     if isinstance(line, np.ndarray):
         if line.ndim != 2 or line.shape[1] != 2:
             raise ValueError(f"a lane array has shape (n, 2), not {line.shape}")
@@ -93,10 +93,10 @@ class SceneScorer:
     Each ground-truth lane is drawn once, here. Per scene, a predicted
     lane's IoUs against that scene's ground-truth lanes are kept under
     the lane's exact coordinates (the float64 bytes of `_as_xy`, the
-    same for a LaneLine and for an (n, 2) array of its points), so a
-    lane met again is never redrawn. A lane's runs depend only on its
-    coordinates, the width and the canvas, so every kept IoU equals the
-    recomputed one and scores are exact.
+    same for a list of (x, y) points and for an (n, 2) array of them),
+    so a lane met again is never redrawn. A lane's runs depend only on
+    its coordinates, the width and the canvas, so every kept IoU equals
+    the recomputed one and scores are exact.
     """
 
     def __init__(

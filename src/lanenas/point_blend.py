@@ -5,7 +5,9 @@ distance-NMS grouping -> per-row point swapping into each group's
 representative line. All of the masking/threshold/grouping/locality
 parameters are searchable. Decoding, lane distances and locality
 factors do not depend on them, so a `LaneTable` holds them for every
-parameter set post-processing one proposal set meets.
+parameter set post-processing one proposal set meets. A lane is a
+`(score, points)` pair: the masked score of the group's representative
+and an (n, 2) float64 array of `(x, y)` points, top to bottom.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConstraintError
-from .lane_model import LaneLine, LanePoint, LaneProposalSet, LaneSource
+from .lane_model import LaneProposalSet
 
 _EPS = 1e-6
 
@@ -128,17 +130,15 @@ class LaneTable:
     keyed by `keys[k] = (head index, cell index)`, in decode order. It
     holds the cell's x values as row `k` of `xs`, a float64 matrix over
     the layout's anchor rows with NaN where the cell has no point, and
-    its `sources[k]` and centre row `cy[k]`. Lane distances are filled
-    in per entry pair as grouping asks for them; locality factors per
-    sigma, for the two sigmas used last.
+    its centre row `cy[k]`. Lane distances are filled in per entry pair
+    as grouping asks for them; locality factors per sigma, for the two
+    sigmas used last.
     """
 
     def __init__(self, proposals: LaneProposalSet):
-        self.cells = []  # the GridCell of each entry
-        self.keys, self.sources = [], []
-        self.layout_rows = proposals.layout.rows
-        self.ys = np.array(self.layout_rows)
-        xs = []
+        self.keys, self.cy = [], []
+        self.ys = np.array(proposals.layout.rows)
+        xs = [np.empty((0, len(self.ys)))]  # so a table may have no entry
         for h, head in enumerate(proposals.heads):
             cells = head.cells
             if not cells:
@@ -147,18 +147,16 @@ class LaneTable:
                 raise ValueError(f"head {h}: a cell has no offset slot for every anchor row")
             offsets = np.array([c.offsets for c in cells], dtype=np.float64)  # None -> NaN
             cx = np.array([c.center[0] for c in cells], dtype=np.float64)
+            cy = np.array([c.center[1] for c in cells], dtype=np.float64)
             end_y = np.array([c.end_y for c in cells], dtype=np.float64)
             # a point at every row with an offset, at or below the ending row
             present = ~np.isnan(offsets) & ~(self.ys < end_y[:, None])
-            for idx in np.flatnonzero(np.count_nonzero(present, axis=1) >= 2).tolist():
-                cell = cells[idx]
-                self.cells.append(cell)
-                self.keys.append((h, idx))
-                self.sources.append(LaneSource(head.level, idx, cell.center))
-                xs.append(np.where(present[idx], cx[idx] + offsets[idx], np.nan))
-        self.xs = np.array(xs).reshape(len(xs), len(self.ys))
+            decodable = np.flatnonzero(np.count_nonzero(present, axis=1) >= 2)
+            self.keys += [(h, idx) for idx in decodable.tolist()]
+            self.cy += cy[decodable].tolist()
+            xs.append(np.where(present[decodable], cx[decodable, None] + offsets[decodable], np.nan))
+        self.xs = np.concatenate(xs)
         self.present = ~np.isnan(self.xs)
-        self.cy = [c.center[1] for c in self.cells]
         self._distance = {}
         self._factors = {}
 
@@ -193,24 +191,12 @@ class LaneTable:
         `rows[i]` is entry `who[i]`'s."""
         return np.column_stack((self.xs[who, rows], self.ys[rows]))
 
-    def lane_line(self, who, rows, score, rep) -> LaneLine:
-        """The same lane as a LaneLine with entry `rep`'s score and source.
-        Each x is `cx + dx` from the cell, as `decode_cell` computes it,
-        so integer coordinates in the input stay integers in the output."""
-        cells, ys = self.cells, self.layout_rows
-        pts = tuple(
-            LanePoint(cells[k].center[0] + cells[k].offsets[r], ys[r])
-            for k, r in zip(who.tolist(), rows.tolist())
-        )
-        return LaneLine(pts, score, self.sources[rep])
-
 
 def line_distance(xa, xb) -> float:
     """Mean |xa - xb| over the anchor rows where both x arrays have a
     point (NaN marks none); +inf if there is no such row. The gaps are
     summed left to right (as `np.cumsum` does; `np.sum` adds pairwise),
-    so the result equals `lane_model.line_distance` of the two LaneLines
-    bit for bit."""
+    so the result equals a plain loop's running sum bit for bit."""
     gaps = np.abs(xa - xb)[~(np.isnan(xa) | np.isnan(xb))]
     if not len(gaps):
         return math.inf
@@ -273,18 +259,16 @@ def blend_group(table: LaneTable, group, locality_sigma):
 def postprocess(proposals: LaneProposalSet, params: BlendParamSet, table=None):
     """Full pipeline: mask -> threshold -> group -> blend.
 
-    Returns one lane per group, as a LaneLine with the representative's
-    score and source. With an identity mask and infinite locality sigma
-    this reduces to plain Line-NMS (highest-score line per group,
-    untouched).
+    Returns one `(score, points)` pair per group: the representative's
+    masked score and the blended lane's (n, 2) float64 points, top to
+    bottom. With an identity mask and infinite locality sigma this
+    reduces to plain Line-NMS (highest-score line per group, untouched).
 
     `table` is `LaneTable(proposals)`, kept by a caller that
     post-processes the same proposals under many parameter sets (the
-    inner search). Each lane is then returned as the (n, 2) float64
-    array of its points, and no LaneLine is built.
+    inner search); without it, a table is built for this call alone.
     """
-    kept = table is not None
-    if not kept:
+    if table is None:
         table = LaneTable(proposals)
     scores = mask_proposals(proposals, params)
     lines = decode_all(table, params.score_threshold, scores)
@@ -292,11 +276,7 @@ def postprocess(proposals: LaneProposalSet, params: BlendParamSet, table=None):
     lanes = []
     for group in groups:
         who, rows = blend_group(table, group, params.locality_sigma)
-        if kept:
-            lanes.append(table.points(who, rows))
-        else:
-            rep, score = group[0]
-            lanes.append(table.lane_line(who, rows, score, rep))
+        lanes.append((group[0][1], table.points(who, rows)))
     return lanes
 
 

@@ -355,7 +355,10 @@ class BlendScenes:
         key = _params_key(params)
         f1 = self._f1.get(key)
         if f1 is None:
-            preds = [postprocess(proposals, params, table) for proposals, table in self.tables]
+            preds = [
+                [points for _, points in postprocess(proposals, params, table)]
+                for proposals, table in self.tables
+            ]
             f1 = self._f1[key] = self.scorer.report(preds).f1
         return f1
 

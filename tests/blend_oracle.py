@@ -1,16 +1,110 @@
 """Reference post-processing on lane objects, for tests.
 
 This is the point blender as one LaneLine per passing cell: decode every
-cell whose masked score passes the threshold (`lane_model.decode_all`),
-group by greedy distance NMS on `lane_model.line_distance`, and blend
-each group point by point. `point_blend.postprocess` must return the
-same lanes (`LaneLine ==`) through its lane table.
+cell whose masked score passes the threshold (`decode_all`), group by
+greedy distance NMS on `line_distance`, and blend each group point by
+point. A decoded lane's points are plain `(x, y)` pairs; its proposing
+cell is recorded once, in `LaneLine.source`. `point_blend.postprocess`
+must return the same lanes through its lane table: each `(score,
+points)` pair equals a LaneLine's score and points.
 """
 
 import math
+from dataclasses import dataclass
+from typing import NamedTuple
 
-from lanenas.lane_model import LaneLine, decode_all, line_distance
+from lanenas.errors import DegenerateLineError
+from lanenas.lane_model import AnchorLayout, GridCell, LaneProposalSet
 from lanenas.point_blend import mask_proposals
+
+
+@dataclass(frozen=True)
+class LaneSource:
+    """Provenance of a decoded lane: which cell proposed it."""
+
+    level: int
+    cell_index: int
+    cell_center: tuple[float, float]
+
+
+class LanePoint(NamedTuple):
+    x: float
+    y: float
+
+
+@dataclass(frozen=True)
+class LaneLine:
+    points: tuple[LanePoint, ...]
+    score: float                      # masked score of the proposing cell
+    source: LaneSource
+
+    def __post_init__(self):
+        object.__setattr__(self, "points", tuple(self.points))
+        if any(b.y <= a.y for a, b in zip(self.points, self.points[1:])):
+            raise ValueError("points must be sorted by y")
+
+    def __iter__(self):  # a lane is its (x, y) points, like a polyline
+        return iter(self.points)
+
+
+def decode_cell(
+    cell: GridCell,
+    layout: AnchorLayout,
+    level: int = 0,
+    cell_index: int = 0,
+    score: float | None = None,
+) -> LaneLine:
+    """Decode one cell into a lane polyline.
+
+    A point is emitted at every anchor row at or below the ending row
+    (the ending point is the lane's upper terminus); the lane records the
+    proposing cell once, in `source`. `score` overrides the cell's raw
+    score when the caller has already applied masking.
+    """
+    cx = cell.center[0]
+    pts = [
+        LanePoint(cx + dx, y)
+        for y, dx in zip(layout.rows, cell.offsets, strict=True)
+        if dx is not None and not y < cell.end_y
+    ]
+    if len(pts) < 2:
+        raise DegenerateLineError(
+            f"cell at {cell.center} decodes to {len(pts)} point(s)"
+        )
+    s = cell.score if score is None else score
+    return LaneLine(tuple(pts), s, LaneSource(level, cell_index, cell.center))
+
+
+def line_distance(a: LaneLine, b: LaneLine) -> float:
+    """Mean |x_a(y) - x_b(y)| over shared anchor rows; +inf if disjoint.
+    The gaps are added top to bottom, one at a time (from Python 3.12 on,
+    `sum` of floats compensates rounding, so it is not used)."""
+    xb = {y: x for x, y in b.points}
+    gaps = [abs(x - xb[y]) for x, y in a.points if y in xb]
+    if not gaps:
+        return math.inf
+    total = 0.0
+    for gap in gaps:
+        total += gap
+    return total / len(gaps)
+
+
+def decode_all(proposals: LaneProposalSet, score_threshold: float, scores=None):
+    """One LaneLine per cell whose score passes the threshold and decodes
+    to at least 2 points. `scores[h][i]`, when given, replaces the score
+    of cell `i` of head `h` (the masked scores of `mask_proposals`), both
+    for the threshold and on the lane."""
+    lines = []
+    for h, head in enumerate(proposals.heads):
+        for idx, cell in enumerate(head.cells):
+            s = cell.score if scores is None else scores[h][idx]
+            if s < score_threshold:
+                continue
+            try:
+                lines.append(decode_cell(cell, proposals.layout, head.level, idx, s))
+            except DegenerateLineError:
+                continue
+    return lines
 
 
 def group_lines(lines, group_distance):

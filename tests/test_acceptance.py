@@ -25,7 +25,6 @@ from lanenas.arch_space import (
 )
 from lanenas.cli import main as cli_main
 from lanenas.cost_model import candidate_cost
-from lanenas.lane_model import decode_all, line_distance
 from lanenas.metrics import lane_iou, match_and_score, rasterize_lane
 from lanenas.point_blend import (
     BlendParamSet,
@@ -43,6 +42,7 @@ from lanenas.search_engine import (
 )
 from lanenas.synth import SynthSceneConfig, generate_synthetic_scenes
 
+from blend_oracle import decode_all, line_distance
 from conftest import make_arch
 from test_cost_model import oracle_cost
 from test_metrics import oracle_mask, random_polyline
@@ -238,10 +238,11 @@ def reference_plain_line_nms(proposals, score_threshold, group_distance):
 
 
 def lanes_to_bytes(lanes):
+    """`(score, points)` pairs as JSON bytes."""
     return json.dumps(
         [
-            {"score": l.score, "points": [[p.x, p.y] for p in l.points]}
-            for l in lanes
+            {"score": score, "points": [[x, y] for x, y in points]}
+            for score, points in lanes
         ]
     ).encode()
 
@@ -254,8 +255,8 @@ def test_criterion_6_plain_nms_reduction():
     )
     mismatches = 0
     for proposals, _ in scenes:
-        ours = postprocess(proposals, params)
-        ref = reference_plain_line_nms(proposals, 0.3, 60.0)
+        ours = [(score, points.tolist()) for score, points in postprocess(proposals, params)]
+        ref = [(l.score, l.points) for l in reference_plain_line_nms(proposals, 0.3, 60.0)]
         if lanes_to_bytes(ours) != lanes_to_bytes(ref):
             mismatches += 1
     report(
@@ -268,7 +269,7 @@ def test_criterion_6_plain_nms_reduction():
 
 def corpus_f1(scenes, params):
     canvas = scenes[0][0].layout.image_size
-    preds = [postprocess(props, params) for props, _ in scenes]
+    preds = [[points for _, points in postprocess(props, params)] for props, _ in scenes]
     gts = [rec.gt_lanes for _, rec in scenes]
     return match_and_score(preds, gts, canvas=canvas)
 

@@ -55,6 +55,15 @@ def gen_synth(capsys, out_dir, *argv):
     return json.loads(out)
 
 
+def dir_digest(path):
+    """sha256 over a directory's file names and bytes, in name order."""
+    h = hashlib.sha256()
+    for name in sorted(os.listdir(path)):
+        h.update(name.encode() + b"\n")
+        h.update((path / name).read_bytes())
+    return h.hexdigest()
+
+
 # each edit to a well-formed proposals document, and the JSON path the
 # error names
 MALFORMED_PROPOSALS = {
@@ -140,6 +149,36 @@ class TestParseArch:
 
 
 class TestUsage:
+    @pytest.fixture(scope="class")
+    def lanes_dir(self, tmp_path_factory):
+        """Ground-truth `.lines.txt` files, to evaluate against themselves."""
+        out = tmp_path_factory.mktemp("corpus")
+        assert main(["gen-synth", "--out", str(out), "--num-scenes", "2"]) == 0
+        return str(out / "gt")
+
+    @pytest.mark.parametrize("flags", [
+        ["cost", "BB_64_13_[5,9]_[7,12]", "--resolution", "0x288"],
+        ["cost", "BB_64_13_[5,9]_[7,12]", "--resolution", "512x-288"],
+        ["eval-f1", "--width", "0"],
+        ["eval-f1", "--width", "-30"],
+        ["eval-f1", "--canvas", "0x0"],
+        ["eval-f1", "--canvas", "512x0"],
+        ["eval-f1", "--iou", "2"],
+        ["eval-f1", "--iou", "1"],
+        ["eval-f1", "--iou", "-0.5"],
+        ["eval-f1", "--iou", "nan"],
+    ], ids=lambda flags: " ".join(flags[-2:]))
+    def test_out_of_range_flags_are_usage_errors(self, capsys, lanes_dir, flags):
+        if flags[0] == "eval-f1":
+            flags = flags + ["--pred", lanes_dir, "--gt", lanes_dir]
+        code, out, err = run(capsys, *flags)
+        assert code == 1
+        assert "usage error" in err and out == ""
+
+    @pytest.mark.parametrize("flags", [["--iou", "0"], ["--width", "1"], ["--canvas", "1x1"]])
+    def test_eval_f1_flag_bounds_are_accepted(self, capsys, lanes_dir, flags):
+        assert run(capsys, "eval-f1", "--pred", lanes_dir, "--gt", lanes_dir, *flags)[0] == 0
+
     def test_unknown_subcommand(self, capsys):
         code, _, err = run(capsys, "no-such-command")
         assert code == 1
@@ -228,24 +267,27 @@ class TestPipeline:
             f1[mode] = json.loads(out)["f1"]
         assert f1["blend"] > f1["plain"]
 
-    @pytest.mark.parametrize("flags, blend_digest, f1_digest", [
+    @pytest.mark.parametrize("flags, blend_digest, lines_digest, f1_digest", [
         pytest.param(
             [], "157671a620fd2cb564a857d1628f7a96764324f55b7b531663d69487426ec482",
+            "991a9ab6ae3040e00998eab7fdba717502182b39cb51f84a1275b29b6439e368",
             "09980cba12ef0747fc99520495b7d6dc6711fa7bdf00f0f5f7d2f7286acb380b", id="default"),
         pytest.param(
             ["--plain-nms"], "157671a620fd2cb564a857d1628f7a96764324f55b7b531663d69487426ec482",
+            "991a9ab6ae3040e00998eab7fdba717502182b39cb51f84a1275b29b6439e368",
             "09980cba12ef0747fc99520495b7d6dc6711fa7bdf00f0f5f7d2f7286acb380b", id="plain-nms"),
         pytest.param(
             ["--params"], "a81f211f23da07992fb27c710582f97af048cc848fb0c551aff2ed9429724707",
+            "d7c0dff06b78636693ab6ff216ae6b92cd87af21584708772ca77c29471261a0",
             "5bd7f59a585f9ba79589f0ecf7ab10d7fdf0e443a561d67656dcb464f5bd1d45", id="params"),
     ])
     def test_blend_and_eval_match_golden_digests(
-        self, tmp_path, capsys, flags, blend_digest, f1_digest
+        self, tmp_path, capsys, flags, blend_digest, lines_digest, f1_digest
     ):
-        """`blend --json` and `eval-f1 --json` are byte-identical across
-        code changes. Default grouping leaves every lane of this corpus
-        alone, so it reads as plain Line-NMS; the params file groups and
-        blends."""
+        """`blend --json`, its `.lines.txt` files and `eval-f1 --json` are
+        byte-identical across code changes. Default grouping leaves every
+        lane of this corpus alone, so it reads as plain Line-NMS; the
+        params file groups and blends."""
         doc = gen_synth(capsys, tmp_path / "corpus",
                         "--num-scenes", "20", "--noise", "40", "--seed", "5")
         if flags == ["--params"]:
@@ -255,10 +297,90 @@ class TestPipeline:
                            "--culane-out", str(pred), "--json", *flags)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == blend_digest
+        assert dir_digest(pred) == lines_digest
         code, out, _ = run(capsys, "eval-f1", "--pred", str(pred), "--gt", doc["gt_dir"],
                            "--canvas", "512x288", "--json")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == f1_digest
+
+    def test_integer_coordinates_are_written_as_floats(self, tmp_path, capsys):
+        """Proposals whose coordinates are JSON integers: `--json` writes
+        every point as floats, and the `.lines.txt` bytes are those
+        `:.4f` formatting always gave. The first lane is blended from the
+        second cell's points."""
+        cells = [
+            {"cx": 10, "cy": 40, "score": 0.9, "offsets": [0, 1, 2, None], "end_y": 0},
+            {"cx": 12, "cy": 0, "score": 0.5, "offsets": [-1, 0, 1, 3], "end_y": 0},
+            {"cx": 40, "cy": 8, "score": 0.7, "offsets": [0, -2, -4, -6], "end_y": 4},
+        ]
+        scene = {"version": 1, "image_id": "ints",
+                 "layout": {"image_size": [64, 48], "rows": [0, 4, 8, 12]},
+                 "heads": [{"level": 1, "grid_w": 3, "grid_h": 1, "cells": cells}]}
+        proposals = tmp_path / "ints.jsonl"
+        proposals.write_text(json.dumps(scene) + "\n")
+        params = write_params(tmp_path / "params.json", per_level={},
+                              group_distance=20.0, locality_sigma=5.0)
+        pred = tmp_path / "pred"
+        code, out, _ = run(capsys, "blend", "--proposals", str(proposals), "--params", params,
+                           "--culane-out", str(pred), "--json")
+        assert code == 0
+        lanes = json.loads(out)["scenes"][0]["lanes"]
+        assert lanes == [
+            {"score": 0.9, "points": [[11.0, 0.0], [12.0, 4.0], [13.0, 8.0]]},
+            {"score": 0.7, "points": [[38.0, 4.0], [36.0, 8.0], [34.0, 12.0]]},
+        ]
+        assert all(type(v) is float for lane in lanes for p in lane["points"] for v in p)
+        assert (pred / "ints.lines.txt").read_bytes() == (
+            b"11.0000 0.0000 12.0000 4.0000 13.0000 8.0000\n"
+            b"38.0000 4.0000 36.0000 8.0000 34.0000 12.0000\n"
+        )
+
+    # the two scenes' image_ids (None: no image_id field) and the number
+    # of the first scene whose id cannot name its file
+    @pytest.mark.parametrize("ids, first", [
+        pytest.param([None, None], 0, id="no image_id"),
+        pytest.param(["a", "a"], 1, id="repeated"),
+        pytest.param(["../escaped", "b"], 0, id="parent dir"),
+        pytest.param(["a", "b/c"], 1, id="subdir"),
+        pytest.param([".", "b"], 0, id="dot"),
+        pytest.param(["..", "b"], 0, id="dot dot"),
+        pytest.param(["a", "b\0c"], 1, id="NUL"),
+    ])
+    def test_culane_out_rejects_ids_that_name_no_file_of_their_own(
+        self, tmp_path, capsys, ids, first
+    ):
+        """With `--culane-out`, an `image_id` names its scene's file: a
+        data error names the first one that cannot, before that scene's
+        file is written. Without it, the ids are only copied to stdout."""
+        doc = gen_synth(capsys, tmp_path / "corpus", "--num-scenes", "2", "--noise", "40")
+        with open(doc["proposals"]) as fh:
+            scenes = [json.loads(line) for line in fh]
+        for scene, image_id in zip(scenes, ids):
+            if image_id is None:
+                del scene["image_id"]
+            else:
+                scene["image_id"] = image_id
+        proposals = tmp_path / "work" / "proposals.jsonl"
+        proposals.parent.mkdir()
+        proposals.write_text("".join(json.dumps(scene) + "\n" for scene in scenes))
+        code, out, _ = run(capsys, "blend", "--proposals", str(proposals), "--json")
+        assert code == 0
+        assert [s["image_id"] for s in json.loads(out)["scenes"]] == [i or "" for i in ids]
+
+        pred = tmp_path / "work" / "pred"
+        code, _, err = run(capsys, "blend", "--proposals", str(proposals),
+                           "--culane-out", str(pred))
+        assert code == 2
+        assert f"image_id: {ids[first] or ''!r}" in err
+        written = sorted(p.relative_to(tmp_path).as_posix()
+                         for p in tmp_path.rglob("*.lines.txt") if "corpus" not in p.parts)
+        assert written == [f"work/pred/{i}.lines.txt" for i in ids[:first]]
+        if ids == ["a", "a"]:  # the first scene's file is left as it was
+            alone = tmp_path / "alone.jsonl"
+            alone.write_text(json.dumps(scenes[0]) + "\n")
+            assert run(capsys, "blend", "--proposals", str(alone),
+                       "--culane-out", str(tmp_path / "alone"))[0] == 0
+            assert (pred / "a.lines.txt").read_bytes() == (tmp_path / "alone" / "a.lines.txt").read_bytes()
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_PROPOSALS))
     def test_malformed_proposals_are_data_errors(self, tmp_path, capsys, case):

@@ -1,15 +1,15 @@
+"""The anchor layout and grid cells, and the object decoding of the test
+oracle (`blend_oracle`) that `point_blend.postprocess` is checked against."""
+
 import math
 
 import pytest
 
 from lanenas.errors import DegenerateLineError
-from lanenas.lane_model import (
-    AnchorLayout,
-    GridCell,
-    HeadGrid,
+from lanenas.lane_model import AnchorLayout, GridCell, HeadGrid, LaneProposalSet
+from blend_oracle import (
     LaneLine,
     LanePoint,
-    LaneProposalSet,
     LaneSource,
     decode_all,
     decode_cell,

@@ -4,17 +4,7 @@ import numpy as np
 import pytest
 
 from lanenas import point_blend
-from lanenas.lane_model import (
-    AnchorLayout,
-    GridCell,
-    HeadGrid,
-    LaneLine,
-    LanePoint,
-    LaneProposalSet,
-    LaneSource,
-    decode_cell,
-    line_distance,
-)
+from lanenas.lane_model import AnchorLayout, GridCell, HeadGrid, LaneProposalSet
 from lanenas.point_blend import (
     BlendParams,
     BlendParamSet,
@@ -28,7 +18,15 @@ from lanenas.point_blend import (
     postprocess,
 )
 import blend_oracle
-from blend_oracle import blend_group, group_lines
+from blend_oracle import (
+    LaneLine,
+    LanePoint,
+    LaneSource,
+    blend_group,
+    decode_cell,
+    group_lines,
+    line_distance,
+)
 
 LAYOUT = AnchorLayout.uniform((512, 288), 72)
 
@@ -286,12 +284,10 @@ class TestPostprocess:
     def test_single_perfect_cell_passthrough(self):
         proposals, cell = self.single_cell_proposals()
         params = BlendParamSet.identity([1], score_threshold=0.3)
-        (lane,) = postprocess(proposals, params)
+        ((score, points),) = postprocess(proposals, params)
         expected = decode_cell(cell, LAYOUT, level=1)
-        assert [(p.x, p.y) for p in lane.points] == [
-            (p.x, p.y) for p in expected.points
-        ]
-        assert lane.score == pytest.approx(cell.score, abs=1e-9)
+        assert points.tolist() == [[p.x, p.y] for p in expected.points]
+        assert score == pytest.approx(cell.score, abs=1e-9)
 
     def test_empty_input_empty_output(self):
         proposals = LaneProposalSet(layout=LAYOUT, heads=())
@@ -368,6 +364,17 @@ def points_bytes(lanes):
     return [np.array([tuple(p) for p in lane], dtype=np.float64).tobytes() for lane in lanes]
 
 
+def assert_same_lanes(got, want):
+    """`postprocess` pairs against oracle LaneLines: equal scores (`repr`
+    too, so -0.0 counts) and equal points, as (n, 2) float64 arrays."""
+    scores, points = [s for s, _ in got], [p for _, p in got]
+    assert scores == [l.score for l in want]
+    assert repr(scores) == repr([l.score for l in want])
+    assert all(p.dtype == np.float64 and p.shape == (len(l.points), 2)
+               for p, l in zip(points, want))
+    assert points_bytes(points) == points_bytes(want)
+
+
 class TestLaneTable:
     def test_postprocess_equals_object_pipeline(self):
         rng = np.random.default_rng(2024)
@@ -377,11 +384,8 @@ class TestLaneTable:
             for _ in range(4):
                 params = odd_params(rng)
                 want = blend_oracle.postprocess(proposals, params)
-                got = postprocess(proposals, params)
-                assert got == want
-                assert repr(got) == repr(want)  # -0.0 and types too
-                arrays = postprocess(proposals, params, table)
-                assert points_bytes(arrays) == points_bytes(want)
+                assert_same_lanes(postprocess(proposals, params), want)
+                assert_same_lanes(postprocess(proposals, params, table), want)
 
     def test_line_distance_is_the_left_to_right_mean(self):
         rng = np.random.default_rng(7)
@@ -430,7 +434,7 @@ class TestLaneTable:
             params = BlendParamSet.identity([1, 2, 3], score_threshold=0.0, locality_sigma=sigma)
             want = blend_oracle.postprocess(proposals, params)
             assert want
-            assert points_bytes(postprocess(proposals, params, table)) == points_bytes(want)
+            assert_same_lanes(postprocess(proposals, params, table), want)
 
 
 class TestPerturb:

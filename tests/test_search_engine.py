@@ -600,7 +600,10 @@ class TestBlendScorer:
             params = default_params(locality_sigma=60.0)
             for _ in range(int(rng.integers(1, 6))):
                 params = perturb(params, BlendParamSpace(), rng)
-            preds = [postprocess(proposals, params) for proposals, _ in noisy_scenes]
+            preds = [
+                [points for _, points in postprocess(proposals, params)]
+                for proposals, _ in noisy_scenes
+            ]
             per_scene = tuple(
                 score_scene(p, g, width=30, canvas=canvas) for p, g in zip(preds, gts)
             )
@@ -628,8 +631,8 @@ class TestBlendScorer:
 
         def postprocess_logged(proposals, params, table):
             lanes = run(proposals, params, table)
-            for lane in lanes:
-                xs, ys = metrics._as_xy(lane)
+            for _, points in lanes:
+                xs, ys = metrics._as_xy(points)
                 seen[scene_of[id(proposals)]].add(xs.tobytes() + ys.tobytes())
             return lanes
 

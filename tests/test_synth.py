@@ -21,7 +21,7 @@ def eval_params():
 
 def corpus_f1(scenes, params):
     canvas = scenes[0][0].layout.image_size
-    preds = [postprocess(props, params) for props, _ in scenes]
+    preds = [[points for _, points in postprocess(props, params)] for props, _ in scenes]
     gts = [rec.gt_lanes for _, rec in scenes]
     return match_and_score(preds, gts, canvas=canvas)
 
