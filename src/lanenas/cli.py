@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -143,6 +144,15 @@ def cmd_space_size(args):
 
 
 def cmd_search(args):
+    if not 0 < args.timeout < math.inf:
+        raise _UsageError(f"--timeout must be positive and finite, got {args.timeout}")
+    try:
+        config = search_engine.SearchConfig(
+            budget=args.budget, init_population=args.init_population,
+            workers=args.workers, seed=args.seed,
+        )
+    except ValueError as exc:  # a flag out of range
+        raise _UsageError(str(exc)) from exc
     history_path = os.path.join(args.out, "history.jsonl")
     if os.path.isfile(history_path) and os.path.getsize(history_path) > 0:
         # the log is a run's one durable record: never truncate it
@@ -157,12 +167,6 @@ def cmd_search(args):
         raise _UsageError(f"unknown evaluator {args.evaluator!r}")
 
     os.makedirs(args.out, exist_ok=True)
-    config = search_engine.SearchConfig(
-        budget=args.budget,
-        init_population=args.init_population,
-        workers=args.workers,
-        seed=args.seed,
-    )
     snapshot_path = os.path.join(args.out, "archive.json")
 
     with open(history_path, "w") as hist_fh:
@@ -224,15 +228,19 @@ def _check_file_id(image_id, written):
 
 def cmd_blend(args):
     params = _load_blend_params(args)
-    out_doc = {"version": data_io.FORMAT_VERSION, "scenes": []}
+    # only `--out` and `--json` keep every scene's lanes; else scenes stream through
+    out_doc = {"version": data_io.FORMAT_VERSION, "scenes": []} if args.out or args.json else None
+    n_scenes = n_lanes = 0
     written = set()
-    for image_id, proposals in data_io.read_proposals(args.proposals):
+    for n_scenes, (image_id, proposals) in enumerate(data_io.read_proposals(args.proposals), 1):
         lanes = point_blend.postprocess(proposals, params)
-        # points stay (n, 2) arrays until written; lists of pairs take several times the memory
-        out_doc["scenes"].append({
-            "image_id": image_id,
-            "lanes": [{"score": score, "points": points} for score, points in lanes],
-        })
+        n_lanes += len(lanes)
+        if out_doc is not None:
+            # points stay (n, 2) arrays until written; lists of pairs take several times the memory
+            out_doc["scenes"].append({
+                "image_id": image_id,
+                "lanes": [{"score": score, "points": points} for score, points in lanes],
+            })
         if args.culane_out:
             _check_file_id(image_id, written)
             os.makedirs(args.culane_out, exist_ok=True)
@@ -246,8 +254,7 @@ def cmd_blend(args):
     if args.json:
         print(json.dumps(out_doc, default=np.ndarray.tolist))
     else:
-        n = sum(len(s["lanes"]) for s in out_doc["scenes"])
-        print(f"{len(out_doc['scenes'])} scenes, {n} lanes")
+        print(f"{n_scenes} scenes, {n_lanes} lanes")
     return 0
 
 
@@ -298,6 +305,8 @@ def cmd_eval_f1(args):
 
 
 def cmd_eval_tusimple(args):
+    if not args.tolerance >= 0:
+        raise _UsageError(f"--tolerance must be non-negative, got {args.tolerance}")
     pairs = _paired_lane_files(args.pred, args.gt)
     correct = total = 0
     for pred_path, gt_path in pairs:

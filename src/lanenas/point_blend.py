@@ -48,6 +48,13 @@ class BlendParamSet:
         if not self.locality_sigma > 0:
             raise ValueError("locality_sigma must be positive")
 
+    def __hash__(self):
+        # agrees with `__eq__`, which compares `per_level` as a dict. Equal sets
+        # score alike: where -0.0 and 0.0 differ, so does nothing post-processing
+        # computes from them.
+        per_level = tuple(sorted(self.per_level.items()))
+        return hash((self.score_threshold, self.group_distance, self.locality_sigma, per_level))
+
     @classmethod
     def identity(cls, levels, **kw):
         """Identity mask (logit 0) at every level."""

@@ -21,6 +21,7 @@ import shlex
 import subprocess
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -190,6 +191,12 @@ class SearchConfig:
     # search is restricted to an enumerable backbone-only space
     fixed_fusion: FusionSpec | None = None
 
+    def __post_init__(self):
+        if self.workers < 1:
+            raise ValueError(f"workers must be at least 1, got {self.workers}")
+        if min(self.budget, self.init_population) < 0:
+            raise ValueError("budget and init_population must be non-negative")
+
 
 # relative weights of backbone and fusion mutation
 _MUTATION_WEIGHTS = (0.4, 0.3)
@@ -242,17 +249,17 @@ def _evaluate(evaluator, arch, eval_id, cost, parent, step) -> Candidate:
 def run_search(config: SearchConfig, evaluator, on_eval=None) -> ParetoArchive:
     """Run the outer search to budget exhaustion.
 
-    With one worker and a fixed seed the history is bit-identical across
-    runs; with several workers the evaluated set may differ but every
-    archive invariant holds. Each candidate is priced once; failed
-    evaluations are logged (score None, `error` set) and skipped.
+    Every worker count runs one job stream: the initial population, then
+    one child per finished evaluation. With one worker and a fixed seed
+    the history is bit-identical across runs; with `workers` at once the
+    evaluated set may differ but every archive invariant holds. Each
+    candidate is priced once; failed evaluations are logged and skipped.
     """
     rng = np.random.default_rng(config.seed)
     archive = ParetoArchive()
-    counter = 0
     seen: set[ArchEncoding] = set()
 
-    def next_child(step):
+    def next_child():
         """Mutate a front member, retrying a few times to avoid genomes
         that were already evaluated."""
         if not archive.members:
@@ -264,44 +271,38 @@ def run_search(config: SearchConfig, evaluator, on_eval=None) -> ParetoArchive:
                 break
         return child, parent.eval_id
 
-    def make_job(arch, parent, step):
-        nonlocal counter
-        eval_id = f"e{counter:06d}"
-        counter += 1
+    def make_job(n, arch, parent):
         seen.add(arch)
-        cost = candidate_cost(arch, config.resolution)
-        return arch, eval_id, cost, parent, step
+        step = max(n - config.init_population + 1, 0)  # children are born at 1, 2, ...
+        return arch, f"e{n:06d}", candidate_cost(arch, config.resolution), parent, step
+
+    def jobs():
+        for n in range(config.init_population):
+            yield make_job(n, _random_arch(rng, config), None)
+        for n in range(config.init_population, config.init_population + config.budget):
+            yield make_job(n, *next_child())
 
     def finish(cand):
         archive.insert(cand)
         if on_eval is not None:
             on_eval(cand, archive)
-        return cand
 
-    init = [make_job(_random_arch(rng, config), None, 0) for _ in range(config.init_population)]
-
-    if config.workers <= 1:
-        for job in init:
+    if config.workers == 1:
+        for job in jobs():
             finish(_evaluate(evaluator, *job))
-        for step in range(1, config.budget + 1):
-            child, parent_id = next_child(step)
-            finish(_evaluate(evaluator, *make_job(child, parent_id, step)))
         return archive
 
+    stream = jobs()
     with ThreadPoolExecutor(max_workers=config.workers) as pool:
-        remaining = config.budget
-        pending = {
-            pool.submit(_evaluate, evaluator, *job) for job in init
-        }
+        def submit(k):
+            return {pool.submit(_evaluate, evaluator, *job) for job in islice(stream, k)}
+
+        pending = submit(config.workers)
         while pending:
             done, pending = wait(pending, return_when=FIRST_COMPLETED)
             for fut in done:
                 finish(fut.result())
-                if remaining > 0:
-                    remaining -= 1
-                    child, parent_id = next_child(len(archive.history))
-                    job = make_job(child, parent_id, len(archive.history))
-                    pending.add(pool.submit(_evaluate, evaluator, *job))
+                pending |= submit(1)
     return archive
 
 
@@ -315,30 +316,6 @@ class InnerSearchConfig:
     lane_width: int = DEFAULT_LANE_WIDTH
 
 
-def _blend_scorer(scenes, lane_width) -> SceneScorer:
-    """One scorer over the scenes' ground truth, on their common canvas."""
-    if not scenes:
-        raise EmptyDatasetError("no proposal scenes supplied")
-    canvases = {proposals.layout.image_size for proposals, _ in scenes}
-    if len(canvases) > 1:
-        raise ValueError(f"scenes mix canvas sizes {sorted(canvases)}")
-    return SceneScorer(
-        [gt_lanes for _, gt_lanes in scenes], width=lane_width, canvas=canvases.pop()
-    )
-
-
-def _params_key(params: BlendParamSet):
-    """A parameter set's value as a hashable tuple (`per_level` is a dict).
-    Equal keys score alike: where -0.0 and 0.0 differ, so does nothing
-    that post-processing computes from them."""
-    return (
-        params.score_threshold,
-        params.group_distance,
-        params.locality_sigma,
-        tuple(sorted(params.per_level.items())),
-    )
-
-
 class BlendScenes:
     """Frozen proposal dumps and their ground truth, prepared once for
     scoring many blend parameter sets: one scorer over the ground truth,
@@ -347,19 +324,25 @@ class BlendScenes:
     again."""
 
     def __init__(self, scenes, lane_width=DEFAULT_LANE_WIDTH):
-        self.scorer = _blend_scorer(scenes, lane_width)
+        if not scenes:
+            raise EmptyDatasetError("no proposal scenes supplied")
+        canvases = {proposals.layout.image_size for proposals, _ in scenes}
+        if len(canvases) > 1:
+            raise ValueError(f"scenes mix canvas sizes {sorted(canvases)}")
+        self.scorer = SceneScorer(
+            [gt_lanes for _, gt_lanes in scenes], width=lane_width, canvas=canvases.pop()
+        )
         self.tables = [(proposals, LaneTable(proposals)) for proposals, _ in scenes]
-        self._f1 = {}
+        self._f1: dict[BlendParamSet, float] = {}
 
     def f1(self, params: BlendParamSet) -> float:
-        key = _params_key(params)
-        f1 = self._f1.get(key)
+        f1 = self._f1.get(params)
         if f1 is None:
             preds = [
                 [points for _, points in postprocess(proposals, params, table)]
                 for proposals, table in self.tables
             ]
-            f1 = self._f1[key] = self.scorer.report(preds).f1
+            f1 = self._f1[params] = self.scorer.report(preds).f1
         return f1
 
 

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import tracemalloc
 
 import pytest
 
@@ -167,17 +168,37 @@ class TestUsage:
         ["eval-f1", "--iou", "1"],
         ["eval-f1", "--iou", "-0.5"],
         ["eval-f1", "--iou", "nan"],
+        ["eval-tusimple", "--tolerance", "-5"],
+        ["eval-tusimple", "--tolerance", "nan"],
+        ["search", "--workers", "0"],
+        ["search", "--workers", "-3"],
+        ["search", "--budget", "-5"],
+        ["search", "--init-population", "-1"],
+        ["search", "--timeout", "-1"],
+        ["search", "--timeout", "0"],
+        ["search", "--timeout", "nan"],
+        ["search", "--timeout", "inf"],
     ], ids=lambda flags: " ".join(flags[-2:]))
-    def test_out_of_range_flags_are_usage_errors(self, capsys, lanes_dir, flags):
-        if flags[0] == "eval-f1":
+    def test_out_of_range_flags_are_usage_errors(self, capsys, tmp_path, lanes_dir, flags):
+        if flags[0].startswith("eval-"):
             flags = flags + ["--pred", lanes_dir, "--gt", lanes_dir]
+        if flags[0] == "search":
+            flags = flags + ["--out", str(tmp_path / "run")]
         code, out, err = run(capsys, *flags)
         assert code == 1
         assert "usage error" in err and out == ""
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("flags", [["--iou", "0"], ["--width", "1"], ["--canvas", "1x1"]])
     def test_eval_f1_flag_bounds_are_accepted(self, capsys, lanes_dir, flags):
         assert run(capsys, "eval-f1", "--pred", lanes_dir, "--gt", lanes_dir, *flags)[0] == 0
+
+    def test_search_flag_bounds_are_accepted(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "search", "--workers", "1", "--budget", "0",
+                           "--init-population", "0", "--timeout", "0.5",
+                           "--out", str(tmp_path / "run"), "--json")
+        assert code == 0
+        assert json.loads(out)["evaluations"] == 0
 
     def test_unknown_subcommand(self, capsys):
         code, _, err = run(capsys, "no-such-command")
@@ -240,6 +261,24 @@ class TestPipeline:
                            "--gt", doc["gt_dir"], "--json")
         assert code == 0
         assert json.loads(out)["accuracy"] == 1.0
+
+    def test_blend_without_a_document_streams_its_scenes(self, tmp_path, capsys):
+        """With `--culane-out` alone, `blend` keeps no scene's lanes after
+        writing them: its traced peak does not grow with the corpus."""
+        peaks = []
+        for n in (8, 96):
+            doc = gen_synth(capsys, tmp_path / f"c{n}", "--num-scenes", str(n), "--seed", "1")
+            tracemalloc.start()
+            try:
+                code, out, _ = run(capsys, "blend", "--proposals", doc["proposals"],
+                                   "--culane-out", str(tmp_path / f"pred{n}"))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert code == 0
+            assert out.startswith(f"{n} scenes, ")
+            assert len(os.listdir(tmp_path / f"pred{n}")) == n
+        assert peaks[1] < 1.5 * peaks[0]
 
     def test_eval_f1_missing_pred_file(self, tmp_path, capsys):
         gt = tmp_path / "gt"

@@ -272,6 +272,28 @@ class TestRunSearch:
         assert len(archive.history) == 8 + 40
         assert {c.eval_id for c in archive.members} == brute_force_front(archive.history)
 
+    @pytest.mark.parametrize("workers", [2, 5])
+    def test_threads_draw_each_child_once_an_evaluation_finishes(self, monkeypatch, workers):
+        """At most `workers` evaluations run at once: at every finished
+        evaluation, the candidates priced so far exceed those finished by
+        fewer than `workers`."""
+        priced, ahead = [], []
+
+        def counting_cost(*args, **kwargs):
+            priced.append(args[0])
+            return candidate_cost(*args, **kwargs)
+
+        def on_eval(cand, archive):
+            ahead.append(len(priced) - len(archive.history))
+
+        monkeypatch.setattr(search_engine, "candidate_cost", counting_cost)
+        archive = run_search(
+            reduced_config(budget=30, init_population=16, workers=workers),
+            SyntheticEvaluator(), on_eval=on_eval,
+        )
+        assert len(archive.history) == len(priced) == 16 + 30
+        assert max(ahead) == workers - 1
+
     def test_flops_match_cost_model(self):
         archive = run_search(reduced_config(budget=10), SyntheticEvaluator())
         for c in archive.history:
@@ -679,6 +701,37 @@ class TestBlendScorer:
         assert evaluate_blend_params(noisy_scenes, equal, 30, prepared) == first
         assert len(calls) == len(noisy_scenes)
         assert first == evaluate_blend_params(noisy_scenes, params)
+
+    def test_equal_parameter_sets_share_one_memo_entry(self, noisy_scenes):
+        level = BlendParams(0.01, -0.5, 0.0, (256.0, 0.0))
+        params = BlendParamSet(
+            per_level={1: level, 2: BlendParams()}, score_threshold=0.0, locality_sigma=60.0
+        )
+        equal = [
+            BlendParamSet(
+                per_level={2: BlendParams(), 1: level}, score_threshold=0.0, locality_sigma=60.0
+            ),
+            BlendParamSet(
+                per_level={1: level, 2: BlendParams(-0.0, -0.0, -0.0, (-0.0, -0.0))},
+                score_threshold=-0.0,
+                locality_sigma=60.0,
+            ),
+        ]
+        unequal = [
+            replace(params, locality_sigma=61.0),
+            replace(params, per_level={1: level}),
+            replace(params, per_level={1: level, 2: BlendParams(beta1=0.1)}),
+        ]
+        prepared = BlendScenes(noisy_scenes, 30)
+        f1 = prepared.f1(params)
+        for other in equal:
+            assert other == params and hash(other) == hash(params)
+            assert prepared.f1(other) == f1
+        assert len(prepared._f1) == 1
+        for other in unequal:
+            assert other != params
+            prepared.f1(other)
+        assert len(prepared._f1) == 1 + len(unequal)
 
     def test_search_postprocesses_each_parameter_value_once(self, noisy_scenes, monkeypatch):
         evaluated, calls = [], []
