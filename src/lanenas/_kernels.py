@@ -15,8 +15,9 @@ form twice, for `radius - eta` and `radius + eta`, where `eta` is far
 above the floating-point error of both the closed form and the pixel
 test. Pixels inside the inner interval are hits and pixels outside the
 outer one are misses under any rounding. The pixels between the two
-(usually none; a whole row only where the row runs along the boundary,
-as beside a horizontal segment) are decided by the per-pixel predicate
+(usually none, and then the kernel stops at the inner intervals; a whole
+row only where the row runs along the boundary, as beside a horizontal
+segment) are decided by the per-pixel predicate
 
     t = clip(((px - x1) * dx + (py - y1) * dy) / l2, 0, 1)    (0 if l2 == 0)
     (x1 + t * dx - px) ** 2 + (y1 + t * dy - py) ** 2 <= radius ** 2
@@ -147,6 +148,12 @@ def polyline_runs(xs, ys, radius, canvas):
         a.astype(np.int64) for a in (lo, stop, sure_lo, sure_stop)
     )
 
+    has_sure = sure_stop > sure_lo
+    base = row[has_sure] * w
+    sure_starts, sure_stops = base + sure_lo[has_sure], base + sure_stop[has_sure]
+    if (sure_lo == lo).all() and (sure_stop == stop).all():
+        return _merge_runs(sure_starts, sure_stops)  # no pixel between them
+
     # decide the pixels between the inner and outer intervals one by one
     px, pair = _expand(
         np.concatenate([lo, sure_stop]), np.concatenate([sure_lo, stop])
@@ -161,12 +168,8 @@ def polyline_runs(xs, ys, radius, canvas):
     ey = sy + t * sdy - fy
     hit = ex * ex + ey * ey <= radius * radius
     hit_px = row[pair[hit]] * w + px[hit]
-
-    has_sure = sure_stop > sure_lo
-    base = row[has_sure] * w
     return _merge_runs(
-        np.concatenate([base + sure_lo[has_sure], hit_px]),
-        np.concatenate([base + sure_stop[has_sure], hit_px + 1]),
+        np.concatenate([sure_starts, hit_px]), np.concatenate([sure_stops, hit_px + 1])
     )
 
 

@@ -278,13 +278,10 @@ def cmd_eval_f1(args):
         raise _UsageError(f"--iou must be in [0, 1), got {args.iou}")
     canvas = _parse_resolution(args.canvas)
     pairs = _paired_lane_files(args.pred, args.gt)
-    preds, gts = [], []
-    for pred_path, gt_path in pairs:
-        preds.append(data_io.read_culane_lines(pred_path))
-        gts.append(data_io.read_culane_lines(gt_path))
+    # read lazily, so one scene's lanes are held at a time
     report = match_and_score(
-        preds,
-        gts,
+        (data_io.read_culane_lines(pred_path) for pred_path, _ in pairs),
+        (data_io.read_culane_lines(gt_path) for _, gt_path in pairs),
         iou_threshold=args.iou,
         width=args.width,
         canvas=canvas,
@@ -305,8 +302,8 @@ def cmd_eval_f1(args):
 
 
 def cmd_eval_tusimple(args):
-    if not args.tolerance >= 0:
-        raise _UsageError(f"--tolerance must be non-negative, got {args.tolerance}")
+    if not args.tolerance > 0:  # a point counts when |dx| < tolerance, so 0 counts none
+        raise _UsageError(f"--tolerance must be positive, got {args.tolerance}")
     pairs = _paired_lane_files(args.pred, args.gt)
     correct = total = 0
     for pred_path, gt_path in pairs:
@@ -333,21 +330,25 @@ def cmd_gen_synth(args):
         )
     except ValueError as exc:  # a flag out of range
         raise _UsageError(str(exc)) from exc
-    scenes = synth.generate_synthetic_scenes(cfg)
     os.makedirs(args.out, exist_ok=True)
     gt_dir = os.path.join(args.out, "gt")
     os.makedirs(gt_dir, exist_ok=True)
     proposals_path = os.path.join(args.out, "proposals.jsonl")
-    data_io.write_proposals(
-        proposals_path, ((rec.image_id, props) for props, rec in scenes)
-    )
-    for _, rec in scenes:
-        data_io.write_culane_lines(
-            os.path.join(gt_dir, f"{rec.image_id}.lines.txt"), rec.gt_lanes
-        )
-    doc = {"proposals": proposals_path, "gt_dir": gt_dir, "scenes": len(scenes)}
+    n_scenes = 0
+
+    def scenes():
+        # one scene at a time: its ground truth goes out with its proposals line
+        nonlocal n_scenes
+        for n_scenes, (props, rec) in enumerate(synth.generate_synthetic_scenes(cfg), 1):
+            data_io.write_culane_lines(
+                os.path.join(gt_dir, f"{rec.image_id}.lines.txt"), rec.gt_lanes
+            )
+            yield rec.image_id, props
+
+    data_io.write_proposals(proposals_path, scenes())
+    doc = {"proposals": proposals_path, "gt_dir": gt_dir, "scenes": n_scenes}
     print(json.dumps(doc) if args.json else
-          f"wrote {len(scenes)} scenes to {proposals_path} and {gt_dir}/")
+          f"wrote {n_scenes} scenes to {proposals_path} and {gt_dir}/")
     return 0
 
 

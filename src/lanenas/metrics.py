@@ -199,14 +199,14 @@ def match_and_score(
     width=DEFAULT_LANE_WIDTH,
     canvas=DEFAULT_CANVAS,
 ) -> MetricsReport:
-    """Aggregate F1 over scenes, each scored once. Scenes are scored one
-    at a time, so only one scene's ground-truth runs are held at once."""
-    if len(pred_scenes) != len(gt_scenes):
-        raise ValueError("pred and gt scene lists differ in length")
+    """Aggregate F1 over scenes, each scored once. The two iterables are
+    read in step and scored one scene at a time, so only one scene's
+    lanes and ground-truth runs are held at once; a `ValueError` is
+    raised when one runs out before the other."""
     return _report(
         tuple(
             score_scene(p, g, iou_threshold, width, canvas)
-            for p, g in zip(pred_scenes, gt_scenes)
+            for p, g in zip(pred_scenes, gt_scenes, strict=True)
         )
     )
 

@@ -122,6 +122,8 @@ def generate_scene(rng, cfg: SynthSceneConfig, scene_idx: int):
 
 
 def generate_synthetic_scenes(cfg: SynthSceneConfig):
-    """Deterministic corpus: the seed fixes every scene exactly."""
+    """Deterministic corpus, yielded one (LaneProposalSet, SceneRecord)
+    pair at a time from one RNG: the seed fixes every scene exactly."""
     rng = np.random.default_rng(cfg.seed)
-    return [generate_scene(rng, cfg, i) for i in range(cfg.num_scenes)]
+    for i in range(cfg.num_scenes):
+        yield generate_scene(rng, cfg, i)

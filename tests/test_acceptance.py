@@ -281,9 +281,9 @@ def test_criterion_7_blending_benefit():
     )
     plain = plain_nms_params(params)
 
-    noisy = generate_synthetic_scenes(
+    noisy = list(generate_synthetic_scenes(
         SynthSceneConfig(num_scenes=50, remote_noise_sigma=20.0, seed=707)
-    )
+    ))
     blended_rep = corpus_f1(noisy, params)
     plain_rep = corpus_f1(noisy, plain)
     improved = sum(
@@ -292,9 +292,9 @@ def test_criterion_7_blending_benefit():
         if a.f1 > b.f1
     )
 
-    clean = generate_synthetic_scenes(
+    clean = list(generate_synthetic_scenes(
         SynthSceneConfig(num_scenes=20, remote_noise_sigma=0.0, seed=708)
-    )
+    ))
     clean_blend = corpus_f1(clean, params)
     clean_plain = corpus_f1(clean, plain)
     elapsed = time.time() - t0

@@ -56,6 +56,16 @@ def gen_synth(capsys, out_dir, *argv):
     return json.loads(out)
 
 
+def traced_peak(capsys, *argv):
+    """Exit code, stdout and tracemalloc peak of one command."""
+    tracemalloc.start()
+    try:
+        code, out, _ = run(capsys, *argv)
+        return code, out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def dir_digest(path):
     """sha256 over a directory's file names and bytes, in name order."""
     h = hashlib.sha256()
@@ -169,6 +179,7 @@ class TestUsage:
         ["eval-f1", "--iou", "-0.5"],
         ["eval-f1", "--iou", "nan"],
         ["eval-tusimple", "--tolerance", "-5"],
+        ["eval-tusimple", "--tolerance", "0"],
         ["eval-tusimple", "--tolerance", "nan"],
         ["search", "--workers", "0"],
         ["search", "--workers", "-3"],
@@ -268,16 +279,42 @@ class TestPipeline:
         peaks = []
         for n in (8, 96):
             doc = gen_synth(capsys, tmp_path / f"c{n}", "--num-scenes", str(n), "--seed", "1")
-            tracemalloc.start()
-            try:
-                code, out, _ = run(capsys, "blend", "--proposals", doc["proposals"],
-                                   "--culane-out", str(tmp_path / f"pred{n}"))
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
+            code, out, peak = traced_peak(capsys, "blend", "--proposals", doc["proposals"],
+                                          "--culane-out", str(tmp_path / f"pred{n}"))
+            peaks.append(peak)
             assert code == 0
             assert out.startswith(f"{n} scenes, ")
             assert len(os.listdir(tmp_path / f"pred{n}")) == n
+        assert peaks[1] < 1.5 * peaks[0]
+
+    def test_gen_synth_streams_its_scenes(self, tmp_path, capsys):
+        """`gen-synth` writes each scene as it is generated: its traced
+        peak does not grow with the corpus."""
+        peaks = []
+        for n in (8, 96):
+            out_dir = tmp_path / f"c{n}"
+            code, out, peak = traced_peak(capsys, "gen-synth", "--out", str(out_dir),
+                                          "--num-scenes", str(n), "--seed", "1", "--json")
+            peaks.append(peak)
+            assert code == 0
+            assert json.loads(out)["scenes"] == n
+            assert len(os.listdir(out_dir / "gt")) == n
+            assert len((out_dir / "proposals.jsonl").read_text().splitlines()) == n
+        assert peaks[1] < 1.5 * peaks[0]
+
+    def test_eval_f1_streams_its_scenes(self, tmp_path, capsys):
+        """`eval-f1` scores each pair of files as it reads them: its traced
+        peak does not grow with the corpus."""
+        peaks = []
+        for n in (8, 96):
+            doc = gen_synth(capsys, tmp_path / f"c{n}", "--num-scenes", str(n), "--seed", "1")
+            code, out, peak = traced_peak(capsys, "eval-f1", "--pred", doc["gt_dir"],
+                                          "--gt", doc["gt_dir"], "--canvas", "512x288",
+                                          "--json")
+            peaks.append(peak)
+            assert code == 0
+            doc = json.loads(out)
+            assert (doc["scenes"], doc["tp"], doc["fp"]) == (n, 2 * n, 0)
         assert peaks[1] < 1.5 * peaks[0]
 
     def test_eval_f1_missing_pred_file(self, tmp_path, capsys):
@@ -341,6 +378,27 @@ class TestPipeline:
                            "--canvas", "512x288", "--json")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == f1_digest
+
+    @pytest.mark.parametrize("flags, proposals_digest, gt_digest", [
+        pytest.param(
+            ["--num-scenes", "20", "--noise", "40", "--seed", "5"],
+            "5610c8e04af099222f2d4c7ae1973bc29bcc7fff64f9430137d36b84bb05378d",
+            "b9c71ccd3edce7442a088070804d3bcef8b715ed87cf03262f6ff8d915571370", id="noise-40"),
+        pytest.param(
+            ["--num-scenes", "5", "--noise", "0", "--lanes", "3", "--seed", "2"],
+            "56e314f8a15a6f62fe58ce9bf613115ccfbb7c34b3f773fb90ea43ba31b892ea",
+            "5e55cb015e663366ea610a105d5344d989c2f40bbc69d89742ebbd3bc40869c9", id="three-lanes"),
+    ])
+    def test_gen_synth_matches_golden_digests(
+        self, tmp_path, capsys, flags, proposals_digest, gt_digest
+    ):
+        """`gen-synth`'s `proposals.jsonl` and `gt/` files are
+        byte-identical across code changes."""
+        doc = gen_synth(capsys, tmp_path / "corpus", *flags)
+        proposals = (tmp_path / "corpus" / "proposals.jsonl").read_bytes()
+        assert hashlib.sha256(proposals).hexdigest() == proposals_digest
+        assert dir_digest(tmp_path / "corpus" / "gt") == gt_digest
+        assert doc["scenes"] == int(flags[1])
 
     def test_integer_coordinates_are_written_as_floats(self, tmp_path, capsys):
         """Proposals whose coordinates are JSON integers: `--json` writes
@@ -519,12 +577,17 @@ class TestSchemaErrors:
         assert f"error: {path}:" in err
 
     def test_non_finite_lane_file(self, tmp_path, capsys):
-        doc = gen_synth(capsys, tmp_path / "corpus", "--num-scenes", "1")
+        """A bad file met after other scenes were scored still exits 2
+        with nothing on stdout."""
+        doc = gen_synth(capsys, tmp_path / "corpus", "--num-scenes", "3")
         pred = tmp_path / "pred"
         pred.mkdir()
-        (pred / "synth_00000.lines.txt").write_text("nan 100.0 10.0 200.0\n")
-        code, _, err = run(capsys, "eval-f1", "--pred", str(pred), "--gt", doc["gt_dir"])
+        for name in ("synth_00000.lines.txt", "synth_00001.lines.txt"):
+            (pred / name).write_bytes((tmp_path / "corpus" / "gt" / name).read_bytes())
+        (pred / "synth_00002.lines.txt").write_text("nan 100.0 10.0 200.0\n")
+        code, out, err = run(capsys, "eval-f1", "--pred", str(pred), "--gt", doc["gt_dir"])
         assert code == 2
+        assert out == ""
         assert "line 1, token 'nan'" in err
 
     def test_very_negative_mask_logit(self, tmp_path, capsys):

@@ -183,6 +183,20 @@ class TestMatchAndScore:
         assert (report.precision, report.recall) == (1.0, 1.0)
         assert report.f1 == 1.0
 
+    def test_takes_iterators(self):
+        gts = [[self.lane(100)], [self.lane(300)], []]
+        preds = [[self.lane(102)], [], [self.lane(50)]]
+        assert match_and_score(iter(preds), iter(gts), canvas=self.CANVAS) == \
+            match_and_score(preds, gts, canvas=self.CANVAS)
+
+    @pytest.mark.parametrize("n_pred, n_gt", [(1, 2), (2, 1), (0, 1)])
+    def test_unequal_scene_counts_raise(self, n_pred, n_gt):
+        for make in (list, lambda scenes: (scene for scene in scenes)):
+            pred = make([[self.lane(100)]] * n_pred)
+            gt = make([[self.lane(100)]] * n_gt)
+            with pytest.raises(ValueError):
+                match_and_score(pred, gt, canvas=self.CANVAS)
+
 
 
 class TestSceneScorer:

@@ -40,7 +40,7 @@ class TestDeterminism:
 class TestCorpusShape:
     def test_counts(self):
         cfg = SynthSceneConfig(num_scenes=7, lanes_per_scene=3, seed=0)
-        scenes = generate_synthetic_scenes(cfg)
+        scenes = list(generate_synthetic_scenes(cfg))
         assert len(scenes) == 7
         for props, rec in scenes:
             assert len(rec.gt_lanes) == 3
@@ -57,13 +57,13 @@ class TestCorpusShape:
 class TestNoiseBehavior:
     def test_zero_noise_plain_nms_perfect(self):
         cfg = SynthSceneConfig(num_scenes=10, remote_noise_sigma=0.0, seed=4)
-        scenes = generate_synthetic_scenes(cfg)
+        scenes = list(generate_synthetic_scenes(cfg))
         report = corpus_f1(scenes, plain_nms_params(eval_params()))
         assert report.f1 == 1.0
 
     def test_noisy_corpus_blending_wins(self):
         cfg = SynthSceneConfig(num_scenes=20, remote_noise_sigma=20.0, seed=4)
-        scenes = generate_synthetic_scenes(cfg)
+        scenes = list(generate_synthetic_scenes(cfg))
         blended = corpus_f1(scenes, eval_params())
         plain = corpus_f1(scenes, plain_nms_params(eval_params()))
         assert blended.f1 > plain.f1
