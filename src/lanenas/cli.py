@@ -246,7 +246,7 @@ def cmd_blend(args):
             os.makedirs(args.culane_out, exist_ok=True)
             data_io.write_culane_lines(
                 os.path.join(args.culane_out, f"{image_id}.lines.txt"),
-                [points.tolist() for _, points in lanes],
+                [points for _, points in lanes],
             )
     if args.out:
         with open(args.out, "w") as fh:

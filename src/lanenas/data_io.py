@@ -13,6 +13,8 @@ import math
 import os
 import uuid
 
+import numpy as np
+
 from .arch_space import (
     ArchEncoding,
     FusionLayer,
@@ -21,7 +23,7 @@ from .arch_space import (
     serialize_backbone,
 )
 from .errors import FormatError, LaneNasError, SchemaError, VersionError
-from .lane_model import AnchorLayout, GridCell, HeadGrid, LaneProposalSet
+from .lane_model import AnchorLayout, HeadGrid, LaneProposalSet
 from .point_blend import BlendParams, BlendParamSet
 
 FORMAT_VERSION = 1
@@ -31,11 +33,12 @@ FORMAT_VERSION = 1
 # CULane-style lane annotation files: one lane per line, alternating x y
 
 def read_culane_lines(path):
-    """Parse one .lines.txt file into a list of polylines.
+    """Parse one .lines.txt file into a list of lanes, each an (n, 2)
+    float64 array of `(x, y)` points.
 
     Points with negative x (the dataset's missing-point convention) are
-    dropped; each lane's points are sorted by y. Coordinates must be
-    finite.
+    dropped; each lane's points are stably sorted by y. Coordinates must
+    be finite; a FormatError names the file, line and token at fault.
     """
     lanes = []
     with open(path) as fh:
@@ -44,7 +47,7 @@ def read_culane_lines(path):
             if not toks:
                 continue
             if len(toks) % 2 != 0:
-                raise FormatError(line_no, toks[-1], "odd token count")
+                raise FormatError(path, line_no, toks[-1], "odd token count")
             try:
                 vals = list(map(float, toks))
                 ok = math.isfinite(sum(vals))  # a finite sum has no NaN or inf term
@@ -55,19 +58,22 @@ def read_culane_lines(path):
                     try:
                         v = float(tok)
                     except ValueError:
-                        raise FormatError(line_no, tok, "not a number") from None
+                        raise FormatError(path, line_no, tok, "not a number") from None
                     if not math.isfinite(v):
-                        raise FormatError(line_no, tok, "not finite")
-            pts = [(x, y) for x, y in zip(vals[::2], vals[1::2]) if x >= 0]
-            pts.sort(key=lambda p: p[1])
-            lanes.append(tuple(pts))
+                        raise FormatError(path, line_no, tok, "not finite")
+            pts = np.array(vals).reshape(-1, 2)
+            pts = pts[pts[:, 0] >= 0]
+            lanes.append(pts[np.argsort(pts[:, 1], kind="stable")])
     return lanes
 
 
 def write_culane_lines(path, lanes):
+    """Write lanes of `(x, y)` points, such as (n, 2) arrays, one lane
+    per line, every coordinate to 4 decimals."""
     with open(path, "w") as fh:
         for lane in lanes:
-            fh.write(" ".join(f"{x:.4f} {y:.4f}" for x, y in lane) + "\n")
+            pts = np.asarray(lane, dtype=np.float64).tolist()
+            fh.write(" ".join(f"{x:.4f} {y:.4f}" for x, y in pts) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -143,11 +149,12 @@ def _check(value, schema, path):
         raise SchemaError(path, f"need {schema.__doc__}, got {value!r:.40}")
 
 
-def _checked(path, make, *args):
-    """`make(*args)`, a value it rejects reported at JSON path `path`."""
+def _checked(path, make, *args, **kwargs):
+    """`make(*args, **kwargs)`, a value it rejects (or cannot hold as a
+    float) reported at JSON path `path`."""
     try:
-        return make(*args)
-    except (TypeError, ValueError) as exc:
+        return make(*args, **kwargs)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(path, str(exc)) from exc
 
 
@@ -236,6 +243,14 @@ def arch_from_json(doc: dict) -> ArchEncoding:
 # ---------------------------------------------------------------------------
 # proposal dumps: JSON-lines, one scene per line
 
+def _offset_rows(head: HeadGrid):
+    """A head's offsets as lists of floats, None where a cell has none."""
+    rows = head.offsets.tolist()
+    for i in np.flatnonzero(np.isnan(head.offsets).any(axis=1)).tolist():
+        rows[i] = [None if math.isnan(dx) else dx for dx in rows[i]]
+    return rows
+
+
 def proposals_to_json(image_id, proposals: LaneProposalSet) -> dict:
     return {
         "version": FORMAT_VERSION,
@@ -250,9 +265,11 @@ def proposals_to_json(image_id, proposals: LaneProposalSet) -> dict:
                 "grid_w": h.grid_w,
                 "grid_h": h.grid_h,
                 "cells": [
-                    {"cx": c.center[0], "cy": c.center[1], "score": c.score,
-                     "offsets": list(c.offsets), "end_y": c.end_y}
-                    for c in h.cells
+                    {"cx": cx, "cy": cy, "score": score, "offsets": offsets, "end_y": end_y}
+                    for cx, cy, score, offsets, end_y in zip(
+                        h.cx.tolist(), h.cy.tolist(), h.score.tolist(), _offset_rows(h),
+                        h.end_y.tolist(),
+                    )
                 ],
             }
             for h in proposals.heads
@@ -270,9 +287,10 @@ def proposals_from_json(doc: dict):
     )
     _check(doc, _heads_schema(len(layout.rows)), "")
     heads = [
-        _checked(f"heads[{hi}].cells", HeadGrid, h["level"], h["grid_w"], h["grid_h"], [
-            GridCell((c["cx"], c["cy"]), c["score"], c["offsets"], c["end_y"]) for c in h["cells"]
-        ])
+        _checked(
+            f"heads[{hi}].cells", HeadGrid, h["level"], h["grid_w"], h["grid_h"],
+            **{name: [c[name] for c in h["cells"]] for name in HeadGrid.COLUMNS},  # null -> NaN
+        )
         for hi, h in enumerate(doc.get("heads", []))
     ]
     return doc.get("image_id", ""), LaneProposalSet(layout, heads)

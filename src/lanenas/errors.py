@@ -46,11 +46,12 @@ class SpawnError(LaneNasError):
 
 
 class FormatError(LaneNasError):
-    """Text data file is malformed; carries line number and token."""
+    """Text data file is malformed; names the file, and carries the line
+    number and token."""
 
-    def __init__(self, line_no, token, message=""):
+    def __init__(self, path, line_no, token, message=""):
         detail = message or "bad token"
-        super().__init__(f"line {line_no}, token {token!r}: {detail}")
+        super().__init__(f"{path}: line {line_no}, token {token!r}: {detail}")
         self.line_no = line_no
         self.token = token
 

@@ -47,20 +47,17 @@ class MetricsReport:
 
 
 def _as_xy(line):
-    """The x and y float64 arrays of a lane: an iterable of (x, y) points,
-    such as a ground-truth polyline, or an (n, 2) array of them, such as
-    the points of a `postprocess` lane (its columns, not copied)."""
-    if isinstance(line, np.ndarray):
-        if line.ndim != 2 or line.shape[1] != 2:
-            raise ValueError(f"a lane array has shape (n, 2), not {line.shape}")
-        pts = line.astype(np.float64, copy=False)
-        if len(pts) < 2:
-            raise DegenerateLineError(f"{len(pts)} point(s)")
-        return pts[:, 0], pts[:, 1]
-    pts = [(float(x), float(y)) for x, y in line]
+    """The x and y float64 arrays of a lane given as its (n, 2) `(x, y)`
+    points: an array, such as a ground-truth lane or the points of a
+    `postprocess` lane (its columns, not copied), or a list of pairs."""
+    pts = np.asarray(line, dtype=np.float64)
+    if pts.shape == (0,):  # `[]`: no point at all
+        pts = pts.reshape(0, 2)
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise ValueError(f"a lane has shape (n, 2), not {pts.shape}")
     if len(pts) < 2:
         raise DegenerateLineError(f"{len(pts)} point(s)")
-    return np.array([p[0] for p in pts]), np.array([p[1] for p in pts])
+    return pts[:, 0], pts[:, 1]
 
 
 def _radius(width):
@@ -248,8 +245,3 @@ def tusimple_counts(pred, gt, x_tolerance=20.0):
             1 for y, gx in gm.items() if y in pm and abs(pm[y] - gx) < x_tolerance
         )
     return correct, n_gt
-
-
-def tusimple_accuracy(pred, gt, x_tolerance=20.0):
-    correct, n_gt = tusimple_counts(pred, gt, x_tolerance)
-    return 1.0 if n_gt == 0 else correct / n_gt

@@ -117,7 +117,10 @@ def mask_proposals(proposals: LaneProposalSet, params: BlendParamSet):
     for head in proposals.heads:
         p = params.per_level.get(head.level, BlendParams())
         try:
-            row = [apply_mask(c.score, mask_logit(p, c.center)) for c in head.cells]
+            row = [
+                apply_mask(score, mask_logit(p, (cx, cy)))
+                for score, cx, cy in zip(head.score.tolist(), head.cx.tolist(), head.cy.tolist())
+            ]
             if math.isnan(sum(row)):
                 raise OverflowError
         except OverflowError:
@@ -133,13 +136,14 @@ class LaneTable:
     A cell's decoded points and its source do not depend on the blend
     parameters, and neither does the distance between two cells' lanes
     nor, for one locality sigma, a point's locality factor: only the
-    masked scores do. Entry `k` is a decodable cell (at least 2 points),
-    keyed by `keys[k] = (head index, cell index)`, in decode order. It
-    holds the cell's x values as row `k` of `xs`, a float64 matrix over
-    the layout's anchor rows with NaN where the cell has no point, and
-    its centre row `cy[k]`. Lane distances are filled in per entry pair
-    as grouping asks for them; locality factors per sigma, for the two
-    sigmas used last.
+    masked scores do. The table is built from each head's columns in
+    whole-array steps. Entry `k` is a decodable cell (at least 2
+    points), keyed by `keys[k] = (head index, cell index)`, in decode
+    order. It holds the cell's x values as row `k` of `xs`, a float64
+    matrix over the layout's anchor rows with NaN where the cell has no
+    point, and its centre row `cy[k]`. Lane distances are filled in per
+    entry pair as grouping asks for them; locality factors per sigma,
+    for the two sigmas used last.
     """
 
     def __init__(self, proposals: LaneProposalSet):
@@ -147,21 +151,18 @@ class LaneTable:
         self.ys = np.array(proposals.layout.rows)
         xs = [np.empty((0, len(self.ys)))]  # so a table may have no entry
         for h, head in enumerate(proposals.heads):
-            cells = head.cells
-            if not cells:
+            if not len(head.score):
                 continue
-            if any(len(c.offsets) != len(self.ys) for c in cells):
+            if head.offsets.shape[1] != len(self.ys):
                 raise ValueError(f"head {h}: a cell has no offset slot for every anchor row")
-            offsets = np.array([c.offsets for c in cells], dtype=np.float64)  # None -> NaN
-            cx = np.array([c.center[0] for c in cells], dtype=np.float64)
-            cy = np.array([c.center[1] for c in cells], dtype=np.float64)
-            end_y = np.array([c.end_y for c in cells], dtype=np.float64)
             # a point at every row with an offset, at or below the ending row
-            present = ~np.isnan(offsets) & ~(self.ys < end_y[:, None])
+            present = ~np.isnan(head.offsets) & ~(self.ys < head.end_y[:, None])
             decodable = np.flatnonzero(np.count_nonzero(present, axis=1) >= 2)
             self.keys += [(h, idx) for idx in decodable.tolist()]
-            self.cy += cy[decodable].tolist()
-            xs.append(np.where(present[decodable], cx[decodable, None] + offsets[decodable], np.nan))
+            self.cy += head.cy[decodable].tolist()
+            xs.append(np.where(
+                present[decodable], head.cx[decodable, None] + head.offsets[decodable], np.nan
+            ))
         self.xs = np.concatenate(xs)
         self.present = ~np.isnan(self.xs)
         self._distance = {}

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lane_model import AnchorLayout, GridCell, HeadGrid, LaneProposalSet
+from .lane_model import AnchorLayout, HeadGrid, LaneProposalSet
 
 
 CURVATURE_RANGE = (1e-4, 4e-4)  # 1/px
@@ -42,7 +42,7 @@ class SceneRecord:
     """A synthetic scene's ground truth."""
 
     image_id: str
-    gt_lanes: tuple  # tuple of polylines, each a tuple of (x, y)
+    gt_lanes: tuple  # one (n, 2) float64 array of (x, y) points per lane
 
 
 def _lane_curve(rng, cfg, slot):
@@ -77,45 +77,44 @@ def _corruption(rng, cfg):
 
 
 def generate_scene(rng, cfg: SynthSceneConfig, scene_idx: int):
-    """One (LaneProposalSet, SceneRecord) pair."""
-    w, h = cfg.image_size
+    """One (LaneProposalSet, SceneRecord) pair. Lane `slot` proposes
+    cell `slot` of the level-2 head and cells `LOW_CELLS_PER_LANE * slot`
+    onwards of the level-1 head."""
+    _, h = cfg.image_size
     layout = AnchorLayout.uniform(cfg.image_size)
+    rows = np.array(layout.rows)
+    n, n_rows = cfg.lanes_per_scene, len(rows)
+    n_low = n * LOW_CELLS_PER_LANE
+    high_cy = h * 0.8
+    high_cx, high_offsets = np.empty(n), np.empty((n, n_rows))
+    low_cx, low_cy, low_score = np.empty(n_low), np.empty(n_low), np.empty(n_low)
+    low_offsets = np.empty((n_low, n_rows))
     gt_lanes = []
-    high_cells = []
-    low_cells = []
-    for slot in range(cfg.lanes_per_scene):
+    for slot in range(n):
         x_at = _lane_curve(rng, cfg, slot)
         err_at = _corruption(rng, cfg)
-        gt_lanes.append(tuple((x_at(y), y) for y in layout.rows))
+        # the lane's x at each anchor row; float64 array arithmetic rounds
+        # each + and - as the scalar expressions would
+        xs = np.array([x_at(y) for y in layout.rows])
+        gt_lanes.append(np.column_stack((xs, rows)))
 
         # bottom anchor cell: accurate locally, corrupted at remote rows
-        cy = h * 0.8
-        cx = x_at(cy)
-        high_cells.append(
-            GridCell(
-                center=(cx, cy),
-                score=HIGH_SCORE,
-                offsets=tuple(x_at(y) + err_at(y) - cx for y in layout.rows),
-                end_y=0.0,
-            )
-        )
+        cx = high_cx[slot] = x_at(high_cy)
+        high_offsets[slot] = xs + [err_at(y) for y in layout.rows] - cx
 
         # upper-lane cells: lower confidence, accurate everywhere local
         for k in range(LOW_CELLS_PER_LANE):
-            lcy = h * (0.12 + 0.22 * k)
-            lcx = x_at(lcy)
-            low_cells.append(
-                GridCell(
-                    center=(lcx, lcy),
-                    score=LOW_SCORE + 0.05 * rng.random(),
-                    offsets=tuple(x_at(y) - lcx for y in layout.rows),
-                    end_y=0.0,
-                )
-            )
+            i = slot * LOW_CELLS_PER_LANE + k
+            lcy = low_cy[i] = h * (0.12 + 0.22 * k)
+            lcx = low_cx[i] = x_at(lcy)
+            low_score[i] = LOW_SCORE + 0.05 * rng.random()
+            low_offsets[i] = xs - lcx
 
     heads = (
-        HeadGrid(level=1, grid_w=len(low_cells), grid_h=1, cells=tuple(low_cells)),
-        HeadGrid(level=2, grid_w=len(high_cells), grid_h=1, cells=tuple(high_cells)),
+        HeadGrid(level=1, grid_w=n_low, grid_h=1, cx=low_cx, cy=low_cy, score=low_score,
+                 end_y=np.zeros(n_low), offsets=low_offsets),
+        HeadGrid(level=2, grid_w=n, grid_h=1, cx=high_cx, cy=np.full(n, high_cy),
+                 score=np.full(n, HIGH_SCORE), end_y=np.zeros(n), offsets=high_offsets),
     )
     proposals = LaneProposalSet(layout=layout, heads=heads)
     return proposals, SceneRecord(f"synth_{scene_idx:05d}", tuple(gt_lanes))

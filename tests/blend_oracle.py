@@ -7,6 +7,10 @@ point. A decoded lane's points are plain `(x, y)` pairs; its proposing
 cell is recorded once, in `LaneLine.source`. `point_blend.postprocess`
 must return the same lanes through its lane table: each `(score,
 points)` pair equals a LaneLine's score and points.
+
+The oracle reads a head's columns back into one `Cell` per grid cell
+(`head_cells`); `head_grid` is the tests' one way to build a head's
+columns from cells.
 """
 
 import math
@@ -14,8 +18,40 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from lanenas.errors import DegenerateLineError
-from lanenas.lane_model import AnchorLayout, GridCell, LaneProposalSet
+from lanenas.lane_model import AnchorLayout, HeadGrid, LaneProposalSet
 from lanenas.point_blend import mask_proposals
+
+
+class Cell(NamedTuple):
+    """One grid cell: offsets hold None where the cell has no offset."""
+
+    cx: float
+    cy: float
+    score: float
+    offsets: tuple
+    end_y: float = 0.0
+
+
+def head_grid(level, cells, grid_w=None, grid_h=1) -> HeadGrid:
+    """The HeadGrid holding `cells` as its columns (None offsets as NaN),
+    one row of `len(cells)` cells unless `grid_w` says otherwise."""
+    cells = list(cells)
+    return HeadGrid(
+        level, len(cells) if grid_w is None else grid_w, grid_h,
+        cx=[c.cx for c in cells], cy=[c.cy for c in cells], score=[c.score for c in cells],
+        end_y=[c.end_y for c in cells], offsets=[c.offsets for c in cells],
+    )
+
+
+def head_cells(head: HeadGrid):
+    """A head's columns read back as one `Cell` per grid cell."""
+    return [
+        Cell(cx, cy, score, tuple(None if math.isnan(dx) else dx for dx in offsets), end_y)
+        for cx, cy, score, offsets, end_y in zip(
+            head.cx.tolist(), head.cy.tolist(), head.score.tolist(), head.offsets.tolist(),
+            head.end_y.tolist(),
+        )
+    ]
 
 
 @dataclass(frozen=True)
@@ -48,7 +84,7 @@ class LaneLine:
 
 
 def decode_cell(
-    cell: GridCell,
+    cell: Cell,
     layout: AnchorLayout,
     level: int = 0,
     cell_index: int = 0,
@@ -61,7 +97,7 @@ def decode_cell(
     proposing cell once, in `source`. `score` overrides the cell's raw
     score when the caller has already applied masking.
     """
-    cx = cell.center[0]
+    cx = cell.cx
     pts = [
         LanePoint(cx + dx, y)
         for y, dx in zip(layout.rows, cell.offsets, strict=True)
@@ -69,10 +105,10 @@ def decode_cell(
     ]
     if len(pts) < 2:
         raise DegenerateLineError(
-            f"cell at {cell.center} decodes to {len(pts)} point(s)"
+            f"cell at {(cell.cx, cell.cy)} decodes to {len(pts)} point(s)"
         )
     s = cell.score if score is None else score
-    return LaneLine(tuple(pts), s, LaneSource(level, cell_index, cell.center))
+    return LaneLine(tuple(pts), s, LaneSource(level, cell_index, (cell.cx, cell.cy)))
 
 
 def line_distance(a: LaneLine, b: LaneLine) -> float:
@@ -96,7 +132,7 @@ def decode_all(proposals: LaneProposalSet, score_threshold: float, scores=None):
     for the threshold and on the lane."""
     lines = []
     for h, head in enumerate(proposals.heads):
-        for idx, cell in enumerate(head.cells):
+        for idx, cell in enumerate(head_cells(head)):
             s = cell.score if scores is None else scores[h][idx]
             if s < score_threshold:
                 continue

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import shutil
 import tracemalloc
 
 import pytest
@@ -110,6 +111,11 @@ MALFORMED_PROPOSALS = {
                "heads[0].cells[0].cx"),
     "offset Infinity": (lambda doc: doc["heads"][0]["cells"][0]["offsets"].__setitem__(
         40, math.inf), "heads[0].cells[0].offsets[40]"),
+    # JSON integers no float can hold
+    "cx too large for a float": (lambda doc: doc["heads"][0]["cells"][0].update(score=0.9, cx=10**400),
+                                 "heads[0].cells"),
+    "row too large for a float": (lambda doc: doc["layout"]["rows"].__setitem__(-1, 10**400),
+                                  "layout.rows"),
 }
 
 
@@ -326,6 +332,17 @@ class TestPipeline:
         code, _, err = run(capsys, "eval-f1", "--pred", str(pred), "--gt", str(gt))
         assert code == 2
         assert "scene.lines.txt" in err
+
+    @pytest.mark.parametrize("command", ["eval-f1", "eval-tusimple"])
+    def test_lane_file_error_names_the_file(self, tmp_path, capsys, command):
+        doc = gen_synth(capsys, tmp_path / "c", "--num-scenes", "3", "--seed", "1")
+        pred = tmp_path / "pred"
+        shutil.copytree(doc["gt_dir"], pred)
+        bad = sorted(pred.iterdir())[2]
+        bad.write_text("1.0 2.0 3.0\n")
+        code, _, err = run(capsys, command, "--pred", str(pred), "--gt", doc["gt_dir"])
+        assert code == 2
+        assert err == f"error: {bad}: line 1, token '3.0': odd token count\n"
 
     def test_blend_improves_noisy_corpus(self, tmp_path, capsys):
         out_dir = tmp_path / "noisy"

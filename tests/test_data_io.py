@@ -2,13 +2,14 @@ import copy
 import json
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from lanenas import data_io
 from lanenas.errors import FormatError, LaneNasError, SchemaError, VersionError
-from lanenas.lane_model import AnchorLayout, GridCell, HeadGrid, LaneProposalSet
+from lanenas.lane_model import AnchorLayout, HeadGrid, LaneProposalSet
 from lanenas.point_blend import BlendParams
 from lanenas.search_engine import (
     Candidate,
@@ -21,12 +22,26 @@ from lanenas.synth import SynthSceneConfig, generate_synthetic_scenes
 from conftest import make_arch
 
 
+def assert_lanes(got, want):
+    """Lanes read from a file: (n, 2) float64 arrays holding `want`'s points."""
+    assert len(got) == len(want)
+    for lane, points in zip(got, want):
+        assert lane.dtype == np.float64 and lane.shape == (len(points), 2)
+        assert lane.tolist() == [list(p) for p in points]
+
+
 class TestCulaneLines:
     def test_two_point_lane(self, tmp_path):
         path = tmp_path / "a.lines.txt"
         path.write_text("100.0 590 110.0 580\n")
         lanes = data_io.read_culane_lines(path)
-        assert lanes == [((110.0, 580.0), (100.0, 590.0))]
+        assert_lanes(lanes, [((110.0, 580.0), (100.0, 590.0))])
+
+    def test_equal_rows_keep_file_order(self, tmp_path):
+        path = tmp_path / "tie.lines.txt"
+        path.write_text("3 20 1 10 2 10 -1 5\n\n7 1 8 0\n")
+        assert_lanes(data_io.read_culane_lines(path),
+                     [((1.0, 10.0), (2.0, 10.0), (3.0, 20.0)), ((8.0, 0.0), (7.0, 1.0))])
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.lines.txt"
@@ -39,6 +54,7 @@ class TestCulaneLines:
         with pytest.raises(FormatError) as exc:
             data_io.read_culane_lines(path)
         assert exc.value.line_no == 1
+        assert str(exc.value) == f"{path}: line 1, token '3.0': odd token count"
 
     def test_non_numeric_token(self, tmp_path):
         path = tmp_path / "bad.lines.txt"
@@ -62,13 +78,18 @@ class TestCulaneLines:
         # the sum overflows, but every token is finite
         path = tmp_path / "huge.lines.txt"
         path.write_text("1e308 2.0 1e308 3.0\n")
-        assert data_io.read_culane_lines(path) == [((1e308, 2.0), (1e308, 3.0))]
+        assert_lanes(data_io.read_culane_lines(path), [((1e308, 2.0), (1e308, 3.0))])
 
     def test_negative_x_dropped(self, tmp_path):
         path = tmp_path / "neg.lines.txt"
         path.write_text("-2 100 50.0 90 -2 80 60.0 70\n")
         lanes = data_io.read_culane_lines(path)
-        assert lanes == [((60.0, 70.0), (50.0, 90.0))]
+        assert_lanes(lanes, [((60.0, 70.0), (50.0, 90.0))])
+
+    def test_lane_with_every_point_missing_is_empty(self, tmp_path):
+        path = tmp_path / "gone.lines.txt"
+        path.write_text("-2 100 -2 90\n")
+        assert_lanes(data_io.read_culane_lines(path), [()])
 
     def test_write_read_round_trip(self, tmp_path):
         lanes = [((10.0, 5.0), (12.5, 9.0), (15.0, 13.0)), ((100.0, 2.0), (90.0, 8.0))]
@@ -80,6 +101,13 @@ class TestCulaneLines:
             for (x1, y1), (x2, y2) in zip(sorted(orig, key=lambda p: p[1]), got):
                 assert x2 == pytest.approx(x1, abs=1e-3)
                 assert y2 == pytest.approx(y1, abs=1e-3)
+
+    def test_arrays_write_the_text_of_pairs(self, tmp_path):
+        lanes = [((10.0, 5.0), (12.5, 9.0), (15.0, 13.0)), (), ((1e-5, 2.0), (-0.0, 8.0))]
+        pairs, arrays = tmp_path / "pairs.lines.txt", tmp_path / "arrays.lines.txt"
+        data_io.write_culane_lines(pairs, lanes)
+        data_io.write_culane_lines(arrays, [np.array(lane, dtype=np.float64) for lane in lanes])
+        assert arrays.read_text() == pairs.read_text()
 
 
 class TestArchJson:
@@ -114,6 +142,42 @@ class TestProposalsJsonl:
         data_io.write_proposals(path, scenes)
         back = list(data_io.read_proposals(path))
         assert back == scenes
+
+    def test_nan_offsets_round_trip_as_null(self, tmp_path):
+        doc = data_io.proposals_to_json(*self.corpus(1)[0])
+        doc["heads"][0]["cells"][1]["offsets"][3] = None
+        image_id, proposals = data_io.proposals_from_json(doc)
+        assert math.isnan(proposals.heads[0].offsets[1, 3])
+        assert data_io.proposals_to_json(image_id, proposals) == doc
+        assert data_io.proposals_from_json(doc)[1] == proposals  # NaN equals NaN
+
+    def test_heads_compare_by_value(self):
+        (_, a), = self.corpus(1)
+        (_, b), = self.corpus(1)
+        assert a == b and a.heads[0] is not b.heads[0]
+        b.heads[0].offsets[0, 0] += 1.0
+        assert a != b and a.heads[0] != b.heads[0] and a.heads[1] == b.heads[1]
+
+    def test_dense_head_holds_its_raw_floats(self):
+        # 2,000 cells x 72 rows of float64 offsets are 1.15 MB; the parsed
+        # document is dropped once read, as `read_proposals` drops it
+        rows = 72
+        line = json.dumps({
+            "layout": {"image_size": [1640, 590], "rows": [8.0 * r for r in range(rows)]},
+            "heads": [{"level": 1, "grid_w": 50, "grid_h": 40, "cells": [
+                {"cx": 0.5 * i, "cy": 0.25 * i, "score": 0.5,
+                 "offsets": [0.125 * (i + r) for r in range(rows)], "end_y": 0.0}
+                for i in range(2000)
+            ]}],
+        })
+        tracemalloc.start()
+        try:
+            _, proposals = data_io.proposals_from_json(json.loads(line))
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert proposals.heads[0].offsets.shape == (2000, rows)
+        assert held < 1.5e6
 
     def test_streaming_is_lazy(self, tmp_path):
         path = tmp_path / "props.jsonl"

@@ -3,16 +3,19 @@ oracle (`blend_oracle`) that `point_blend.postprocess` is checked against."""
 
 import math
 
+import numpy as np
 import pytest
 
 from lanenas.errors import DegenerateLineError
-from lanenas.lane_model import AnchorLayout, GridCell, HeadGrid, LaneProposalSet
+from lanenas.lane_model import AnchorLayout, HeadGrid, LaneProposalSet
 from blend_oracle import (
+    Cell,
     LaneLine,
     LanePoint,
     LaneSource,
     decode_all,
     decode_cell,
+    head_grid,
     line_distance,
 )
 
@@ -22,7 +25,7 @@ LAYOUT = AnchorLayout.uniform((512, 288), 72)
 def cell(cx=100.0, cy=200.0, score=0.8, offsets=None, end_y=0.0):
     if offsets is None:
         offsets = (0.0,) * len(LAYOUT.rows)
-    return GridCell(center=(cx, cy), score=score, offsets=offsets, end_y=end_y)
+    return Cell(cx, cy, score, offsets, end_y)
 
 
 def simple_line(xs_by_row, score=0.5, cy=0.0):
@@ -112,7 +115,7 @@ class TestLineDistance:
 class TestDecodeAll:
     def proposals(self, scores):
         cells = tuple(cell(cx=50.0 * (i + 1), score=s) for i, s in enumerate(scores))
-        head = HeadGrid(level=1, grid_w=len(cells), grid_h=1, cells=cells)
+        head = head_grid(1, cells)
         return LaneProposalSet(layout=LAYOUT, heads=(head,))
 
     def test_threshold_one_empty(self):
@@ -134,13 +137,8 @@ class TestDecodeAll:
 
     def test_degenerate_cells_skipped(self):
         good = cell(score=0.9)
-        bad = GridCell(
-            center=(10.0, 10.0),
-            score=0.9,
-            offsets=(0.0,) * len(LAYOUT.rows),
-            end_y=LAYOUT.rows[-1] + 1,
-        )
-        head = HeadGrid(level=1, grid_w=2, grid_h=1, cells=(good, bad))
+        bad = cell(cx=10.0, cy=10.0, score=0.9, end_y=LAYOUT.rows[-1] + 1)
+        head = head_grid(1, (good, bad))
         lines = decode_all(LaneProposalSet(layout=LAYOUT, heads=(head,)), 0.5)
         assert len(lines) == 1
 
@@ -162,3 +160,45 @@ class TestLayoutValidation:
         src = LaneSource(1, 0, (0.0, 0.0))
         with pytest.raises(ValueError):
             LaneLine(points=(LanePoint(0, 10), LanePoint(0, 5)), score=0.5, source=src)
+
+
+class TestHeadGrid:
+    def cells(self):
+        offsets = [0.5 * i for i in range(len(LAYOUT.rows))]
+        offsets[3] = None
+        return [cell(cx=10.0, offsets=tuple(offsets)), cell(cx=20.0, cy=8.0, score=0.25)]
+
+    def test_cells_are_float64_columns(self):
+        head = head_grid(2, self.cells())
+        for name in HeadGrid.COLUMNS[:4]:
+            assert getattr(head, name).dtype == np.float64 and getattr(head, name).shape == (2,)
+        assert head.offsets.dtype == np.float64 and head.offsets.shape == (2, len(LAYOUT.rows))
+        assert math.isnan(head.offsets[0, 3]) and head.offsets[0, 4] == 2.0
+        assert head.cx.tolist() == [10.0, 20.0] and head.score.tolist() == [0.8, 0.25]
+
+    def test_equal_by_value_with_nan_equal_to_nan(self):
+        a, b = head_grid(2, self.cells()), head_grid(2, self.cells())
+        assert a == b and not a != b
+        assert a != head_grid(3, self.cells())
+        b.offsets[0, 3] = 0.0  # was NaN
+        assert a != b
+        with pytest.raises(TypeError):
+            hash(a)
+
+    def test_a_head_without_cells_has_an_empty_offset_matrix(self):
+        head = head_grid(1, [])
+        assert head.offsets.shape == (0, 0) and head == head_grid(1, [])
+
+    @pytest.mark.parametrize("score", [-0.1, 1.5, math.nan])
+    def test_score_outside_unit_rejected(self, score):
+        with pytest.raises(ValueError, match="outside"):
+            head_grid(1, [cell(score=score)])
+
+    def test_cell_count_must_fill_the_grid(self):
+        with pytest.raises(ValueError, match="grid_w"):
+            head_grid(1, self.cells(), grid_w=3)
+
+    def test_every_column_needs_every_cell(self):
+        with pytest.raises(ValueError, match="every cell"):
+            HeadGrid(1, 2, 1, cx=[1.0, 2.0], cy=[1.0, 2.0], score=[0.5, 0.5], end_y=[0.0],
+                     offsets=[[0.0], [0.0]])

@@ -12,7 +12,6 @@ from lanenas.metrics import (
     match_and_score,
     rasterize_lane,
     score_scene,
-    tusimple_accuracy,
     tusimple_counts,
 )
 
@@ -225,6 +224,27 @@ class TestSceneScorer:
         with pytest.raises(ValueError):
             SceneScorer([[]], width=0, canvas=self.CANVAS)
 
+    def test_list_and_array_lanes_are_one_lane(self):
+        gt = [np.array(self.lane(100)), self.lane(300)]
+        pred = [(101, 10.0), (99.5, 280)]  # ints too: every coordinate is a float64
+        as_array = np.array(pred, dtype=np.float64)
+        scorer = SceneScorer([gt], canvas=self.CANVAS)
+        counts = scorer.scene_counts(0, [pred])
+        assert scorer.scene_counts(0, [as_array]) == counts == SceneCounts(1, 0, 1)
+        assert len(scorer._ious[0]) == 1
+        assert score_scene([pred], gt, canvas=self.CANVAS) == counts
+        assert score_scene([as_array], [np.array(g) for g in gt], canvas=self.CANVAS) == counts
+
+    @pytest.mark.parametrize("lane", [[], [(1.0, 2.0)], np.empty((0, 2)), np.ones((1, 2))])
+    def test_fewer_than_two_points_is_degenerate(self, lane):
+        with pytest.raises(DegenerateLineError):
+            score_scene([lane], [], canvas=self.CANVAS)
+
+    @pytest.mark.parametrize("lane", [np.ones((3, 3)), np.ones(4), [(1.0, 2.0, 3.0)] * 2, 5.0])
+    def test_wrong_shape_is_rejected(self, lane):
+        with pytest.raises(ValueError):
+            score_scene([lane], [], canvas=self.CANVAS)
+
 
 class TestTuSimple:
     def lane(self, xs, rows=(0.0, 4.0, 8.0, 12.0)):
@@ -232,17 +252,17 @@ class TestTuSimple:
 
     def test_exact(self):
         gt = [self.lane([10, 11, 12, 13])]
-        assert tusimple_accuracy(gt, gt) == 1.0
+        assert tusimple_counts(gt, gt) == (4, 4)
 
     def test_all_off(self):
         gt = [self.lane([10, 11, 12, 13])]
         pred = [self.lane([100, 111, 212, 313])]
-        assert tusimple_accuracy(pred, gt) == 0.0
+        assert tusimple_counts(pred, gt) == (0, 4)
 
     def test_three_of_four(self):
         gt = [self.lane([10.0, 11.0, 12.0, 13.0])]
         pred = [self.lane([10.0, 11.0, 12.0, 93.0])]
-        assert tusimple_accuracy(pred, gt) == 0.75
+        assert tusimple_counts(pred, gt) == (3, 4)
 
     def test_unmatched_gt_counts_in_denominator(self):
         gt = [self.lane([10, 11, 12, 13]), self.lane([300, 301, 302, 303])]

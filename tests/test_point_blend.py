@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lanenas import point_blend
-from lanenas.lane_model import AnchorLayout, GridCell, HeadGrid, LaneProposalSet
+from lanenas.lane_model import AnchorLayout, HeadGrid, LaneProposalSet
 from lanenas.point_blend import (
     BlendParams,
     BlendParamSet,
@@ -19,12 +19,15 @@ from lanenas.point_blend import (
 )
 import blend_oracle
 from blend_oracle import (
+    Cell,
     LaneLine,
     LanePoint,
     LaneSource,
     blend_group,
     decode_cell,
     group_lines,
+    head_cells,
+    head_grid,
     line_distance,
 )
 
@@ -110,21 +113,18 @@ class TestMaskProposals:
     def test_masked_score_of_every_cell_and_input_untouched(self):
         rng = np.random.default_rng(5)
         heads = tuple(
-            HeadGrid(
-                level=lvl, grid_w=3, grid_h=2,
-                cells=tuple(
-                    GridCell(
-                        center=(float(rng.uniform(0, 512)), float(rng.uniform(0, 288))),
-                        score=float(rng.uniform()),
-                        offsets=(0.0,) * len(LAYOUT.rows),
-                        end_y=0.0,
-                    )
+            head_grid(
+                lvl,
+                (
+                    Cell(float(rng.uniform(0, 512)), float(rng.uniform(0, 288)),
+                         float(rng.uniform()), (0.0,) * len(LAYOUT.rows))
                     for _ in range(6)
                 ),
+                grid_w=3, grid_h=2,
             )
             for lvl in (1, 2, 3)
         )
-        cells = [h.cells for h in heads]
+        columns = [{name: getattr(h, name).copy() for name in HeadGrid.COLUMNS} for h in heads]
         proposals = LaneProposalSet(layout=LAYOUT, heads=heads)
         # level 3 has no entry and is masked with the identity
         params = BlendParamSet(per_level={
@@ -133,26 +133,25 @@ class TestMaskProposals:
         })
         scores = mask_proposals(proposals, params)
         assert scores == [
-            [apply_mask(c.score, mask_logit(params.per_level.get(h.level, BlendParams()), c.center))
-             for c in h.cells]
+            [apply_mask(c.score, mask_logit(params.per_level.get(h.level, BlendParams()), (c.cx, c.cy)))
+             for c in head_cells(h)]
             for h in heads
         ]
         assert proposals.heads is heads
-        assert all(h.cells is c for h, c in zip(proposals.heads, cells))
+        assert all(
+            np.array_equal(getattr(h, name), c[name])
+            for h, c in zip(heads, columns) for name in HeadGrid.COLUMNS
+        )
 
     def test_postprocess_builds_no_proposal_objects(self, monkeypatch):
-        proposals = LaneProposalSet(layout=LAYOUT, heads=(HeadGrid(
-            level=1, grid_w=2, grid_h=1,
-            cells=tuple(
-                GridCell(center=(cx, 200.0), score=0.6, offsets=(0.0,) * len(LAYOUT.rows), end_y=0.0)
-                for cx in (100.0, 110.0)
-            ),
+        proposals = LaneProposalSet(layout=LAYOUT, heads=(head_grid(
+            1, (Cell(cx, 200.0, 0.6, (0.0,) * len(LAYOUT.rows)) for cx in (100.0, 110.0))
         ),))
 
         def built(self):
             raise AssertionError(f"postprocess built a {type(self).__name__}")
 
-        for cls in (GridCell, HeadGrid, LaneProposalSet):
+        for cls in (HeadGrid, LaneProposalSet):
             monkeypatch.setattr(cls, "__post_init__", built)
         params = BlendParamSet(per_level={1: BlendParams(beta1=0.5)}, locality_sigma=60.0)
         assert len(postprocess(proposals, params)) == 1
@@ -272,13 +271,8 @@ class TestBlendGroup:
 
 class TestPostprocess:
     def single_cell_proposals(self, score=0.9):
-        cell = GridCell(
-            center=(100.0, 200.0),
-            score=score,
-            offsets=tuple(0.5 * i for i in range(len(LAYOUT.rows))),
-            end_y=0.0,
-        )
-        head = HeadGrid(level=1, grid_w=1, grid_h=1, cells=(cell,))
+        cell = Cell(100.0, 200.0, score, tuple(0.5 * i for i in range(len(LAYOUT.rows))))
+        head = head_grid(1, (cell,))
         return LaneProposalSet(layout=LAYOUT, heads=(head,)), cell
 
     def test_single_perfect_cell_passthrough(self):
@@ -329,13 +323,13 @@ def odd_proposals(rng):
             if rng.uniform() < 0.2:
                 cx = int(cx)
                 offsets = [None if dx is None else int(dx) for dx in offsets]
-            cells.append(GridCell(
-                center=(cx, float(rng.choice([-0.0, 8.0, 40.0]))),
-                score=float(rng.choice([0.0, 0.25, 0.5, 0.5, 0.75, 1.0])),
-                offsets=tuple(offsets),
-                end_y=float(rng.choice([-0.0, 0.0, rows[len(rows) // 2], rows[-1], rows[-1] + 1.0])),
+            cells.append(Cell(
+                cx, float(rng.choice([-0.0, 8.0, 40.0])),
+                float(rng.choice([0.0, 0.25, 0.5, 0.5, 0.75, 1.0])),
+                tuple(offsets),
+                float(rng.choice([-0.0, 0.0, rows[len(rows) // 2], rows[-1], rows[-1] + 1.0])),
             ))
-        heads.append(HeadGrid(level=level, grid_w=len(cells), grid_h=1, cells=tuple(cells)))
+        heads.append(head_grid(level, cells))
     return LaneProposalSet(layout=layout, heads=tuple(heads))
 
 
@@ -412,14 +406,13 @@ class TestLaneTable:
     def test_locality_factors_are_math_exp(self):
         rng = np.random.default_rng(8)
         cells = tuple(
-            GridCell(center=(100.0, float(rng.uniform(0, 288))), score=0.5,
-                     offsets=(0.0,) * len(LAYOUT.rows), end_y=0.0)
+            Cell(100.0, float(rng.uniform(0, 288)), 0.5, (0.0,) * len(LAYOUT.rows))
             for _ in range(40)
         )
-        table = LaneTable(LaneProposalSet(LAYOUT, (HeadGrid(1, len(cells), 1, cells),)))
+        table = LaneTable(LaneProposalSet(LAYOUT, (head_grid(1, cells),)))
         for sigma in rng.uniform(5.0, 500.0, size=20).tolist() + [math.inf]:
             want = [
-                [math.exp(-((y - c.center[1]) * (y - c.center[1])) / sigma**2) for y in LAYOUT.rows]
+                [math.exp(-((y - c.cy) * (y - c.cy)) / sigma**2) for y in LAYOUT.rows]
                 for c in cells
             ]
             assert table.factors(sigma).tolist() == want

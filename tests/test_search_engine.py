@@ -594,7 +594,8 @@ def unmemoized_inner_search(scenes, space, config, init_params):
     canvas = scenes[0][0].layout.image_size
 
     def f1(params):
-        preds = [oracle_postprocess(proposals, params) for proposals, _ in scenes]
+        preds = [[line.points for line in oracle_postprocess(proposals, params)]
+                 for proposals, _ in scenes]
         return match_and_score(preds, gts, width=config.lane_width, canvas=canvas).f1
 
     rng = np.random.default_rng(config.seed)

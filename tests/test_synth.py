@@ -45,7 +45,7 @@ class TestCorpusShape:
         for props, rec in scenes:
             assert len(rec.gt_lanes) == 3
             high = [h for h in props.heads if h.level == 2][0]
-            assert len(high.cells) == 3
+            assert len(high.score) == high.grid_w * high.grid_h == 3
 
     def test_gt_matches_anchor_rows(self):
         cfg = SynthSceneConfig(num_scenes=2, seed=0)
