@@ -22,7 +22,7 @@ from .arch_space import (
 from .cost_model import CostReport, candidate_cost, conv_cost
 from .errors import LaneNasError
 from .lane_model import AnchorLayout, HeadGrid, LaneProposalSet
-from .metrics import lane_iou, match_and_score, rasterize_lane
+from .metrics import match_and_score, rasterize_lane
 from .point_blend import (
     BlendParams,
     BlendParamSet,

@@ -189,26 +189,6 @@ class SpaceConfig:
     fusion_t: int = 4
 
 
-def _index_lists(n, length):
-    """All strictly increasing tuples of the given length within [2, n]."""
-    import itertools
-
-    return list(itertools.combinations(range(2, n + 1), length))
-
-
-def enumerate_backbones(cfg: SpaceConfig):
-    """Yield every valid BackboneSpec in the configured space."""
-    lo, hi = cfg.num_blocks_range
-    for kind in cfg.block_kinds:
-        for base in cfg.base_channels:
-            for n in range(lo, hi + 1):
-                for s in cfg.stage_list_lens:
-                    idx_lists = _index_lists(n, s)
-                    for down in idx_lists:
-                        for dbl in idx_lists:
-                            yield BackboneSpec(kind, base, n, down, dbl)
-
-
 @dataclass(frozen=True)
 class CardinalityReport:
     backbone_count: int
@@ -267,16 +247,6 @@ def _list_move_candidates(spec: BackboneSpec):
             if i + 1 < high:
                 moves.append((fld, pos, 1))
     return moves
-
-
-def neighbor_specs(spec: BackboneSpec) -> list[BackboneSpec]:
-    """Specs reachable by one index neighbor move (same blocks/stages/kind)."""
-    out = []
-    for fld, pos, delta in _list_move_candidates(spec):
-        idxs = list(getattr(spec, fld))
-        idxs[pos] += delta
-        out.append(BackboneSpec(**{**vars(spec), fld: tuple(idxs)}))
-    return out
 
 
 def _extended_move_candidates(spec: BackboneSpec, cfg: SpaceConfig):

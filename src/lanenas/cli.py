@@ -233,7 +233,7 @@ def cmd_blend(args):
     n_scenes = n_lanes = 0
     written = set()
     for n_scenes, (image_id, proposals) in enumerate(data_io.read_proposals(args.proposals), 1):
-        lanes = point_blend.postprocess(proposals, params)
+        lanes = point_blend.postprocess(point_blend.LaneTable(proposals), params)
         n_lanes += len(lanes)
         if out_doc is not None:
             # points stay (n, 2) arrays until written; lists of pairs take several times the memory

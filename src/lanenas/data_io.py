@@ -94,6 +94,11 @@ def _unit(v):
     return _number(v) and 0 <= v <= 1
 
 
+def _count(v):
+    """a non-negative integer"""
+    return type(v) is int and v >= 0
+
+
 def _text_or_null(v):
     """a string or null"""
     return v is None or type(v) is str
@@ -186,7 +191,7 @@ def _heads_schema(num_rows):
     """A scene's heads; each cell has one offset (or null) per anchor row."""
     cell = {"cx": _number, "cy": _number, "score": _unit,
             "offsets": [_number_or_null, num_rows], "end_y": _number}
-    return {"heads?": [{"level": _number, "grid_w": _number, "grid_h": _number, "cells": [cell]}]}
+    return {"heads?": [{"level": int, "grid_w": _count, "grid_h": _count, "cells": [cell]}]}
 
 
 # ---------------------------------------------------------------------------

@@ -65,6 +65,8 @@ class HeadGrid:
         for name in self.COLUMNS:
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.float64))
         n = len(self.score)
+        if self.grid_w < 0 or self.grid_h < 0:
+            raise ValueError("grid sides must be non-negative")
         if not self.offsets.size:  # `[]`, say: no offset to place in a row
             object.__setattr__(self, "offsets", self.offsets.reshape(n, 0))
         if n != self.grid_w * self.grid_h:

@@ -80,10 +80,6 @@ def _lane_runs(line, width, canvas):
     return polyline_runs(xs, ys, radius, canvas)
 
 
-def lane_iou(a, b, width=DEFAULT_LANE_WIDTH, canvas=DEFAULT_CANVAS):
-    return runs_iou(_lane_runs(a, width, canvas), _lane_runs(b, width, canvas))
-
-
 class SceneScorer:
     """CULane scoring of predictions against fixed ground-truth scenes.
 
@@ -136,25 +132,31 @@ class SceneScorer:
         )
 
 
+def _greedy_pairs(candidates):
+    """Greedy one-to-one matching of predicted lanes `i` to ground-truth
+    lanes `j`: `(cost, i, j)` triples are taken in ascending order (ties
+    by `i`, then `j`), each kept unless its `i` or its `j` is already
+    matched. Returns the kept `(i, j)` pairs in that order."""
+    used_p, used_g = set(), set()
+    pairs = []
+    for _, i, j in sorted(candidates):
+        if i not in used_p and j not in used_g:
+            used_p.add(i)
+            used_g.add(j)
+            pairs.append((i, j))
+    return pairs
+
+
 def _match(iou_rows, n_gt, iou_threshold) -> SceneCounts:
     """Greedy one-to-one matching in descending IoU order; IoU strictly
     above the threshold counts as a true positive. `iou_rows[i][j]` is
     the IoU of predicted lane i and ground-truth lane j."""
-    pairs = [
-        (iou, i, j)
+    tp = len(_greedy_pairs(
+        (-iou, i, j)
         for i, row in enumerate(iou_rows)
         for j, iou in enumerate(row)
         if iou > iou_threshold
-    ]
-    pairs.sort(key=lambda t: (-t[0], t[1], t[2]))
-    used_p, used_g = set(), set()
-    tp = 0
-    for _, i, j in pairs:
-        if i in used_p or j in used_g:
-            continue
-        used_p.add(i)
-        used_g.add(j)
-        tp += 1
+    ))
     return SceneCounts(tp=tp, fp=len(iou_rows) - tp, fn=n_gt - tp)
 
 
@@ -232,14 +234,8 @@ def tusimple_counts(pred, gt, x_tolerance=20.0):
                 continue
             d = sum(abs(pm[y] - gm[y]) for y in shared) / len(shared)
             dists.append((d, i, j))
-    dists.sort(key=lambda t: (t[0], t[1], t[2]))
-    used_p, used_g = set(), set()
     correct = 0
-    for _, i, j in dists:
-        if i in used_p or j in used_g:
-            continue
-        used_p.add(i)
-        used_g.add(j)
+    for i, j in _greedy_pairs(dists):
         pm, gm = pred_maps[i], gt_maps[j]
         correct += sum(
             1 for y, gx in gm.items() if y in pm and abs(pm[y] - gx) < x_tolerance

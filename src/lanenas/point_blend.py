@@ -108,24 +108,22 @@ def apply_mask(score: float, logit_mask: float) -> float:
         return 0.0
 
 
-def mask_proposals(proposals: LaneProposalSet, params: BlendParamSet):
-    """The masked score of every cell: `scores[h][i]` for cell `i` of
-    head `h`. The proposals themselves are left as they are. A level
-    whose logit terms overflow (`inf - inf` is a NaN logit, and so a NaN
-    score) is a ConstraintError naming the level."""
+def mask_proposals(table: LaneTable, params: BlendParamSet):
+    """The masked score of every table entry, one flat list in entry
+    order. A level whose logit terms overflow on an entry (a radial term
+    past a float's range, or `inf - inf`: a NaN logit, so a NaN score)
+    is a ConstraintError naming the level of the first such entry. A
+    cell with no entry makes no lane, so its score is not masked."""
+    identity = BlendParams()
     scores = []
-    for head in proposals.heads:
-        p = params.per_level.get(head.level, BlendParams())
-        try:
-            row = [
-                apply_mask(score, mask_logit(p, (cx, cy)))
-                for score, cx, cy in zip(head.score.tolist(), head.cx.tolist(), head.cy.tolist())
-            ]
-            if math.isnan(sum(row)):
+    try:
+        for level, score, cx, cy in zip(table.level, table.score, table.cx, table.cy):
+            s = apply_mask(score, mask_logit(params.per_level.get(level, identity), (cx, cy)))
+            if math.isnan(s):
                 raise OverflowError
-        except OverflowError:
-            raise ConstraintError(f"blend.per_level.{head.level}", "mask logit overflows") from None
-        scores.append(row)
+            scores.append(s)
+    except OverflowError:
+        raise ConstraintError(f"blend.per_level.{level}", "mask logit overflows") from None
     return scores
 
 
@@ -137,17 +135,19 @@ class LaneTable:
     parameters, and neither does the distance between two cells' lanes
     nor, for one locality sigma, a point's locality factor: only the
     masked scores do. The table is built from each head's columns in
-    whole-array steps. Entry `k` is a decodable cell (at least 2
-    points), keyed by `keys[k] = (head index, cell index)`, in decode
-    order. It holds the cell's x values as row `k` of `xs`, a float64
-    matrix over the layout's anchor rows with NaN where the cell has no
-    point, and its centre row `cy[k]`. Lane distances are filled in per
-    entry pair as grouping asks for them; locality factors per sigma,
-    for the two sigmas used last.
+    whole-array steps, and post-processing reads nothing else. Entry
+    `k` is a decodable cell (at least 2 points), heads in order and
+    cells in order within a head. Its columns are the head's `level[k]`,
+    the cell's centre `(cx[k], cy[k])` and raw `score[k]`, as Python
+    floats, and its x values as row `k` of `xs`, a float64 matrix over
+    the layout's anchor rows with NaN where the cell has no point. A cell
+    that decodes to fewer than 2 points has no entry. Lane distances are
+    filled in per entry pair as grouping asks for them; locality factors
+    per sigma, for the two sigmas used last.
     """
 
     def __init__(self, proposals: LaneProposalSet):
-        self.keys, self.cy = [], []
+        self.level, self.cx, self.cy, self.score = [], [], [], []
         self.ys = np.array(proposals.layout.rows)
         xs = [np.empty((0, len(self.ys)))]  # so a table may have no entry
         for h, head in enumerate(proposals.heads):
@@ -158,8 +158,10 @@ class LaneTable:
             # a point at every row with an offset, at or below the ending row
             present = ~np.isnan(head.offsets) & ~(self.ys < head.end_y[:, None])
             decodable = np.flatnonzero(np.count_nonzero(present, axis=1) >= 2)
-            self.keys += [(h, idx) for idx in decodable.tolist()]
+            self.level += [head.level] * len(decodable)
+            self.cx += head.cx[decodable].tolist()
             self.cy += head.cy[decodable].tolist()
+            self.score += head.score[decodable].tolist()
             xs.append(np.where(
                 present[decodable], head.cx[decodable, None] + head.offsets[decodable], np.nan
             ))
@@ -211,15 +213,10 @@ def line_distance(xa, xb) -> float:
     return float(np.add.accumulate(gaps)[-1] / len(gaps))  # np.cumsum's ufunc
 
 
-def decode_all(table: LaneTable, score_threshold, scores):
-    """The table's lanes whose masked score `scores[h][i]` passes the
-    threshold: `(entry, score)` pairs in decode order."""
-    lines = []
-    for k, (h, i) in enumerate(table.keys):
-        s = scores[h][i]
-        if not s < score_threshold:
-            lines.append((k, s))
-    return lines
+def decode_all(scores, score_threshold):
+    """The table entries whose masked score (`scores[k]` for entry `k`)
+    passes the threshold: `(entry, score)` pairs in entry order."""
+    return [(k, s) for k, s in enumerate(scores) if not s < score_threshold]
 
 
 def group_lines(table: LaneTable, lines, group_distance):
@@ -264,22 +261,19 @@ def blend_group(table: LaneTable, group, locality_sigma):
     return members[weights.argmax(axis=0)], rows
 
 
-def postprocess(proposals: LaneProposalSet, params: BlendParamSet, table=None):
-    """Full pipeline: mask -> threshold -> group -> blend.
+def postprocess(table: LaneTable, params: BlendParamSet):
+    """Full pipeline over one proposal set's lane table: mask ->
+    threshold -> group -> blend.
 
     Returns one `(score, points)` pair per group: the representative's
     masked score and the blended lane's (n, 2) float64 points, top to
     bottom. With an identity mask and infinite locality sigma this
     reduces to plain Line-NMS (highest-score line per group, untouched).
-
-    `table` is `LaneTable(proposals)`, kept by a caller that
-    post-processes the same proposals under many parameter sets (the
-    inner search); without it, a table is built for this call alone.
+    A caller that post-processes one proposal set under many parameter
+    sets (the inner search) keeps its table.
     """
-    if table is None:
-        table = LaneTable(proposals)
-    scores = mask_proposals(proposals, params)
-    lines = decode_all(table, params.score_threshold, scores)
+    scores = mask_proposals(table, params)
+    lines = decode_all(scores, params.score_threshold)
     groups = group_lines(table, lines, params.group_distance)
     lanes = []
     for group in groups:

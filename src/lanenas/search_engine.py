@@ -95,17 +95,6 @@ class ParetoArchive:
             raise EmptyArchiveError("archive has no evaluated members")
         return self.members[int(rng.integers(len(self.members)))]
 
-    def hypervolume(self, ref_flops, ref_score=0.0):
-        """2-D hypervolume against a (flops upper, score lower) reference."""
-        pts = sorted((m.flops, m.score) for m in self.members)
-        hv, prev_score = 0.0, ref_score
-        for f, s in pts:
-            if f >= ref_flops or s <= prev_score:
-                continue
-            hv += (ref_flops - f) * (s - prev_score)
-            prev_score = s
-        return hv
-
 
 # ---------------------------------------------------------------------------
 # evaluators
@@ -332,16 +321,13 @@ class BlendScenes:
         self.scorer = SceneScorer(
             [gt_lanes for _, gt_lanes in scenes], width=lane_width, canvas=canvases.pop()
         )
-        self.tables = [(proposals, LaneTable(proposals)) for proposals, _ in scenes]
+        self.tables = [LaneTable(proposals) for proposals, _ in scenes]
         self._f1: dict[BlendParamSet, float] = {}
 
     def f1(self, params: BlendParamSet) -> float:
         f1 = self._f1.get(params)
         if f1 is None:
-            preds = [
-                [points for _, points in postprocess(proposals, params, table)]
-                for proposals, table in self.tables
-            ]
+            preds = [[points for _, points in postprocess(table, params)] for table in self.tables]
             f1 = self._f1[params] = self.scorer.report(preds).f1
         return f1
 

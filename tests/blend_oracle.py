@@ -1,12 +1,14 @@
 """Reference post-processing on lane objects, for tests.
 
-This is the point blender as one LaneLine per passing cell: decode every
-cell whose masked score passes the threshold (`decode_all`), group by
-greedy distance NMS on `line_distance`, and blend each group point by
-point. A decoded lane's points are plain `(x, y)` pairs; its proposing
-cell is recorded once, in `LaneLine.source`. `point_blend.postprocess`
-must return the same lanes through its lane table: each `(score,
-points)` pair equals a LaneLine's score and points.
+This is the point blender as one LaneLine per passing cell: mask every
+cell's score (`mask_scores`, through `point_blend.apply_mask` and
+`mask_logit` cell by cell), decode every cell whose masked score passes
+the threshold (`decode_all`), group by greedy distance NMS on
+`line_distance`, and blend each group point by point. A decoded lane's
+points are plain `(x, y)` pairs; its proposing cell is recorded once, in
+`LaneLine.source`. `point_blend.postprocess` must return the same lanes
+from the proposals' lane table: each `(score, points)` pair equals a
+LaneLine's score and points.
 
 The oracle reads a head's columns back into one `Cell` per grid cell
 (`head_cells`); `head_grid` is the tests' one way to build a head's
@@ -17,9 +19,9 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from lanenas.errors import DegenerateLineError
+from lanenas.errors import ConstraintError, DegenerateLineError
 from lanenas.lane_model import AnchorLayout, HeadGrid, LaneProposalSet
-from lanenas.point_blend import mask_proposals
+from lanenas.point_blend import BlendParams, apply_mask, mask_logit
 
 
 class Cell(NamedTuple):
@@ -125,10 +127,26 @@ def line_distance(a: LaneLine, b: LaneLine) -> float:
     return total / len(gaps)
 
 
+def mask_scores(proposals: LaneProposalSet, params):
+    """The masked score of every cell, `scores[h][i]` for cell `i` of
+    head `h`; NaN where the cell's mask logit overflows."""
+    scores = []
+    for head in proposals.heads:
+        p = params.per_level.get(head.level, BlendParams())
+        row = []
+        for cell in head_cells(head):
+            try:
+                row.append(apply_mask(cell.score, mask_logit(p, (cell.cx, cell.cy))))
+            except OverflowError:
+                row.append(math.nan)
+        scores.append(row)
+    return scores
+
+
 def decode_all(proposals: LaneProposalSet, score_threshold: float, scores=None):
     """One LaneLine per cell whose score passes the threshold and decodes
     to at least 2 points. `scores[h][i]`, when given, replaces the score
-    of cell `i` of head `h` (the masked scores of `mask_proposals`), both
+    of cell `i` of head `h` (the masked scores of `mask_scores`), both
     for the threshold and on the lane."""
     lines = []
     for h, head in enumerate(proposals.heads):
@@ -194,8 +212,14 @@ def blend_group(group, locality_sigma) -> LaneLine:
 
 
 def postprocess(proposals, params):
-    """mask -> decode/threshold -> group -> blend, one LaneLine per group."""
-    scores = mask_proposals(proposals, params)
+    """mask -> decode/threshold -> group -> blend, one LaneLine per group.
+    A lane whose masked score is NaN (an overflowing logit; NaN passes
+    every threshold) is a ConstraintError naming its level; a cell that
+    decodes to no lane is never an error."""
+    scores = mask_scores(proposals, params)
     lines = decode_all(proposals, params.score_threshold, scores)
+    for line in lines:
+        if math.isnan(line.score):
+            raise ConstraintError(f"blend.per_level.{line.source.level}", "mask logit overflows")
     groups = group_lines(lines, params.group_distance)
     return [blend_group(g, params.locality_sigma) for g in groups]

@@ -1,16 +1,20 @@
-"""Per-block reference walk of a backbone, for the tests.
+"""Per-block reference walk of a backbone, and whole-space walks, for
+the tests.
 
 `stage_layout` re-derives each block's downsample factor and channel
 count from the index lists with no running state, and `oracle_components`
 prices a candidate block by block from it with plain conv arithmetic.
 The cost model prices blocks run by run; these are its oracles.
+`enumerate_backbones` lists every backbone of a (reduced) space, and
+`neighbor_specs` the backbones one index move away.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
-from lanenas.arch_space import BlockKind
+from lanenas.arch_space import BackboneSpec, BlockKind, SpaceConfig, _list_move_candidates
 
 # two 3x3 stride-2 convs before block 1
 STEM_FACTOR = 4
@@ -113,3 +117,31 @@ def oracle_components(arch, resolution, anchor_rows=72):
         f, p = _conv(c, anchor_rows + 3, 1, gw, gh)
         comps.append((f"head_level{lvl}", f, p))
     return comps
+
+
+def _index_lists(n, length):
+    """All strictly increasing tuples of the given length within [2, n]."""
+    return list(itertools.combinations(range(2, n + 1), length))
+
+
+def enumerate_backbones(cfg: SpaceConfig):
+    """Yield every valid BackboneSpec in the configured space."""
+    lo, hi = cfg.num_blocks_range
+    for kind in cfg.block_kinds:
+        for base in cfg.base_channels:
+            for n in range(lo, hi + 1):
+                for s in cfg.stage_list_lens:
+                    idx_lists = _index_lists(n, s)
+                    for down in idx_lists:
+                        for dbl in idx_lists:
+                            yield BackboneSpec(kind, base, n, down, dbl)
+
+
+def neighbor_specs(spec: BackboneSpec) -> list[BackboneSpec]:
+    """Specs reachable by one index neighbor move (same blocks/stages/kind)."""
+    out = []
+    for fld, pos, delta in _list_move_candidates(spec):
+        idxs = list(getattr(spec, fld))
+        idxs[pos] += delta
+        out.append(BackboneSpec(**{**vars(spec), fld: tuple(idxs)}))
+    return out

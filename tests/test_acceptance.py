@@ -16,7 +16,6 @@ from lanenas.arch_space import (
     FusionLayer,
     FusionSpec,
     SpaceConfig,
-    enumerate_backbones,
     parse_backbone,
     random_backbone,
     random_fusion,
@@ -25,10 +24,11 @@ from lanenas.arch_space import (
 )
 from lanenas.cli import main as cli_main
 from lanenas.cost_model import candidate_cost
-from lanenas.metrics import lane_iou, match_and_score, rasterize_lane
+from lanenas.metrics import match_and_score, rasterize_lane
 from lanenas.point_blend import (
     BlendParamSet,
     BlendParams,
+    LaneTable,
     mask_logit,
     plain_nms_params,
     postprocess,
@@ -43,9 +43,10 @@ from lanenas.search_engine import (
 from lanenas.synth import SynthSceneConfig, generate_synthetic_scenes
 
 from blend_oracle import decode_all, line_distance
+from block_oracle import enumerate_backbones
 from conftest import make_arch
 from test_cost_model import oracle_cost
-from test_metrics import oracle_mask, random_polyline
+from test_metrics import lane_iou, oracle_mask, random_polyline
 
 
 def report(num, ok, detail):
@@ -255,7 +256,8 @@ def test_criterion_6_plain_nms_reduction():
     )
     mismatches = 0
     for proposals, _ in scenes:
-        ours = [(score, points.tolist()) for score, points in postprocess(proposals, params)]
+        lanes = postprocess(LaneTable(proposals), params)
+        ours = [(score, points.tolist()) for score, points in lanes]
         ref = [(l.score, l.points) for l in reference_plain_line_nms(proposals, 0.3, 60.0)]
         if lanes_to_bytes(ours) != lanes_to_bytes(ref):
             mismatches += 1
@@ -269,7 +271,7 @@ def test_criterion_6_plain_nms_reduction():
 
 def corpus_f1(scenes, params):
     canvas = scenes[0][0].layout.image_size
-    preds = [[points for _, points in postprocess(props, params)] for props, _ in scenes]
+    preds = [[points for _, points in postprocess(LaneTable(props), params)] for props, _ in scenes]
     gts = [rec.gt_lanes for _, rec in scenes]
     return match_and_score(preds, gts, canvas=canvas)
 

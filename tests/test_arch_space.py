@@ -9,10 +9,8 @@ from lanenas.arch_space import (
     FusionLayer,
     FusionSpec,
     SpaceConfig,
-    enumerate_backbones,
     mutate_backbone,
     mutate_fusion,
-    neighbor_specs,
     parse_backbone,
     random_backbone,
     serialize_backbone,
@@ -20,7 +18,7 @@ from lanenas.arch_space import (
 )
 from lanenas.errors import ConstraintError, EncodingSyntaxError
 
-from block_oracle import stage_layout
+from block_oracle import enumerate_backbones, neighbor_specs, stage_layout
 
 
 def backbone_strategy():

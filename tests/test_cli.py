@@ -99,6 +99,13 @@ MALFORMED_PROPOSALS = {
     "image_size one value": (lambda doc: doc["layout"].update(image_size=[512]),
                              "layout.image_size"),
     "level not a number": (lambda doc: doc["heads"][0].update(level="x"), "heads[0].level"),
+    # grid fields are JSON integers, the sides non-negative
+    "level not an integer": (lambda doc: doc["heads"][0].update(level=1.5), "heads[0].level"),
+    "grid_w not an integer": (lambda doc: doc["heads"][0].update(
+        grid_w=doc["heads"][0]["grid_w"] / 2, grid_h=2.0), "heads[0].grid_w"),
+    "grid_h not an integer": (lambda doc: doc["heads"][0].update(grid_h=1.0), "heads[0].grid_h"),
+    "negative grid sides": (lambda doc: doc["heads"][0].update(
+        grid_w=-doc["heads"][0]["grid_w"], grid_h=-1), "heads[0].grid_w"),
     "cell not an object": (lambda doc: doc["heads"][0]["cells"].__setitem__(0, 5),
                            "heads[0].cells[0]"),
     # structure: objects and lists where the format needs them

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from lanenas import _kernels
-from lanenas.metrics import lane_iou, score_scene
+from lanenas.metrics import score_scene
 from lanenas.synth import SynthSceneConfig, generate_synthetic_scenes
+
+from test_metrics import lane_iou
 
 
 def reference_rasterize(xs, ys, radius, canvas):

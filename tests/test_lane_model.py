@@ -198,6 +198,12 @@ class TestHeadGrid:
         with pytest.raises(ValueError, match="grid_w"):
             head_grid(1, self.cells(), grid_w=3)
 
+    @pytest.mark.parametrize("grid_w, grid_h", [(-2, -1), (-1, -2), (0, -1)])
+    def test_grid_sides_must_be_non_negative(self, grid_w, grid_h):
+        cells = self.cells() if grid_w * grid_h == 2 else []
+        with pytest.raises(ValueError, match="non-negative"):
+            head_grid(1, cells, grid_w=grid_w, grid_h=grid_h)
+
     def test_every_column_needs_every_cell(self):
         with pytest.raises(ValueError, match="every cell"):
             HeadGrid(1, 2, 1, cx=[1.0, 2.0], cy=[1.0, 2.0], score=[0.5, 0.5], end_y=[0.0],

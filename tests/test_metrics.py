@@ -3,17 +3,26 @@ import math
 import numpy as np
 import pytest
 
+from lanenas._kernels import runs_iou
 from lanenas.errors import DegenerateLineError
 from lanenas.metrics import (
+    DEFAULT_CANVAS,
+    DEFAULT_LANE_WIDTH,
     MetricsReport,
     SceneCounts,
     SceneScorer,
-    lane_iou,
+    _lane_runs,
     match_and_score,
     rasterize_lane,
     score_scene,
     tusimple_counts,
 )
+
+
+def lane_iou(a, b, width=DEFAULT_LANE_WIDTH, canvas=DEFAULT_CANVAS):
+    """IoU of two lanes' pixels, drawn as runs the way `SceneScorer`
+    draws them."""
+    return runs_iou(_lane_runs(a, width, canvas), _lane_runs(b, width, canvas))
 
 
 def oracle_mask(points, width, canvas):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lanenas import point_blend
+from lanenas.errors import ConstraintError
 from lanenas.lane_model import AnchorLayout, HeadGrid, LaneProposalSet
 from lanenas.point_blend import (
     BlendParams,
@@ -131,11 +132,12 @@ class TestMaskProposals:
             1: BlendParams(0.01, -0.5, 0.002, (256.0, 144.0)),
             2: BlendParams(beta1=1.0),
         })
-        scores = mask_proposals(proposals, params)
+        # every cell decodes, so every cell is a table entry, heads in order
+        scores = mask_proposals(LaneTable(proposals), params)
         assert scores == [
-            [apply_mask(c.score, mask_logit(params.per_level.get(h.level, BlendParams()), (c.cx, c.cy)))
-             for c in head_cells(h)]
-            for h in heads
+            apply_mask(c.score,
+                       mask_logit(params.per_level.get(h.level, BlendParams()), (c.cx, c.cy)))
+            for h in heads for c in head_cells(h)
         ]
         assert proposals.heads is heads
         assert all(
@@ -154,7 +156,44 @@ class TestMaskProposals:
         for cls in (HeadGrid, LaneProposalSet):
             monkeypatch.setattr(cls, "__post_init__", built)
         params = BlendParamSet(per_level={1: BlendParams(beta1=0.5)}, locality_sigma=60.0)
-        assert len(postprocess(proposals, params)) == 1
+        assert len(postprocess(LaneTable(proposals), params)) == 1
+
+    # finite coefficients whose radial term overflows a float's range
+    OVERFLOWING = BlendParams(alpha2=1.0, center=(1e200, 0.0))
+
+    def test_overflow_on_a_cell_with_no_lane_is_no_error(self):
+        full = (0.0,) * len(LAYOUT.rows)
+        one_point = (0.0,) + (None,) * (len(LAYOUT.rows) - 1)
+        proposals = LaneProposalSet(layout=LAYOUT, heads=(
+            head_grid(1, (Cell(100.0, 200.0, 0.9, full),)),
+            head_grid(2, (Cell(300.0, 200.0, 0.9, one_point), Cell(400.0, 200.0, 0.9, full, 1e9))),
+        ))
+        params = BlendParamSet(per_level={2: self.OVERFLOWING}, score_threshold=0.0)
+        with pytest.raises(OverflowError):  # the level's only cells would overflow
+            mask_logit(self.OVERFLOWING, (300.0, 200.0))
+        table = LaneTable(proposals)
+        assert table.level == [1]
+        assert mask_proposals(table, params) == [0.9]
+        ((score, points),) = postprocess(table, params)
+        assert score == 0.9 and points[:, 0].tolist() == [100.0] * len(LAYOUT.rows)
+        assert_same_lanes(postprocess(table, params), blend_oracle.postprocess(proposals, params))
+
+    @pytest.mark.parametrize("level", [
+        OVERFLOWING, BlendParams(alpha1=1e308, alpha2=-1e308),
+    ], ids=["radial-overflow", "inf-minus-inf"])
+    def test_overflow_on_a_decodable_cell_names_its_level(self, level):
+        full = (0.0,) * len(LAYOUT.rows)
+        proposals = LaneProposalSet(layout=LAYOUT, heads=(
+            head_grid(1, (Cell(100.0, 200.0, 0.9, full),)),
+            head_grid(2, (Cell(300.0, 200.0, 0.9, full),)),
+        ))
+        params = BlendParamSet(per_level={2: level}, score_threshold=0.0)
+        for run in (mask_proposals, postprocess):
+            with pytest.raises(ConstraintError, match="mask logit overflows") as exc:
+                run(LaneTable(proposals), params)
+            assert exc.value.field == "blend.per_level.2"
+        with pytest.raises(ConstraintError, match=r"blend\.per_level\.2: mask logit overflows"):
+            blend_oracle.postprocess(proposals, params)
 
 
 class TestGroupLines:
@@ -278,19 +317,19 @@ class TestPostprocess:
     def test_single_perfect_cell_passthrough(self):
         proposals, cell = self.single_cell_proposals()
         params = BlendParamSet.identity([1], score_threshold=0.3)
-        ((score, points),) = postprocess(proposals, params)
+        ((score, points),) = postprocess(LaneTable(proposals), params)
         expected = decode_cell(cell, LAYOUT, level=1)
         assert points.tolist() == [[p.x, p.y] for p in expected.points]
         assert score == pytest.approx(cell.score, abs=1e-9)
 
     def test_empty_input_empty_output(self):
         proposals = LaneProposalSet(layout=LAYOUT, heads=())
-        assert postprocess(proposals, BlendParamSet.identity([1])) == []
+        assert postprocess(LaneTable(proposals), BlendParamSet.identity([1])) == []
 
     def test_threshold_filters_everything(self):
         proposals, _ = self.single_cell_proposals(score=0.2)
         params = BlendParamSet.identity([1], score_threshold=0.5)
-        assert postprocess(proposals, params) == []
+        assert postprocess(LaneTable(proposals), params) == []
 
     def test_mask_changes_threshold_outcome(self):
         proposals, _ = self.single_cell_proposals(score=0.4)
@@ -300,8 +339,8 @@ class TestPostprocess:
         boost = BlendParamSet(
             per_level={1: BlendParams(beta1=+3.0)}, score_threshold=0.3
         )
-        assert postprocess(proposals, suppress) == []
-        assert len(postprocess(proposals, boost)) == 1
+        assert postprocess(LaneTable(proposals), suppress) == []
+        assert len(postprocess(LaneTable(proposals), boost)) == 1
 
 
 def odd_proposals(rng):
@@ -378,8 +417,8 @@ class TestLaneTable:
             for _ in range(4):
                 params = odd_params(rng)
                 want = blend_oracle.postprocess(proposals, params)
-                assert_same_lanes(postprocess(proposals, params), want)
-                assert_same_lanes(postprocess(proposals, params, table), want)
+                assert_same_lanes(postprocess(LaneTable(proposals), params), want)
+                assert_same_lanes(postprocess(table, params), want)
 
     def test_line_distance_is_the_left_to_right_mean(self):
         rng = np.random.default_rng(7)
@@ -421,13 +460,13 @@ class TestLaneTable:
     def test_kept_table_is_not_rebuilt(self, monkeypatch):
         proposals = odd_proposals(np.random.default_rng(4))
         table = LaneTable(proposals)
-        assert len(table.keys) >= 2
+        assert len(table.score) >= 2
         monkeypatch.setattr(point_blend, "LaneTable", None)  # building one fails
         for sigma in (5.0, 40.0, 5.0, math.inf):
             params = BlendParamSet.identity([1, 2, 3], score_threshold=0.0, locality_sigma=sigma)
             want = blend_oracle.postprocess(proposals, params)
             assert want
-            assert_same_lanes(postprocess(proposals, params, table), want)
+            assert_same_lanes(postprocess(table, params), want)
 
 
 class TestPerturb:

@@ -29,6 +29,7 @@ from lanenas.point_blend import (
     BlendParams,
     BlendParamSet,
     BlendParamSpace,
+    LaneTable,
     perturb,
     plain_nms_params,
     postprocess,
@@ -48,6 +49,7 @@ from lanenas.search_engine import (
 )
 from lanenas.synth import SynthSceneConfig, generate_synthetic_scenes
 from blend_oracle import postprocess as oracle_postprocess
+from block_oracle import enumerate_backbones
 from conftest import make_arch
 
 
@@ -69,6 +71,19 @@ def brute_force_front(candidates):
         for c in evaluated
         if not any(dominates(o, c) for o in evaluated)
     }
+
+
+def hypervolume(members, ref_flops, ref_score=0.0):
+    """2-D hypervolume of a front against a (flops upper, score lower)
+    reference."""
+    pts = sorted((m.flops, m.score) for m in members)
+    hv, prev_score = 0.0, ref_score
+    for f, s in pts:
+        if f >= ref_flops or s <= prev_score:
+            continue
+        hv += (ref_flops - f) * (s - prev_score)
+        prev_score = s
+    return hv
 
 
 class TestArchive:
@@ -217,7 +232,7 @@ class TestRunSearch:
         hvs = []
 
         def on_eval(cand, archive):
-            hvs.append(archive.hypervolume(ref_flops=10**13))
+            hvs.append(hypervolume(archive.members, ref_flops=10**13))
 
         run_search(reduced_config(budget=60), SyntheticEvaluator(), on_eval=on_eval)
         assert all(b >= a - 1e-9 for a, b in zip(hvs, hvs[1:]))
@@ -392,7 +407,7 @@ class TestMutationStream:
         small = SpaceConfig(
             block_kinds=(BlockKind.BASIC,), base_channels=(48,), num_blocks_range=(10, 11)
         )
-        for spec in arch_space.enumerate_backbones(small):
+        for spec in enumerate_backbones(small):
             assert arch_space._list_move_candidates(spec) == reference_list_moves(spec)
 
 
@@ -624,7 +639,7 @@ class TestBlendScorer:
             for _ in range(int(rng.integers(1, 6))):
                 params = perturb(params, BlendParamSpace(), rng)
             preds = [
-                [points for _, points in postprocess(proposals, params)]
+                [points for _, points in postprocess(LaneTable(proposals), params)]
                 for proposals, _ in noisy_scenes
             ]
             per_scene = tuple(
@@ -648,15 +663,14 @@ class TestBlendScorer:
         monkeypatch.setattr(
             metrics, "polyline_runs", lambda *a: drawn.append(1) or draw(*a)
         )
-        scene_of = {id(proposals): i for i, (proposals, _) in enumerate(noisy_scenes)}
-        seen = [set() for _ in noisy_scenes]
+        seen = {}  # per scene's lane table, the coordinates of every lane it gave
         run = search_engine.postprocess
 
-        def postprocess_logged(proposals, params, table):
-            lanes = run(proposals, params, table)
+        def postprocess_logged(table, params):
+            lanes = run(table, params)
             for _, points in lanes:
                 xs, ys = metrics._as_xy(points)
-                seen[scene_of[id(proposals)]].add(xs.tobytes() + ys.tobytes())
+                seen.setdefault(id(table), set()).add(xs.tobytes() + ys.tobytes())
             return lanes
 
         monkeypatch.setattr(search_engine, "postprocess", postprocess_logged)
@@ -665,7 +679,8 @@ class TestBlendScorer:
             default_params(locality_sigma=60.0),
         )
         n_gt = sum(len(gt) for _, gt in noisy_scenes)
-        assert len(drawn) == n_gt + sum(len(keys) for keys in seen)
+        assert len(seen) == len(noisy_scenes)
+        assert len(drawn) == n_gt + sum(len(keys) for keys in seen.values())
 
     def test_repeated_step_draws_nothing(self, noisy_scenes, monkeypatch):
         drawn = []

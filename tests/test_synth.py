@@ -2,7 +2,7 @@ import json
 
 from lanenas import data_io
 from lanenas.metrics import match_and_score
-from lanenas.point_blend import BlendParamSet, plain_nms_params, postprocess
+from lanenas.point_blend import BlendParamSet, LaneTable, plain_nms_params, postprocess
 from lanenas.synth import SynthSceneConfig, generate_synthetic_scenes
 
 
@@ -21,7 +21,7 @@ def eval_params():
 
 def corpus_f1(scenes, params):
     canvas = scenes[0][0].layout.image_size
-    preds = [[points for _, points in postprocess(props, params)] for props, _ in scenes]
+    preds = [[points for _, points in postprocess(LaneTable(props), params)] for props, _ in scenes]
     gts = [rec.gt_lanes for _, rec in scenes]
     return match_and_score(preds, gts, canvas=canvas)
 
