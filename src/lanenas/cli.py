@@ -1,8 +1,9 @@
 """Command-line entry point.
 
-Exit codes: 0 success, 1 usage error, 2 data/format error, 3 internal
-error. `--json` switches stdout to machine-readable JSON; diagnostics go
-to stderr.
+Exit codes: 0 success, 1 usage error, 2 data/format error (an input
+that cannot be read or an output that cannot be created counts, and the
+message names its path), 3 internal error. `--json` switches stdout to
+machine-readable JSON; diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -181,7 +182,7 @@ def cmd_search(args):
 
         archive = search_engine.run_search(config, evaluator, on_eval=on_eval)
     with open(history_path) as fh:
-        data_io.snapshot_archive(archive, fh.read().splitlines(), snapshot_path)
+        data_io.snapshot_archive(archive, fh, snapshot_path)
     front_path = os.path.join(args.out, "front.csv")
     data_io.export_front_csv(archive, front_path)
     if args.json:
@@ -437,11 +438,12 @@ def main(argv=None):
         print(f"usage error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return 1
-    except (LaneNasError, FileNotFoundError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except BrokenPipeError:
         return 0
+    except (LaneNasError, OSError, json.JSONDecodeError) as exc:
+        # an OSError names the file it could not read or create
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except Exception as exc:  # pragma: no cover - defensive
         print(f"internal error: {exc!r}", file=sys.stderr)
         return 3

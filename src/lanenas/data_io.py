@@ -8,6 +8,7 @@ of the schemas below with `_check` before it builds anything from it.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -341,20 +342,29 @@ def eval_response_from_json(doc: dict, expect_eval_id=None):
 # candidate per line, flushed as each evaluation ends; `archive.json` is
 # written once, from the log, when the run ends
 
-def _atomic_write(path, text):
-    """Replace `path` by a temporary file renamed over it. The temporary
-    file gets the mode `open()` would give (0o666 less the umask)."""
+@contextlib.contextmanager
+def _atomic_file(path):
+    """A text file to write that replaces `path` when the block ends: a
+    temporary file renamed over it, removed instead if the block raises.
+    The temporary file gets the mode `open()` would give (0o666 less the
+    umask)."""
     d = os.path.dirname(os.path.abspath(path))
     tmp = os.path.join(d, f".snapshot-{uuid.uuid4().hex}")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _atomic_write(path, text):
+    """Replace `path` by a file holding `text`, as `_atomic_file` does."""
+    with _atomic_file(path) as fh:
+        fh.write(text)
 
 
 def candidate_to_json(cand) -> dict:
@@ -386,20 +396,27 @@ def candidate_from_json(doc: dict):
     )
 
 
+def _write_json_lines(fh, lines):
+    """Write `lines` joined by ",\n", one at a time."""
+    for i, line in enumerate(lines):
+        if i:
+            fh.write(",\n")
+        fh.write(line)
+
+
 def snapshot_archive(archive, history_lines, path):
-    """Write `archive.json`: the front members plus the history, one
-    candidate per line. `history_lines` are the lines of `history.jsonl`,
-    the `candidate_line` texts of `archive.history` in order; a front
-    member's line is taken from them by `eval_id`, so writing the file
-    costs its size, not a re-encoding of the run."""
-    line_of = {c.eval_id: line for c, line in zip(archive.history, history_lines)}
-    members = ",\n".join(line_of[c.eval_id] for c in archive.members)
-    history = ",\n".join(history_lines)
-    _atomic_write(
-        path,
-        f'{{"history": [\n{history}\n],\n"members": [\n{members}\n],\n'
-        f'"version": {FORMAT_VERSION}}}\n',
-    )
+    """Write `archive.json`: the history plus the front members, one
+    candidate per line. `history_lines` are the lines of `history.jsonl`
+    (such as the open log), the `candidate_line` texts of
+    `archive.history` in order, each with or without its newline. They
+    are copied through one at a time and the members re-encoded, so the
+    write holds one line at a time, however long the run."""
+    with _atomic_file(path) as fh:
+        fh.write('{"history": [\n')
+        _write_json_lines(fh, (line.rstrip("\n") for line in history_lines))
+        fh.write('\n],\n"members": [\n')
+        _write_json_lines(fh, map(candidate_line, archive.members))
+        fh.write(f'\n],\n"version": {FORMAT_VERSION}}}\n')
 
 
 def _history_log(path):

@@ -18,8 +18,6 @@ from __future__ import annotations
 import json
 import math
 import shlex
-import subprocess
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from itertools import islice
 
@@ -137,6 +135,8 @@ class ExternalEvaluator:
         self.timeout = timeout
 
     def evaluate(self, arch: ArchEncoding, eval_id: str, cost: CostReport) -> float:
+        import subprocess  # here, so a run without a child process never loads it
+
         request = data_io.eval_request_to_json(eval_id, arch, cost.input_resolution)
         try:
             proc = subprocess.run(
@@ -280,6 +280,8 @@ def run_search(config: SearchConfig, evaluator, on_eval=None) -> ParetoArchive:
         for job in jobs():
             finish(_evaluate(evaluator, *job))
         return archive
+
+    from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 
     stream = jobs()
     with ThreadPoolExecutor(max_workers=config.workers) as pool:

@@ -340,6 +340,60 @@ class TestPipeline:
         assert code == 2
         assert "scene.lines.txt" in err
 
+    def test_one_process_commands_load_no_subprocess_or_thread_pool(self, tmp_path):
+        """`subprocess` and `concurrent.futures` are imported only where an
+        `exec:` evaluator or `--workers` above 1 uses them. Checked in a
+        fresh interpreter, since pytest itself loads `subprocess`."""
+        import subprocess
+        import sys
+
+        import lanenas
+
+        corpus, pred = tmp_path / "corpus", tmp_path / "pred"
+        commands = [
+            ["search", "--budget", "3", "--init-population", "2", "--workers", "1",
+             "--out", str(tmp_path / "run")],
+            ["gen-synth", "--num-scenes", "2", "--out", str(corpus)],
+            ["blend", "--proposals", str(corpus / "proposals.jsonl"), "--culane-out", str(pred)],
+            ["eval-f1", "--pred", str(pred), "--gt", str(corpus / "gt")],
+        ]
+        script = (
+            "import json, sys\n"
+            "from lanenas.cli import main\n"
+            f"codes = [main(argv) for argv in {commands!r}]\n"
+            "print(json.dumps([codes, sorted({'subprocess', 'concurrent.futures'}"
+            " & set(sys.modules))]))\n"
+        )
+        src = os.path.dirname(os.path.dirname(lanenas.__file__))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, check=True)
+        codes, loaded = json.loads(proc.stdout.splitlines()[-1])
+        assert codes == [0, 0, 0, 0]
+        assert loaded == []
+
+    @pytest.mark.parametrize("under", [False, True], ids=["a-file", "under-a-file"])
+    @pytest.mark.parametrize("command", ["search", "gen-synth", "blend"])
+    def test_output_path_that_cannot_be_made_is_a_data_error(
+        self, tmp_path, capsys, command, under
+    ):
+        """An output directory that is an existing file, or lies under
+        one, exits 2 and names the path."""
+        blocker = tmp_path / "file"
+        blocker.write_text("kept\n")
+        out = blocker / "sub" if under else blocker
+        argv = {
+            "search": ["search", "--budget", "2", "--init-population", "2", "--out", str(out)],
+            "gen-synth": ["gen-synth", "--num-scenes", "2", "--out", str(out)],
+            "blend": ["blend", "--culane-out", str(out)],
+        }[command]
+        if command == "blend":
+            argv += ["--proposals",
+                     gen_synth(capsys, tmp_path / "corpus", "--num-scenes", "2")["proposals"]]
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert err.startswith("error: ") and str(out) in err
+        assert blocker.read_text() == "kept\n"
+
     @pytest.mark.parametrize("command", ["eval-f1", "eval-tusimple"])
     def test_lane_file_error_names_the_file(self, tmp_path, capsys, command):
         doc = gen_synth(capsys, tmp_path / "c", "--num-scenes", "3", "--seed", "1")
@@ -698,19 +752,28 @@ class TestSearchCommand:
             blobs.append((out_dir / "history.jsonl").read_bytes())
         assert blobs[0] == blobs[1]
 
+    # sha256 of the run's other two outputs, by seed
+    OUTPUT_DIGESTS = {
+        0: {"archive.json": "db2dd9fba9c9cb1b552413e4399a0ca5264589601c53bfa4cd4702bca9517012",
+            "front.csv": "b00a011593000927d1727edf0cce2ba08f417f93998b559a922a8eeeea6a083c"},
+        1: {"archive.json": "729ba1e5db471bf52c15373d8b936aaf00ae6bce79048a7b8d36ce3f690d5930",
+            "front.csv": "0c0942560767099f87e545dd351dd5777f458447bf2cd49ab5150d9a655d5a96"},
+    }
+
     @pytest.mark.parametrize("seed, digest", [
         (0, "2bb057dd1acacbd38772342b44cfd16877ff504ce620d6ac6e0f041443b62fbd"),
         (1, "205c1d79dd159a4b1bc4642fe9075545e7e63706c62bb7e2248e9ed026ebbf3e"),
     ])
     def test_history_matches_golden_digest(self, tmp_path, capsys, seed, digest):
-        """The single-worker history is byte-identical across code changes,
-        not only between two runs of the same code."""
+        """The single-worker history, archive and front are byte-identical
+        across code changes, not only between two runs of the same code."""
         out_dir = tmp_path / "run"
         code, _, _ = run(capsys, "search", "--budget", "200", "--workers", "1",
                          "--seed", str(seed), "--out", str(out_dir))
         assert code == 0
-        got = hashlib.sha256((out_dir / "history.jsonl").read_bytes()).hexdigest()
-        assert got == digest
+        got = {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+               for name in ("history.jsonl", *self.OUTPUT_DIGESTS[seed])}
+        assert got == {"history.jsonl": digest, **self.OUTPUT_DIGESTS[seed]}
 
     def test_external_evaluator_stub(self, tmp_path, capsys):
         import sys
@@ -783,13 +846,13 @@ class TestSearchCommand:
         """`archive.json` is written at the end of a run and never during
         it; `history.jsonl` is the run's log."""
         writes = []
-        atomic_write = data_io._atomic_write
+        atomic_file = data_io._atomic_file
 
-        def counted(path, text):
+        def counted(path):
             writes.append(os.path.basename(path))
-            atomic_write(path, text)
+            return atomic_file(path)
 
-        monkeypatch.setattr(data_io, "_atomic_write", counted)
+        monkeypatch.setattr(data_io, "_atomic_file", counted)
         code, _, _ = run(capsys, "search", "--budget", "120", "--seed", "3",
                          "--out", str(tmp_path / "run"))
         assert code == 0

@@ -310,6 +310,27 @@ class TestArchiveSnapshot:
         self.snapshot(a, path)
         assert data_io.load_archive(path).history == [ok, failed]
 
+    def test_snapshot_from_the_log_holds_one_line_at_a_time(self, tmp_path):
+        """Writing `archive.json` from an open `history.jsonl` takes as
+        much memory for a 2,000-line log as for a 200-line one."""
+        peaks = []
+        for n in (200, 2000):
+            a = self.archive(n=n)
+            log = tmp_path / f"history-{n}.jsonl"
+            log.write_text("".join(data_io.candidate_line(c) + "\n" for c in a.history))
+            tracemalloc.start()
+            try:
+                with open(log) as fh:
+                    data_io.snapshot_archive(a, fh, tmp_path / f"archive-{n}.json")
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            self.snapshot(a, tmp_path / f"from-lines-{n}.json")
+        assert peaks[1] < 1.5 * peaks[0]
+        for n in (200, 2000):  # the same bytes as from a list of lines
+            got = (tmp_path / f"archive-{n}.json").read_bytes()
+            assert got == (tmp_path / f"from-lines-{n}.json").read_bytes()
+
     def test_version_mismatch(self, tmp_path):
         path = tmp_path / "a.json"
         path.write_text(json.dumps({"version": 99, "members": [], "history": []}))
