@@ -189,7 +189,7 @@ def cmd_search(args):
         print(
             json.dumps(
                 {
-                    "evaluations": len(archive.history),
+                    "evaluations": archive.evaluations,
                     "front_size": len(archive.members),
                     "archive": snapshot_path,
                     "front": front_path,
@@ -198,7 +198,7 @@ def cmd_search(args):
             )
         )
     else:
-        print(f"{len(archive.history)} evaluations, front size {len(archive.members)}")
+        print(f"{archive.evaluations} evaluations, front size {len(archive.members)}")
         print(f"wrote {snapshot_path}, {front_path}, {history_path}")
     return 0
 

@@ -23,7 +23,7 @@ from .arch_space import (
     parse_backbone,
     serialize_backbone,
 )
-from .errors import FormatError, LaneNasError, SchemaError, VersionError
+from .errors import DuplicateError, FormatError, LaneNasError, SchemaError, VersionError
 from .lane_model import AnchorLayout, HeadGrid, LaneProposalSet
 from .point_blend import BlendParams, BlendParamSet
 
@@ -38,8 +38,8 @@ def read_culane_lines(path):
     float64 array of `(x, y)` points.
 
     Points with negative x (the dataset's missing-point convention) are
-    dropped; each lane's points are stably sorted by y. Coordinates must
-    be finite; a FormatError names the file, line and token at fault.
+    dropped, leaving at least 2 per lane, stably sorted by y. Coordinates
+    must be finite; a FormatError names the file, line and token at fault.
     """
     lanes = []
     with open(path) as fh:
@@ -64,6 +64,8 @@ def read_culane_lines(path):
                         raise FormatError(path, line_no, tok, "not finite")
             pts = np.array(vals).reshape(-1, 2)
             pts = pts[pts[:, 0] >= 0]
+            if len(pts) < 2:
+                raise FormatError(path, line_no, line.strip(), f"{len(pts)} point(s) with x >= 0, need 2")
             lanes.append(pts[np.argsort(pts[:, 1], kind="stable")])
     return lanes
 
@@ -222,10 +224,11 @@ def blend_from_json(doc: dict) -> BlendParamSet:
     per_level = {}
     for lvl, p in doc["per_level"].items():
         path = f"blend.per_level.{lvl}"
+        level = _checked(path, int, lvl)
+        if str(level) != lvl:  # int() also reads "01", " 1" and "1_0"
+            raise SchemaError(path, "need a decimal integer key")
         _check(p, _LEVEL_PARAMS, path)
-        per_level[_checked(path, int, lvl)] = BlendParams(
-            p["alpha1"], p["beta1"], p["alpha2"], tuple(p["center"])
-        )
+        per_level[level] = BlendParams(p["alpha1"], p["beta1"], p["alpha2"], tuple(p["center"]))
     sigma = doc["locality_sigma"]
     return _checked(
         "blend", BlendParamSet, per_level, doc["score_threshold"], doc["group_distance"],
@@ -362,7 +365,7 @@ def _atomic_file(path):
 
 
 def _atomic_write(path, text):
-    """Replace `path` by a file holding `text`, as `_atomic_file` does."""
+    """Replace `path` by `text`, as `_atomic_file` does; kept only because `perfbench` wraps it."""
     with _atomic_file(path) as fh:
         fh.write(text)
 
@@ -407,10 +410,10 @@ def _write_json_lines(fh, lines):
 def snapshot_archive(archive, history_lines, path):
     """Write `archive.json`: the history plus the front members, one
     candidate per line. `history_lines` are the lines of `history.jsonl`
-    (such as the open log), the `candidate_line` texts of
-    `archive.history` in order, each with or without its newline. They
-    are copied through one at a time and the members re-encoded, so the
-    write holds one line at a time, however long the run."""
+    (such as the open log), the `candidate_line` texts of the candidates
+    inserted into `archive` in order, each with or without its newline.
+    They are copied through one at a time and the members re-encoded, so
+    the write holds one line at a time, however long the run."""
     with _atomic_file(path) as fh:
         fh.write('{"history": [\n')
         _write_json_lines(fh, (line.rstrip("\n") for line in history_lines))
@@ -438,14 +441,22 @@ def _history_log(path):
 def load_archive(path):
     """Rebuild a run's archive by replaying its history through
     `ParetoArchive.insert`, from `archive.json` or from the `*.jsonl` log
-    of a finished or killed run."""
+    of a finished or killed run. A repeated `eval_id` is an error."""
     from .search_engine import ParetoArchive
 
-    archive = ParetoArchive()
+    archive, ids = ParetoArchive(), set()
+
+    def insert(doc):
+        cand = candidate_from_json(doc)
+        if cand.eval_id in ids:
+            raise DuplicateError(f"{cand.eval_id} is already recorded")
+        ids.add(cand.eval_id)
+        archive.insert(cand)
+
     if os.fspath(path).endswith(".jsonl"):
         for n, doc in _history_log(path):
             try:
-                archive.insert(candidate_from_json(doc))
+                insert(doc)
             except LaneNasError as exc:
                 raise SchemaError(f"line {n}", str(exc)) from exc
         return archive
@@ -455,7 +466,7 @@ def load_archive(path):
     if doc.get("version") != FORMAT_VERSION:
         raise VersionError(f"unsupported archive version {doc.get('version')}")
     for entry in doc.get("history", []):
-        archive.insert(candidate_from_json(entry))
+        insert(entry)
     return archive
 
 

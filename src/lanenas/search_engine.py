@@ -9,8 +9,8 @@ Evaluator protocol: `evaluate(arch, eval_id, cost) -> float` returns a
 score in [0, 1]. `eval_id` is the id the search records in its history
 (`e000000`, `e000001`, ...) and `cost` is the candidate's `CostReport`,
 priced once by the search at its input resolution. An exception marks
-the evaluation failed: the candidate is kept in history with score None
-and `error` set to "<ExcClass>: <message>".
+the evaluation failed: the candidate is passed to `on_eval` with score
+None and `error` set to "<ExcClass>: <message>".
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from .arch_space import (
 )
 from .cost_model import DEFAULT_RESOLUTION, CostReport, candidate_cost
 from .errors import (
-    DuplicateError,
     EmptyArchiveError,
     EmptyDatasetError,
     ProtocolError,
@@ -66,20 +65,15 @@ def dominates(a: Candidate, b: Candidate) -> bool:
 
 
 class ParetoArchive:
-    """Non-dominated (FLOPS, score) set plus an append-only history."""
+    """Non-dominated (FLOPS, score) set, in insertion order, and a count of inserts."""
 
     def __init__(self):
         self.members: list[Candidate] = []
-        self.history: list[Candidate] = []
-        self._ids: set[str] = set()
+        self.evaluations = 0
 
     def insert(self, cand: Candidate):
-        """Add an evaluated candidate; failed evaluations (score None)
-        are logged in history only."""
-        if cand.eval_id in self._ids:
-            raise DuplicateError(f"{cand.eval_id} is already recorded")
-        self._ids.add(cand.eval_id)
-        self.history.append(cand)
+        """Add an evaluated candidate; a failed one (score None) is only counted."""
+        self.evaluations += 1
         if cand.score is None:
             return
         if any(dominates(m, cand) for m in self.members):
@@ -240,9 +234,10 @@ def run_search(config: SearchConfig, evaluator, on_eval=None) -> ParetoArchive:
 
     Every worker count runs one job stream: the initial population, then
     one child per finished evaluation. With one worker and a fixed seed
-    the history is bit-identical across runs; with `workers` at once the
-    evaluated set may differ but every archive invariant holds. Each
-    candidate is priced once; failed evaluations are logged and skipped.
+    the history, the candidates passed to `on_eval` in order, is
+    bit-identical across runs; with `workers` at once the evaluated set
+    may differ but every archive invariant holds. Each candidate is
+    priced once; failed evaluations are logged and skipped.
     """
     rng = np.random.default_rng(config.seed)
     archive = ParetoArchive()

@@ -36,6 +36,10 @@ def brute_force_front(entries):
     }
 
 
+# one level's identity mask parameters
+LEVEL = {"alpha1": 0.0, "beta1": 0.0, "alpha2": 0.0, "center": [0, 0]}
+
+
 def write_params(path, **fields):
     """A `blend --params` file: identity masks on levels 1 and 2, and
     grouping wide enough to blend the noisy synthetic lanes."""
@@ -405,6 +409,21 @@ class TestPipeline:
         assert code == 2
         assert err == f"error: {bad}: line 1, token '3.0': odd token count\n"
 
+    @pytest.mark.parametrize("command", ["eval-f1", "eval-tusimple"])
+    def test_lane_with_one_point_left_names_the_file(self, tmp_path, capsys, command):
+        """A lane left with fewer than 2 points once negative-x points are
+        dropped is an error naming the file and line, not the metric's."""
+        doc = gen_synth(capsys, tmp_path / "c", "--num-scenes", "2", "--seed", "1")
+        pred = tmp_path / "pred"
+        shutil.copytree(doc["gt_dir"], pred)
+        bad = sorted(pred.iterdir())[1]
+        bad.write_text(bad.read_text() + "10 5 -1 20\n")
+        line_no = len(bad.read_text().splitlines())
+        code, out, err = run(capsys, command, "--pred", str(pred), "--gt", doc["gt_dir"])
+        assert (code, out) == (2, "")
+        assert err == (f"error: {bad}: line {line_no}, token '10 5 -1 20': "
+                       "1 point(s) with x >= 0, need 2\n")
+
     def test_blend_improves_noisy_corpus(self, tmp_path, capsys):
         out_dir = tmp_path / "noisy"
         _, out, _ = run(capsys, "gen-synth", "--out", str(out_dir),
@@ -582,6 +601,12 @@ class TestPipeline:
             ({"score_threshold": 2.0}, "blend"),
             ({"group_distance": math.nan}, "blend.group_distance"),
             ({"locality_sigma": "abc"}, "blend.locality_sigma"),
+            # level keys are canonical decimal integers: int() alone reads
+            # "01" as level 1 (so B would silently replace A) and "1_0" as 10
+            ({"per_level": {"1": LEVEL, "01": LEVEL}}, "blend.per_level.01"),
+            ({"per_level": {" 1": LEVEL}}, "blend.per_level. 1"),
+            ({"per_level": {"1_0": LEVEL}}, "blend.per_level.1_0"),
+            ({"per_level": {"+2": LEVEL}}, "blend.per_level.+2"),
         ]
     ])
     def test_malformed_params_are_data_errors(self, tmp_path, capsys, fields, path):
@@ -791,6 +816,29 @@ class TestSearchCommand:
                            "--out", str(out_dir), "--json")
         assert code == 0
         assert json.loads(out)["evaluations"] == 5
+
+    @pytest.mark.parametrize("workers", ["1", "3"])
+    def test_evaluations_count_the_log_lines(self, tmp_path, capsys, workers):
+        """`--json` counts every evaluation the log records, the failed
+        ones too, whatever the number of workers."""
+        import sys
+
+        stub = tmp_path / "stub.py"
+        stub.write_text(
+            "import sys, json\n"
+            "req = json.loads(sys.stdin.readline())\n"
+            "if int(req['eval_id'][1:]) % 3 == 1: sys.exit(3)\n"
+            "print(json.dumps({'eval_id': req['eval_id'], 'score': 0.25}))\n"
+        )
+        out_dir = tmp_path / "run"
+        code, out, _ = run(capsys, "search", "--budget", "6", "--init-population", "3",
+                           "--seed", "0", "--workers", workers,
+                           "--evaluator", f"exec:{sys.executable} {stub}",
+                           "--out", str(out_dir), "--json")
+        assert code == 0
+        history = read_history(out_dir)
+        assert json.loads(out)["evaluations"] == len(history) == 9
+        assert sum(h["score"] is None for h in history) == 3
 
     def test_external_evaluator_receives_history_ids(self, tmp_path, capsys):
         import sys

@@ -3,12 +3,19 @@ import json
 import math
 import random
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from lanenas import data_io
-from lanenas.errors import FormatError, LaneNasError, SchemaError, VersionError
+from lanenas.errors import (
+    DuplicateError,
+    FormatError,
+    LaneNasError,
+    SchemaError,
+    VersionError,
+)
 from lanenas.lane_model import AnchorLayout, HeadGrid, LaneProposalSet
 from lanenas.point_blend import BlendParams
 from lanenas.search_engine import (
@@ -28,6 +35,22 @@ def assert_lanes(got, want):
     for lane, points in zip(got, want):
         assert lane.dtype == np.float64 and lane.shape == (len(points), 2)
         assert lane.tolist() == [list(p) for p in points]
+
+
+def load_replayed(path, monkeypatch):
+    """`load_archive(path)` and the candidates it replayed through
+    `ParetoArchive.insert`, in order."""
+    replayed = []
+    insert = ParetoArchive.insert
+
+    def recording(archive, cand):
+        replayed.append(cand)
+        insert(archive, cand)
+
+    with monkeypatch.context() as m:
+        m.setattr(ParetoArchive, "insert", recording)
+        archive = data_io.load_archive(path)
+    return archive, replayed
 
 
 class TestCulaneLines:
@@ -58,7 +81,7 @@ class TestCulaneLines:
 
     def test_non_numeric_token(self, tmp_path):
         path = tmp_path / "bad.lines.txt"
-        path.write_text("1.0 2.0\nx 4.0\n")
+        path.write_text("1.0 2.0 3.0 4.0\nx 4.0\n")
         with pytest.raises(FormatError) as exc:
             data_io.read_culane_lines(path)
         assert exc.value.line_no == 2
@@ -69,7 +92,7 @@ class TestCulaneLines:
     def test_non_finite_token(self, tmp_path, token, where):
         path = tmp_path / "nonfinite.lines.txt"
         point = f"{token} 4.0" if where == "x" else f"3.0 {token}"
-        path.write_text(f"1.0 2.0\n5.0 6.0 {point}\n")
+        path.write_text(f"1.0 2.0 3.0 4.0\n5.0 6.0 {point}\n")
         with pytest.raises(FormatError) as exc:
             data_io.read_culane_lines(path)
         assert (exc.value.line_no, exc.value.token) == (2, token)
@@ -86,10 +109,16 @@ class TestCulaneLines:
         lanes = data_io.read_culane_lines(path)
         assert_lanes(lanes, [((60.0, 70.0), (50.0, 90.0))])
 
-    def test_lane_with_every_point_missing_is_empty(self, tmp_path):
-        path = tmp_path / "gone.lines.txt"
-        path.write_text("-2 100 -2 90\n")
-        assert_lanes(data_io.read_culane_lines(path), [()])
+    @pytest.mark.parametrize("line, left", [("-2 100 -2 90", 0), ("10 5 -1 20", 1)],
+                             ids=["every-point-missing", "one-point-left"])
+    def test_lane_with_fewer_than_two_points_is_a_format_error(self, tmp_path, line, left):
+        path = tmp_path / "short.lines.txt"
+        path.write_text(f"1.0 2.0 3.0 4.0\n{line}\n")
+        with pytest.raises(FormatError) as exc:
+            data_io.read_culane_lines(path)
+        assert str(exc.value) == (
+            f"{path}: line 2, token {line!r}: {left} point(s) with x >= 0, need 2"
+        )
 
     def test_write_read_round_trip(self, tmp_path):
         lanes = [((10.0, 5.0), (12.5, 9.0), (15.0, 13.0)), ((100.0, 2.0), (90.0, 8.0))]
@@ -203,66 +232,90 @@ class TestProposalsJsonl:
 
 class TestArchiveSnapshot:
     def archive(self, n=50, seed=0):
+        """An archive and its history, the candidates inserted in order."""
         rng = np.random.default_rng(seed)
-        a = ParetoArchive()
-        for i in range(n):
-            a.insert(
-                Candidate(
-                    arch=make_arch(),
-                    flops=int(rng.integers(1, 500)),
-                    score=None if i % 7 == 6 else round(float(rng.random()), 6),
-                    eval_id=f"e{i:04d}",
-                    parent=f"e{i - 1:04d}" if i else None,
-                    birth_step=i,
-                )
+        history = [
+            Candidate(
+                arch=make_arch(),
+                flops=int(rng.integers(1, 500)),
+                score=None if i % 7 == 6 else round(float(rng.random()), 6),
+                eval_id=f"e{i:04d}",
+                parent=f"e{i - 1:04d}" if i else None,
+                birth_step=i,
             )
-        return a
+            for i in range(n)
+        ]
+        a = ParetoArchive()
+        for c in history:
+            a.insert(c)
+        return a, history
 
-    def snapshot(self, archive, path):
-        lines = [data_io.candidate_line(c) for c in archive.history]
+    def snapshot(self, archive, history, path):
+        lines = [data_io.candidate_line(c) for c in history]
         data_io.snapshot_archive(archive, lines, path)
 
-    def test_snapshot_load_snapshot_identical(self, tmp_path):
-        a = self.archive()
+    def test_snapshot_load_snapshot_identical(self, tmp_path, monkeypatch):
+        a, history = self.archive()
         p1 = tmp_path / "a.json"
         p2 = tmp_path / "b.json"
-        self.snapshot(a, p1)
-        b = data_io.load_archive(p1)
-        self.snapshot(b, p2)
+        self.snapshot(a, history, p1)
+        b, replayed = load_replayed(p1, monkeypatch)
+        self.snapshot(b, replayed, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_members_reproduced_exactly(self, tmp_path):
-        a = self.archive(seed=5)
+    def test_members_reproduced_exactly(self, tmp_path, monkeypatch):
+        a, history = self.archive(seed=5)
         path = tmp_path / "a.json"
-        self.snapshot(a, path)
-        b = data_io.load_archive(path)
+        self.snapshot(a, history, path)
+        b, replayed = load_replayed(path, monkeypatch)
         assert b.members == a.members
-        assert b.history == a.history
+        assert replayed == history
+        assert b.evaluations == a.evaluations
 
-    def test_history_log_loads_like_the_snapshot(self, tmp_path):
-        a = self.archive(seed=7)
-        lines = [data_io.candidate_line(c) for c in a.history]
+    def test_history_log_loads_like_the_snapshot(self, tmp_path, monkeypatch):
+        a, history = self.archive(seed=7)
+        lines = [data_io.candidate_line(c) for c in history]
         log = tmp_path / "history.jsonl"
         log.write_text("".join(line + "\n" for line in lines))
-        b = data_io.load_archive(log)
+        b, replayed = load_replayed(log, monkeypatch)
         assert b.members == a.members
-        assert b.history == a.history
+        assert replayed == history
+        assert b.evaluations == a.evaluations
 
-    def test_history_log_drops_only_a_torn_last_line(self, tmp_path):
-        a = self.archive(n=5)
-        lines = [data_io.candidate_line(c) for c in a.history]
+    def test_history_log_drops_only_a_torn_last_line(self, tmp_path, monkeypatch):
+        a, history = self.archive(n=5)
+        lines = [data_io.candidate_line(c) for c in history]
         log = tmp_path / "history.jsonl"
         log.write_text("".join(line + "\n" for line in lines[:4]) + lines[4][:-1])
-        assert data_io.load_archive(log).history == a.history[:4]
+        b, replayed = load_replayed(log, monkeypatch)
+        assert replayed == history[:4]
+        assert b.evaluations == 4
+        assert b.members == self.archive(n=4)[0].members
         log.write_text("".join(line + "\n" for line in lines[:4]) + lines[4][:-1] + "\n")
         with pytest.raises(SchemaError) as exc:
             data_io.load_archive(log)
         assert exc.value.path == "line 5"
 
-    def test_resume_with_zero_budget_unchanged(self, tmp_path):
-        a = self.archive(seed=9)
+    def test_duplicate_eval_id_rejected(self, tmp_path):
+        """A repeated eval_id is refused, in a log (naming the line) and
+        in `archive.json`, even where the repeat would join the front."""
+        a, history = self.archive(n=3)
+        repeated = history + [replace(history[0], flops=1, score=0.99)]
+        log = tmp_path / "history.jsonl"
+        log.write_text("".join(data_io.candidate_line(c) + "\n" for c in repeated))
+        with pytest.raises(SchemaError) as exc:
+            data_io.load_archive(log)
+        assert str(exc.value) == "line 4: e0000 is already recorded"
         path = tmp_path / "a.json"
-        self.snapshot(a, path)
+        self.snapshot(a, repeated, path)
+        with pytest.raises(DuplicateError) as exc:
+            data_io.load_archive(path)
+        assert str(exc.value) == "e0000 is already recorded"
+
+    def test_resume_with_zero_budget_unchanged(self, tmp_path):
+        a, history = self.archive(seed=9)
+        path = tmp_path / "a.json"
+        self.snapshot(a, history, path)
         b = data_io.load_archive(path)
         # appending nothing leaves the front untouched
         assert {c.eval_id for c in b.members} == {c.eval_id for c in a.members}
@@ -273,24 +326,25 @@ class TestArchiveSnapshot:
         byte-identical to one that encodes every member again. A threaded
         search records its history out of eval_id order."""
         if source == "inserted":
-            a = self.archive(seed=3)
+            a, history = self.archive(seed=3)
         else:
             cfg = SearchConfig(budget=60, init_population=8, workers=3, seed=4)
-            a = run_search(cfg, SyntheticEvaluator())
+            history = []
+            a = run_search(cfg, SyntheticEvaluator(), on_eval=lambda c, _: history.append(c))
         path = tmp_path / "a.json"
-        self.snapshot(a, path)
+        self.snapshot(a, history, path)
         members = ",\n".join(data_io.candidate_line(c) for c in a.members)
-        history = ",\n".join(data_io.candidate_line(c) for c in a.history)
+        lines = ",\n".join(data_io.candidate_line(c) for c in history)
         expected = (
-            f'{{"history": [\n{history}\n],\n"members": [\n{members}\n],\n'
+            f'{{"history": [\n{lines}\n],\n"members": [\n{members}\n],\n'
             f'"version": {data_io.FORMAT_VERSION}}}\n'
         )
         assert path.read_text() == expected
 
     def test_corrupted_member_names_eval_id(self, tmp_path):
-        a = self.archive(n=3)
+        a, history = self.archive(n=3)
         path = tmp_path / "a.json"
-        self.snapshot(a, path)
+        self.snapshot(a, history, path)
         doc = json.loads(path.read_text())
         del doc["history"][1]["flops"]
         path.write_text(json.dumps(doc))
@@ -298,7 +352,7 @@ class TestArchiveSnapshot:
             data_io.load_archive(path)
         assert "e0001" in exc.value.path
 
-    def test_error_written_only_when_set(self, tmp_path):
+    def test_error_written_only_when_set(self, tmp_path, monkeypatch):
         ok = Candidate(make_arch(), 10, 0.5, "e0")
         failed = Candidate(make_arch(), 10, None, "e1", error="ProtocolError: exit 3")
         assert "error" not in data_io.candidate_to_json(ok)
@@ -307,17 +361,17 @@ class TestArchiveSnapshot:
         a.insert(ok)
         a.insert(failed)
         path = tmp_path / "a.json"
-        self.snapshot(a, path)
-        assert data_io.load_archive(path).history == [ok, failed]
+        self.snapshot(a, [ok, failed], path)
+        assert load_replayed(path, monkeypatch)[1] == [ok, failed]
 
     def test_snapshot_from_the_log_holds_one_line_at_a_time(self, tmp_path):
         """Writing `archive.json` from an open `history.jsonl` takes as
         much memory for a 2,000-line log as for a 200-line one."""
         peaks = []
         for n in (200, 2000):
-            a = self.archive(n=n)
+            a, history = self.archive(n=n)
             log = tmp_path / f"history-{n}.jsonl"
-            log.write_text("".join(data_io.candidate_line(c) + "\n" for c in a.history))
+            log.write_text("".join(data_io.candidate_line(c) + "\n" for c in history))
             tracemalloc.start()
             try:
                 with open(log) as fh:
@@ -325,7 +379,7 @@ class TestArchiveSnapshot:
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-            self.snapshot(a, tmp_path / f"from-lines-{n}.json")
+            self.snapshot(a, history, tmp_path / f"from-lines-{n}.json")
         assert peaks[1] < 1.5 * peaks[0]
         for n in (200, 2000):  # the same bytes as from a list of lines
             got = (tmp_path / f"archive-{n}.json").read_bytes()
@@ -338,8 +392,8 @@ class TestArchiveSnapshot:
             data_io.load_archive(path)
 
     def test_atomic_write_no_temp_left(self, tmp_path):
-        a = self.archive(n=3)
-        self.snapshot(a, tmp_path / "a.json")
+        a, history = self.archive(n=3)
+        self.snapshot(a, history, tmp_path / "a.json")
         leftovers = [p for p in tmp_path.iterdir() if p.name.startswith(".snapshot-")]
         assert leftovers == []
 
@@ -420,11 +474,12 @@ class TestReaderFuzz:
         level = {"alpha1": 0.01, "beta1": -0.5, "alpha2": 0.002, "center": [256.0, 144.0]}
         params = {"per_level": {"1": level, "2": dict(level)}, "score_threshold": 0.4,
                   "group_distance": 60.0, "locality_sigma": "inf"}
+        history = []
         archive = run_search(SearchConfig(budget=2, init_population=2, seed=1),
-                             SyntheticEvaluator())
+                             SyntheticEvaluator(), on_eval=lambda c, _: history.append(c))
         archive_path = tmp_path / "archive.json"
         data_io.snapshot_archive(
-            archive, [data_io.candidate_line(c) for c in archive.history], archive_path
+            archive, [data_io.candidate_line(c) for c in history], archive_path
         )
         edited_path = tmp_path / "edited.json"
         log_path = tmp_path / "history.jsonl"

@@ -18,7 +18,6 @@ from lanenas.arch_space import (
 )
 from lanenas.cost_model import candidate_cost
 from lanenas.errors import (
-    DuplicateError,
     EmptyArchiveError,
     EmptyDatasetError,
     ProtocolError,
@@ -64,6 +63,23 @@ def cand(flops, score, eval_id, arch=None):
     )
 
 
+def insert_all(candidates):
+    """A new archive with `candidates` inserted in order."""
+    archive = ParetoArchive()
+    for c in candidates:
+        archive.insert(c)
+    return archive
+
+
+def run_logged(config, evaluator):
+    """`run_search` and its history: the candidates `on_eval` received,
+    in order, as many as the archive counts."""
+    history = []
+    archive = run_search(config, evaluator, on_eval=lambda c, _: history.append(c))
+    assert archive.evaluations == len(history)
+    return archive, history
+
+
 def brute_force_front(candidates):
     evaluated = [c for c in candidates if c.score is not None]
     return {
@@ -92,7 +108,7 @@ class TestArchive:
         a.insert(cand(2, 0.7, "a"))
         a.insert(cand(1, 0.8, "b"))
         assert [c.eval_id for c in a.members] == ["b"]
-        assert [c.eval_id for c in a.history] == ["a", "b"]
+        assert a.evaluations == 2
 
     def test_tradeoff_keeps_both(self):
         a = ParetoArchive()
@@ -105,36 +121,60 @@ class TestArchive:
         a.insert(cand(1, 0.8, "a"))
         a.insert(cand(2, 0.7, "b"))
         assert {c.eval_id for c in a.members} == {"a"}
-        assert len(a.history) == 2
-
-    def test_duplicate_eval_id_rejected(self):
-        a = ParetoArchive()
-        a.insert(cand(1, 0.8, "a"))
-        with pytest.raises(DuplicateError):
-            a.insert(cand(2, 0.9, "a"))
+        assert a.evaluations == 2
 
     def test_failed_eval_logged_not_member(self):
         a = ParetoArchive()
         a.insert(cand(1, None, "fail"))
         assert a.members == []
-        assert len(a.history) == 1
+        assert a.evaluations == 1
 
     def test_random_insertions_match_brute_force(self):
         rng = np.random.default_rng(2)
-        a = ParetoArchive()
-        for i in range(5000):
-            a.insert(cand(int(rng.integers(1, 1000)), round(float(rng.random()), 3), f"e{i}"))
-        assert {c.eval_id for c in a.members} == brute_force_front(a.history)
+        history = [cand(int(rng.integers(1, 1000)), round(float(rng.random()), 3), f"e{i}")
+                   for i in range(5000)]
+        a = insert_all(history)
+        assert {c.eval_id for c in a.members} == brute_force_front(history)
 
     def test_replay_history_reproduces_archive(self):
         rng = np.random.default_rng(3)
+        history = [cand(int(rng.integers(1, 100)), float(rng.random()), f"e{i}")
+                   for i in range(500)]
+        assert insert_all(history).members == insert_all(history).members
+
+    def test_large_front_matches_brute_force_in_insertion_order(self):
+        """On a front of thousands, with equal (FLOPS, score) pairs and
+        failed candidates, the members after each batch of inserts are the
+        inserted candidates that no other dominates, in insertion order:
+        `select_parent` draws by position, so the order fixes the RNG
+        stream of a seeded search."""
+        rng = np.random.default_rng(7)
+        flops = rng.choice(np.arange(1, 10**6), size=2200, replace=False)
+        pairs = [(int(f), int(f) / 1e6) for f in flops]  # every pair a trade-off
+        picks = rng.choice(len(pairs), size=500).tolist()
+        pairs += [pairs[i] for i in picks[:200]]  # equal pairs: both stay
+        pairs += [(pairs[i][0] + 1, pairs[i][1] - 0.001) for i in picks[200:400]]
+        pairs += [(pairs[i][0], pairs[i][1] + 0.002) for i in picks[400:420]]
+        pairs += [(pairs[i][0], None) for i in picks[420:]]  # failed
+        history = [cand(f, s, f"e{n}") for n, (f, s) in
+                   enumerate(pairs[i] for i in rng.permutation(len(pairs)))]
+
+        def survivors(inserted):
+            scored = [c for c in inserted if c.score is not None]
+            f = np.array([c.flops for c in scored])
+            s = np.array([c.score for c in scored])
+            return [c.eval_id for c in scored
+                    if not np.any((f <= c.flops) & (s >= c.score)
+                                  & ((f < c.flops) | (s > c.score)))]
+
         a = ParetoArchive()
-        for i in range(500):
-            a.insert(cand(int(rng.integers(1, 100)), float(rng.random()), f"e{i}"))
-        b = ParetoArchive()
-        for c in a.history:
-            b.insert(c)
-        assert a.members == b.members
+        for n, c in enumerate(history, start=1):
+            a.insert(c)
+            if n % 500 == 0 or n == len(history):
+                assert [m.eval_id for m in a.members] == survivors(history[:n])
+        assert a.evaluations == len(history)
+        assert len(a.members) >= 2000
+        assert len({(m.flops, m.score) for m in a.members}) < len(a.members)
 
     def test_never_contains_dominated_member(self):
         rng = np.random.default_rng(4)
@@ -216,15 +256,15 @@ def reduced_config(**kw):
 
 class TestRunSearch:
     def test_budget_zero_is_initial_front(self):
-        archive = run_search(reduced_config(budget=0), SyntheticEvaluator())
-        assert len(archive.history) == 8
-        assert {c.eval_id for c in archive.members} == brute_force_front(archive.history)
+        archive, history = run_logged(reduced_config(budget=0), SyntheticEvaluator())
+        assert len(history) == 8
+        assert {c.eval_id for c in archive.members} == brute_force_front(history)
 
     def test_single_worker_deterministic(self):
-        a = run_search(reduced_config(), SyntheticEvaluator())
-        b = run_search(reduced_config(), SyntheticEvaluator())
-        assert [(c.eval_id, c.flops, c.score) for c in a.history] == [
-            (c.eval_id, c.flops, c.score) for c in b.history
+        a, a_history = run_logged(reduced_config(), SyntheticEvaluator())
+        b, b_history = run_logged(reduced_config(), SyntheticEvaluator())
+        assert [(c.eval_id, c.flops, c.score) for c in a_history] == [
+            (c.eval_id, c.flops, c.score) for c in b_history
         ]
         assert a.members == b.members
 
@@ -249,13 +289,13 @@ class TestRunSearch:
                     raise RuntimeError("boom")
                 return self.inner.evaluate(arch, eval_id, cost)
 
-        archive = run_search(reduced_config(budget=30), Flaky())
-        failed = [c for c in archive.history if c.score is None]
+        archive, history = run_logged(reduced_config(budget=30), Flaky())
+        failed = [c for c in history if c.score is None]
         assert failed
         assert archive.members
         assert all(m.score is not None for m in archive.members)
         assert all(c.error == "RuntimeError: boom" for c in failed)
-        assert all(c.error is None for c in archive.history if c.score is not None)
+        assert all(c.error is None for c in history if c.score is not None)
 
     def test_evaluator_receives_search_ids_and_cost(self):
         seen = []
@@ -265,9 +305,9 @@ class TestRunSearch:
                 seen.append((eval_id, cost))
                 return super().evaluate(arch, eval_id, cost)
 
-        archive = run_search(reduced_config(budget=12), Recorder())
-        assert [e for e, _ in seen] == [c.eval_id for c in archive.history]
-        for (_, cost), c in zip(seen, archive.history):
+        _, history = run_logged(reduced_config(budget=12), Recorder())
+        assert [e for e, _ in seen] == [c.eval_id for c in history]
+        for (_, cost), c in zip(seen, history):
             assert cost == candidate_cost(c.arch, (512, 288))
 
     def test_cost_computed_once_per_evaluation(self, monkeypatch):
@@ -278,14 +318,14 @@ class TestRunSearch:
             return candidate_cost(*args, **kwargs)
 
         monkeypatch.setattr(search_engine, "candidate_cost", counting_cost)
-        archive = run_search(reduced_config(budget=25), SyntheticEvaluator())
-        assert len(archive.history) == 8 + 25
-        assert calls == [c.arch for c in archive.history]
+        _, history = run_logged(reduced_config(budget=25), SyntheticEvaluator())
+        assert len(history) == 8 + 25
+        assert calls == [c.arch for c in history]
 
     def test_multi_worker_invariants_hold(self):
-        archive = run_search(reduced_config(budget=40, workers=4), SyntheticEvaluator())
-        assert len(archive.history) == 8 + 40
-        assert {c.eval_id for c in archive.members} == brute_force_front(archive.history)
+        archive, history = run_logged(reduced_config(budget=40, workers=4), SyntheticEvaluator())
+        assert sorted(c.eval_id for c in history) == [f"e{n:06d}" for n in range(8 + 40)]
+        assert {c.eval_id for c in archive.members} == brute_force_front(history)
 
     @pytest.mark.parametrize("workers", [2, 5])
     def test_threads_draw_each_child_once_an_evaluation_finishes(self, monkeypatch, workers):
@@ -299,19 +339,19 @@ class TestRunSearch:
             return candidate_cost(*args, **kwargs)
 
         def on_eval(cand, archive):
-            ahead.append(len(priced) - len(archive.history))
+            ahead.append(len(priced) - archive.evaluations)
 
         monkeypatch.setattr(search_engine, "candidate_cost", counting_cost)
         archive = run_search(
             reduced_config(budget=30, init_population=16, workers=workers),
             SyntheticEvaluator(), on_eval=on_eval,
         )
-        assert len(archive.history) == len(priced) == 16 + 30
+        assert archive.evaluations == len(priced) == 16 + 30
         assert max(ahead) == workers - 1
 
     def test_flops_match_cost_model(self):
-        archive = run_search(reduced_config(budget=10), SyntheticEvaluator())
-        for c in archive.history:
+        _, history = run_logged(reduced_config(budget=10), SyntheticEvaluator())
+        for c in history:
             assert c.flops == candidate_cost(c.arch, (512, 288)).total_flops
 
 
@@ -502,15 +542,15 @@ class TestExternalEvaluator:
         cfg = reduced_config(budget=1, init_population=1, resolution=(256, 144))
         archive = run_search(cfg, ExternalEvaluator(command))
         logged = [json.loads(line) for line in log.read_text().splitlines()]
-        assert len(logged) == len(archive.history) == 2
+        assert len(logged) == archive.evaluations == 2
         assert all(r == [256, 144] for r in logged)
 
     def test_search_continues_past_failures(self, tmp_path):
         ev = ExternalEvaluator(stub_command(tmp_path, STUB_FAIL, "fail2"))
-        archive = run_search(reduced_config(budget=5, init_population=3), ev)
-        assert len(archive.history) == 8
-        assert all(c.score is None for c in archive.history)
-        assert all(c.error.startswith("ProtocolError: ") for c in archive.history)
+        archive, history = run_logged(reduced_config(budget=5, init_population=3), ev)
+        assert len(history) == 8
+        assert all(c.score is None for c in history)
+        assert all(c.error.startswith("ProtocolError: ") for c in history)
         assert archive.members == []
 
 
