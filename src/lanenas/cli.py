@@ -71,7 +71,9 @@ def _load_arch(args):
     backbone = parse_backbone(args.encoding)
     if getattr(args, "fusion", None):
         with open(args.fusion) as fh:
-            fusion = data_io.fusion_from_json(json.load(fh))
+            fusion = data_io.fusion_from_json(
+                json.load(fh, object_pairs_hook=data_io.unique_keys)
+            )
     else:
         fusion = _default_fusion(backbone.num_stages)
     return ArchEncoding(backbone=backbone, fusion=fusion)
@@ -208,7 +210,9 @@ def _load_blend_params(args):
     `per_level` is masked by the identity."""
     if args.params:
         with open(args.params) as fh:
-            params = data_io.blend_from_json(json.load(fh))
+            params = data_io.blend_from_json(
+                json.load(fh, object_pairs_hook=data_io.unique_keys)
+            )
     else:
         params = BlendParamSet(per_level={})
     if args.plain_nms:

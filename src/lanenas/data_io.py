@@ -9,6 +9,7 @@ of the schemas below with `_check` before it builds anything from it.
 from __future__ import annotations
 
 import contextlib
+import csv
 import json
 import math
 import os
@@ -77,6 +78,29 @@ def write_culane_lines(path, lanes):
         for lane in lanes:
             pts = np.asarray(lane, dtype=np.float64).tolist()
             fh.write(" ".join(f"{x:.4f} {y:.4f}" for x, y in pts) + "\n")
+
+
+# ---------------------------------------------------------------------------
+# JSON objects with a repeated key
+
+class RepeatedKeyError(json.JSONDecodeError):
+    """A JSON object names a key twice. As a `json.JSONDecodeError` it is
+    reported the way each reader reports malformed JSON. It carries no
+    position: `unique_keys` sees one object's pairs, not the text."""
+
+    def __init__(self, key):
+        ValueError.__init__(self, f"repeated key {key!r}")
+        self.msg, self.doc, self.pos, self.lineno, self.colno = str(self), "", 0, 0, 0
+
+
+def unique_keys(pairs):
+    """The `object_pairs_hook` of every JSON reader: `json` alone keeps
+    the last value of a repeated key, so a repeat is refused instead."""
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        keys = [key for key, _ in pairs]
+        raise RepeatedKeyError(next(k for i, k in enumerate(keys) if k in keys[:i]))
+    return doc
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +341,7 @@ def read_proposals(path):
     with open(path) as fh:
         for line in fh:
             if line.strip():
-                yield proposals_from_json(json.loads(line))
+                yield proposals_from_json(json.loads(line, object_pairs_hook=unique_keys))
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +455,7 @@ def _history_log(path):
             if not line.endswith("\n"):
                 return
             try:
-                doc = json.loads(line)
+                doc = json.loads(line, object_pairs_hook=unique_keys)
             except json.JSONDecodeError as exc:
                 raise SchemaError(f"line {n}", f"not JSON: {exc.msg}") from None
             _check(doc, {}, f"line {n}")
@@ -461,7 +485,7 @@ def load_archive(path):
                 raise SchemaError(f"line {n}", str(exc)) from exc
         return archive
     with open(path) as fh:
-        doc = json.load(fh)
+        doc = json.load(fh, object_pairs_hook=unique_keys)
     _check(doc, {"history?": [dict]}, "archive")
     if doc.get("version") != FORMAT_VERSION:
         raise VersionError(f"unsupported archive version {doc.get('version')}")
@@ -471,11 +495,14 @@ def load_archive(path):
 
 
 def export_front_csv(archive, path):
-    """Final front export: eval_id, encoding, flops, score."""
+    """Final front export in FLOPS order: eval_id, encoding, flops, score
+    and the fusion genome as compact JSON, CSV-quoted where a field holds
+    a comma or a quote, so a member can be rebuilt from its row."""
     rows = sorted(archive.members, key=lambda c: c.flops)
-    with open(path, "w") as fh:
-        fh.write("eval_id,encoding,flops,score\n")
+    with open(path, "w", newline="") as fh:
+        out = csv.writer(fh, lineterminator="\n")
+        out.writerow(["eval_id", "encoding", "flops", "score", "fusion"])
         for c in rows:
-            fh.write(
-                f"{c.eval_id},{serialize_backbone(c.arch.backbone)},{c.flops},{c.score}\n"
-            )
+            fusion = json.dumps(fusion_to_json(c.arch.fusion), separators=(",", ":"))
+            encoding = serialize_backbone(c.arch.backbone)
+            out.writerow([c.eval_id, encoding, c.flops, c.score, fusion])

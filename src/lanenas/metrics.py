@@ -66,6 +66,13 @@ def _radius(width):
     return width / 2.0
 
 
+def _canvas_size(canvas):
+    w, h = canvas
+    if not (w >= 1 and h >= 1):
+        raise ValueError(f"canvas sides must be at least 1, not {w}x{h}")
+    return canvas
+
+
 def rasterize_lane(line, width=DEFAULT_LANE_WIDTH, canvas=DEFAULT_CANVAS):
     """Pixels within width/2 of the polyline, clipped to the canvas."""
     radius = _radius(width)
@@ -101,7 +108,7 @@ class SceneScorer:
     ):
         self.iou_threshold = iou_threshold
         self._radius = _radius(width)
-        self._canvas = canvas
+        self._canvas = _canvas_size(canvas)
         self._gt_runs = [
             [_lane_runs(g, width, canvas) for g in gt] for gt in gt_scenes
         ]

@@ -152,7 +152,7 @@ class ExternalEvaluator:
         if not line:
             raise ProtocolError("evaluator produced no output")
         try:
-            doc = json.loads(line[-1])
+            doc = json.loads(line[-1], object_pairs_hook=data_io.unique_keys)
         except json.JSONDecodeError as exc:
             raise ProtocolError(f"bad JSON from evaluator: {exc}") from exc
         _, score, _ = data_io.eval_response_from_json(doc, expect_eval_id=eval_id)

@@ -746,6 +746,76 @@ class TestSchemaErrors:
             assert h["error"].startswith(f"SchemaError: {path}:")
 
 
+class TestRepeatedKeys:
+    """Every JSON reader refuses an object that names a key twice, with
+    the error it gives for malformed JSON; `json` alone would keep the
+    last value."""
+
+    def test_params_level_repeated(self, tmp_path, capsys):
+        doc = gen_synth(capsys, tmp_path / "corpus", "--num-scenes", "1")
+        params = write_params(tmp_path / "params.json",
+                              per_level={"1": LEVEL, "2": {**LEVEL, "alpha1": -50.0}})
+        text = (tmp_path / "params.json").read_text()
+        (tmp_path / "params.json").write_text(text.replace('"2": ', '"1": '))
+        code, out, err = run(capsys, "blend", "--proposals", doc["proposals"], "--params", params)
+        assert (code, out) == (2, "")
+        assert "error: repeated key '1'" in err
+
+    def test_fusion_field_repeated(self, tmp_path, capsys):
+        fusion = tmp_path / "fusion.json"
+        fusion.write_text('{"layers": [{"input_a": 1, "input_b": 2, "output_level": 1}], '
+                          '"channels": 128, "channels": 64, "heads_at": [1]}')
+        code, _, err = run(capsys, "cost", "BB_64_13_[5,9]_[7,12]", "--fusion", str(fusion))
+        assert code == 2
+        assert "error: repeated key 'channels'" in err
+
+    def test_proposals_field_repeated(self, tmp_path, capsys):
+        doc = gen_synth(capsys, tmp_path / "corpus", "--num-scenes", "1")
+        with open(doc["proposals"]) as fh:
+            line = fh.readline()
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(line.replace('"grid_w": ', '"grid_w": 3, "grid_w": ', 1))
+        code, _, err = run(capsys, "blend", "--proposals", str(bad))
+        assert code == 2
+        assert "error: repeated key 'grid_w'" in err
+
+    @pytest.mark.parametrize("name, message", [
+        ("archive.json", "error: repeated key 'score'"),
+        ("history.jsonl", "error: line 1: not JSON: repeated key 'score'"),
+    ])
+    def test_candidate_field_repeated(self, tmp_path, capsys, name, message):
+        out_dir = tmp_path / "run"
+        code, _, _ = run(capsys, "search", "--budget", "1", "--init-population", "1",
+                         "--seed", "0", "--out", str(out_dir))
+        assert code == 0
+        bad = tmp_path / name
+        text = (out_dir / name).read_text()
+        bad.write_text(text.replace('"score": ', '"score": 0.5, "score": ', 1))
+        code, _, err = export(capsys, bad, tmp_path / "front.csv")
+        assert code == 2
+        assert message in err
+
+    def test_evaluator_response_field_repeated(self, tmp_path, capsys):
+        import sys
+
+        stub = tmp_path / "stub.py"
+        stub.write_text(
+            "import sys, json\n"
+            "req = json.loads(sys.stdin.readline())\n"
+            "print('{\"eval_id\": \"%s\", \"score\": 0.5, \"score\": 0.9}' % req['eval_id'])\n"
+        )
+        out_dir = tmp_path / "run"
+        code, _, _ = run(capsys, "search", "--budget", "1", "--init-population", "1",
+                         "--seed", "0", "--evaluator", f"exec:{sys.executable} {stub}",
+                         "--out", str(out_dir))
+        assert code == 0
+        history = read_history(out_dir)
+        assert len(history) == 2
+        for h in history:
+            assert h["score"] is None
+            assert h["error"] == "ProtocolError: bad JSON from evaluator: repeated key 'score'"
+
+
 class TestSearchCommand:
     def test_search_writes_artifacts(self, tmp_path, capsys):
         out_dir = tmp_path / "run"
@@ -780,9 +850,9 @@ class TestSearchCommand:
     # sha256 of the run's other two outputs, by seed
     OUTPUT_DIGESTS = {
         0: {"archive.json": "db2dd9fba9c9cb1b552413e4399a0ca5264589601c53bfa4cd4702bca9517012",
-            "front.csv": "b00a011593000927d1727edf0cce2ba08f417f93998b559a922a8eeeea6a083c"},
+            "front.csv": "23017c16e81c3f15cc33f11262a0aa357a7d999c3c507e3432db766f491dbdc1"},
         1: {"archive.json": "729ba1e5db471bf52c15373d8b936aaf00ae6bce79048a7b8d36ce3f690d5930",
-            "front.csv": "0c0942560767099f87e545dd351dd5777f458447bf2cd49ab5150d9a655d5a96"},
+            "front.csv": "2610d54223e9121d8c3cd02976c456ed1af1e30e9777b3f38302bd2cd65bbfd2"},
     }
 
     @pytest.mark.parametrize("seed, digest", [

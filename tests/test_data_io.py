@@ -1,4 +1,5 @@
 import copy
+import csv
 import json
 import math
 import random
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 from lanenas import data_io
+from lanenas.arch_space import ArchEncoding, parse_backbone
 from lanenas.errors import (
     DuplicateError,
     FormatError,
@@ -528,6 +530,28 @@ class TestFrontCsv:
         path = tmp_path / "front.csv"
         data_io.export_front_csv(a, path)
         lines = path.read_text().splitlines()
-        assert lines[0] == "eval_id,encoding,flops,score"
-        assert lines[1].startswith("a,BB_64_13_[5,9]_[7,12],100,")
+        assert lines[0] == "eval_id,encoding,flops,score,fusion"
+        assert lines[1].startswith('a,"BB_64_13_[5,9]_[7,12]",100,0.5,"{""layers"":[{')
         assert len(lines) == 3
+
+    def test_members_rebuilt_from_rows(self, tmp_path):
+        archive = run_search(
+            SearchConfig(budget=60, init_population=8, seed=4), SyntheticEvaluator()
+        )
+        path = tmp_path / "front.csv"
+        data_io.export_front_csv(archive, path)
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        rebuilt = [
+            Candidate(
+                ArchEncoding(parse_backbone(row["encoding"]),
+                             data_io.fusion_from_json(json.loads(row["fusion"]))),
+                int(row["flops"]), float(row["score"]), row["eval_id"],
+            )
+            for row in rows
+        ]
+        members = sorted(archive.members, key=lambda c: c.flops)
+        assert len(members) > 1
+        assert [(c.arch, c.flops, c.score, c.eval_id) for c in members] == [
+            (c.arch, c.flops, c.score, c.eval_id) for c in rebuilt
+        ]

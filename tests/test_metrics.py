@@ -233,6 +233,15 @@ class TestSceneScorer:
         with pytest.raises(ValueError):
             SceneScorer([[]], width=0, canvas=self.CANVAS)
 
+    @pytest.mark.parametrize("canvas", [(0, 590), (1640, 0), (-3, 590), (math.nan, 590)])
+    def test_rejects_canvas_side_below_one(self, canvas):
+        lane = self.lane(100)
+        for score in (lambda: SceneScorer([[lane]], canvas=canvas),
+                      lambda: score_scene([lane], [lane], canvas=canvas),
+                      lambda: match_and_score([[lane]], [[lane]], canvas=canvas)):
+            with pytest.raises(ValueError, match="canvas"):
+                score()
+
     def test_list_and_array_lanes_are_one_lane(self):
         gt = [np.array(self.lane(100)), self.lane(300)]
         pred = [(101, 10.0), (99.5, 280)]  # ints too: every coordinate is a float64
