@@ -187,21 +187,11 @@ def cmd_search(args):
         data_io.snapshot_archive(archive, fh, snapshot_path)
     front_path = os.path.join(args.out, "front.csv")
     data_io.export_front_csv(archive, front_path)
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "evaluations": archive.evaluations,
-                    "front_size": len(archive.members),
-                    "archive": snapshot_path,
-                    "front": front_path,
-                    "history": history_path,
-                }
-            )
-        )
-    else:
-        print(f"{archive.evaluations} evaluations, front size {len(archive.members)}")
-        print(f"wrote {snapshot_path}, {front_path}, {history_path}")
+    doc = {"evaluations": archive.evaluations, "front_size": len(archive.members),
+           "archive": snapshot_path, "front": front_path, "history": history_path}
+    print(json.dumps(doc) if args.json else
+          f"{archive.evaluations} evaluations, front size {len(archive.members)}\n"
+          f"wrote {snapshot_path}, {front_path}, {history_path}")
     return 0
 
 

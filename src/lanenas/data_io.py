@@ -337,11 +337,18 @@ def write_proposals(path, scenes):
 
 
 def read_proposals(path):
-    """Stream (image_id, LaneProposalSet) pairs without loading the file."""
+    """Stream (image_id, LaneProposalSet) pairs without loading the file;
+    an error names the file and the line at fault."""
     with open(path) as fh:
-        for line in fh:
+        for n, line in enumerate(fh, start=1):
             if line.strip():
-                yield proposals_from_json(json.loads(line, object_pairs_hook=unique_keys))
+                try:
+                    scene = proposals_from_json(json.loads(line, object_pairs_hook=unique_keys))
+                except json.JSONDecodeError as exc:
+                    raise SchemaError(f"{path}: line {n}", f"not JSON: {exc.msg}") from None
+                except LaneNasError as exc:
+                    raise SchemaError(f"{path}: line {n}", str(exc)) from exc
+                yield scene
 
 
 # ---------------------------------------------------------------------------
@@ -356,12 +363,12 @@ def eval_request_to_json(eval_id, arch: ArchEncoding, resolution) -> dict:
     }
 
 
-def eval_response_from_json(doc: dict, expect_eval_id=None):
-    """Validated (eval_id, score, diagnostics)."""
+def eval_response_from_json(doc: dict, expect_eval_id=None) -> float:
+    """The validated score; any other field, `diagnostics` say, is ignored."""
     _check(doc, _RESPONSE, "response")
     if expect_eval_id is not None and doc["eval_id"] != expect_eval_id:
         raise SchemaError("response.eval_id", f"expected {expect_eval_id}, got {doc['eval_id']}")
-    return doc["eval_id"], float(doc["score"]), doc.get("diagnostics")
+    return float(doc["score"])
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,9 @@ from __future__ import annotations
 import json
 import math
 import shlex
+from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from itertools import islice
 
 import numpy as np
@@ -155,8 +157,7 @@ class ExternalEvaluator:
             doc = json.loads(line[-1], object_pairs_hook=data_io.unique_keys)
         except json.JSONDecodeError as exc:
             raise ProtocolError(f"bad JSON from evaluator: {exc}") from exc
-        _, score, _ = data_io.eval_response_from_json(doc, expect_eval_id=eval_id)
-        return score
+        return data_io.eval_response_from_json(doc, expect_eval_id=eval_id)
 
 
 # ---------------------------------------------------------------------------
@@ -232,11 +233,12 @@ def _evaluate(evaluator, arch, eval_id, cost, parent, step) -> Candidate:
 def run_search(config: SearchConfig, evaluator, on_eval=None) -> ParetoArchive:
     """Run the outer search to budget exhaustion.
 
-    Every worker count runs one job stream: the initial population, then
-    one child per finished evaluation. With one worker and a fixed seed
-    the history, the candidates passed to `on_eval` in order, is
-    bit-identical across runs; with `workers` at once the evaluated set
-    may differ but every archive invariant holds. Each candidate is
+    Every worker count N runs one job stream: the initial population, then
+    one child per commit. Evaluations commit (insert, then `on_eval`) in
+    `eval_id` order and job n + 2N - 1 is drawn as job n commits, so the
+    history (the candidates passed to `on_eval`) of a deterministic
+    evaluator depends only on the seed and N. At most N evaluations run at
+    once; an exception cancels the jobs not yet started. Each candidate is
     priced once; failed evaluations are logged and skipped.
     """
     rng = np.random.default_rng(config.seed)
@@ -266,30 +268,27 @@ def run_search(config: SearchConfig, evaluator, on_eval=None) -> ParetoArchive:
         for n in range(config.init_population, config.init_population + config.budget):
             yield make_job(n, *next_child())
 
-    def finish(cand):
-        archive.insert(cand)
-        if on_eval is not None:
-            on_eval(cand, archive)
-
-    if config.workers == 1:
-        for job in jobs():
-            finish(_evaluate(evaluator, *job))
+    def drive(start):
+        """Start each job through `start(job)`, which returns a call giving
+        its candidate, and commit them oldest first from a window of 2N - 1."""
+        started = map(start, jobs())
+        window = deque(islice(started, 2 * config.workers - 1))
+        while window:
+            cand = window.popleft()()
+            archive.insert(cand)
+            if on_eval is not None:
+                on_eval(cand, archive)
+            window.extend(islice(started, 1))
         return archive
 
-    from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
-
-    stream = jobs()
-    with ThreadPoolExecutor(max_workers=config.workers) as pool:
-        def submit(k):
-            return {pool.submit(_evaluate, evaluator, *job) for job in islice(stream, k)}
-
-        pending = submit(config.workers)
-        while pending:
-            done, pending = wait(pending, return_when=FIRST_COMPLETED)
-            for fut in done:
-                finish(fut.result())
-                pending |= submit(1)
-    return archive
+    if config.workers == 1:
+        return drive(lambda job: partial(_evaluate, evaluator, *job))
+    from concurrent.futures import ThreadPoolExecutor
+    pool = ThreadPoolExecutor(config.workers)
+    try:
+        return drive(lambda job: pool.submit(_evaluate, evaluator, *job).result)
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 # ---------------------------------------------------------------------------

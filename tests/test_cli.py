@@ -424,6 +424,29 @@ class TestPipeline:
         assert err == (f"error: {bad}: line {line_no}, token '10 5 -1 20': "
                        "1 point(s) with x >= 0, need 2\n")
 
+    @pytest.mark.parametrize("edit, message", [
+        pytest.param(lambda line: line[: line.index('"heads": ') + 9],
+                     "not JSON: Expecting value", id="cut short"),
+        pytest.param(lambda line: line.replace('"score": ', '"score": 2.0, "x": ', 1),
+                     "heads[0].cells[0].score: need a number in [0, 1], got 2.0",
+                     id="score above 1"),
+        pytest.param(lambda line: line.replace('"image_id": ', '"image_id": "a", "image_id": ', 1),
+                     "not JSON: repeated key 'image_id'", id="repeated key"),
+    ])
+    def test_proposals_error_names_the_file_and_line(self, tmp_path, capsys, edit, message):
+        """A malformed third scene stops `blend` after the first two, with
+        an error naming the proposals file and its line 3."""
+        doc = gen_synth(capsys, tmp_path / "corpus", "--num-scenes", "3")
+        with open(doc["proposals"]) as fh:
+            lines = fh.read().splitlines()
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("".join(line + "\n" for line in [*lines[:2], edit(lines[2])]))
+        pred = tmp_path / "pred"
+        code, _, err = run(capsys, "blend", "--proposals", str(bad), "--culane-out", str(pred))
+        assert code == 2
+        assert err == f"error: {bad}: line 3: {message}\n"
+        assert len(list(pred.iterdir())) == 2
+
     def test_blend_improves_noisy_corpus(self, tmp_path, capsys):
         out_dir = tmp_path / "noisy"
         _, out, _ = run(capsys, "gen-synth", "--out", str(out_dir),
@@ -587,14 +610,14 @@ class TestPipeline:
         bad.write_text(json.dumps(scene) + "\n")
         code, _, err = run(capsys, "blend", "--proposals", str(bad))
         assert code == 2
-        assert f"error: {path}:" in err
+        assert f"error: {bad}: line 1: {path}:" in err
 
     def test_scene_not_an_object_is_a_data_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"
         bad.write_text("5\n")
         code, _, err = run(capsys, "blend", "--proposals", str(bad))
         assert code == 2
-        assert "error: scene:" in err
+        assert f"error: {bad}: line 1: scene:" in err
 
     @pytest.mark.parametrize("fields, path", [
         pytest.param(fields, path, id=str(fields)) for fields, path in [
@@ -777,7 +800,7 @@ class TestRepeatedKeys:
         bad.write_text(line.replace('"grid_w": ', '"grid_w": 3, "grid_w": ', 1))
         code, _, err = run(capsys, "blend", "--proposals", str(bad))
         assert code == 2
-        assert "error: repeated key 'grid_w'" in err
+        assert f"error: {bad}: line 1: not JSON: repeated key 'grid_w'" in err
 
     @pytest.mark.parametrize("name, message", [
         ("archive.json", "error: repeated key 'score'"),
@@ -869,6 +892,51 @@ class TestSearchCommand:
         got = {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
                for name in ("history.jsonl", *self.OUTPUT_DIGESTS[seed])}
         assert got == {"history.jsonl": digest, **self.OUTPUT_DIGESTS[seed]}
+
+    # sha256 of a `--workers 3` run's outputs at seed 0, budget 200
+    THREE_WORKER_DIGESTS = {
+        "history.jsonl": "39dfb235f199d81a98a30b8d7e03957e9c721584c86ba6786e28f09ddfa65714",
+        "archive.json": "7709f8e4788157a22353faa5ba28ef45a1e38c5c713663038b4e84f34afe3bf4",
+        "front.csv": "17041f3c4c68d9b2a6ea97a05c343ab5ce89358d74f8717c363d4025b8130f08",
+    }
+
+    def test_three_worker_outputs_match_golden_digests(self, tmp_path, capsys):
+        """Evaluations commit in eval_id order, so a `--workers 3` run's
+        outputs depend only on the seed and the worker count."""
+        out_dir = tmp_path / "run"
+        code, _, _ = run(capsys, "search", "--budget", "200", "--workers", "3",
+                         "--seed", "0", "--out", str(out_dir))
+        assert code == 0
+        got = {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+               for name in self.THREE_WORKER_DIGESTS}
+        assert got == self.THREE_WORKER_DIGESTS
+
+    def test_three_workers_with_a_jittery_evaluator_write_the_same_bytes(self, tmp_path, capsys):
+        """An `exec:` evaluator that sleeps a random time finishes its
+        evaluations out of order; two runs still write the same files."""
+        import sys
+
+        stub = tmp_path / "jitter.py"
+        stub.write_text(
+            "import hashlib, json, random, sys, time\n"
+            "req = json.loads(sys.stdin.readline())\n"
+            "time.sleep(random.uniform(0, 0.05))\n"
+            "key = json.dumps(req['arch'], sort_keys=True).encode()\n"
+            "score = int(hashlib.sha256(key).hexdigest()[:8], 16) / 2**32\n"
+            "print(json.dumps({'eval_id': req['eval_id'], 'score': score}))\n"
+        )
+        outputs = []
+        for name in ("a", "b"):
+            out_dir = tmp_path / name
+            code, _, _ = run(capsys, "search", "--budget", "24", "--init-population", "4",
+                             "--seed", "3", "--workers", "3",
+                             "--evaluator", f"exec:{sys.executable} {stub}",
+                             "--out", str(out_dir))
+            assert code == 0
+            outputs.append({f: (out_dir / f).read_bytes()
+                            for f in ("history.jsonl", "archive.json", "front.csv")})
+        assert len(outputs[0]["history.jsonl"].splitlines()) == 28
+        assert outputs[0] == outputs[1]
 
     def test_external_evaluator_stub(self, tmp_path, capsys):
         import sys

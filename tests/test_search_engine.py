@@ -1,6 +1,8 @@
 import hashlib
 import json
 import sys
+import threading
+import time
 from collections import Counter
 from dataclasses import replace
 
@@ -328,26 +330,76 @@ class TestRunSearch:
         assert {c.eval_id for c in archive.members} == brute_force_front(history)
 
     @pytest.mark.parametrize("workers", [2, 5])
-    def test_threads_draw_each_child_once_an_evaluation_finishes(self, monkeypatch, workers):
-        """At most `workers` evaluations run at once: at every finished
-        evaluation, the candidates priced so far exceed those finished by
-        fewer than `workers`."""
-        priced, ahead = [], []
+    def test_threads_draw_each_child_as_the_oldest_evaluation_commits(self, monkeypatch, workers):
+        """Evaluations commit in eval_id order, and job n + 2N - 1 is drawn
+        as job n commits: at every commit, the candidates priced so far
+        exceed those committed by exactly min(2N - 2, jobs left). Of the
+        evaluations, which finish out of order, N and never more run at
+        once."""
+        priced, ahead, committed = [], [], []
+        lock, running = threading.Lock(), [0, 0]  # now, most at once
+
+        class Concurrent(SyntheticEvaluator):
+            def evaluate(self, arch, eval_id, cost):
+                with lock:
+                    running[0] += 1
+                    running[1] = max(running)
+                time.sleep(0.002 * (int(eval_id[1:]) * 7 % 5 + 1))  # 2-10 ms
+                with lock:
+                    running[0] -= 1
+                return super().evaluate(arch, eval_id, cost)
 
         def counting_cost(*args, **kwargs):
             priced.append(args[0])
             return candidate_cost(*args, **kwargs)
 
         def on_eval(cand, archive):
+            committed.append(cand.eval_id)
             ahead.append(len(priced) - archive.evaluations)
 
         monkeypatch.setattr(search_engine, "candidate_cost", counting_cost)
+        jobs = 16 + 30
         archive = run_search(
             reduced_config(budget=30, init_population=16, workers=workers),
-            SyntheticEvaluator(), on_eval=on_eval,
+            Concurrent(), on_eval=on_eval,
         )
-        assert archive.evaluations == len(priced) == 16 + 30
-        assert max(ahead) == workers - 1
+        assert archive.evaluations == len(priced) == jobs
+        assert committed == [f"e{n:06d}" for n in range(jobs)]
+        assert ahead == [min(2 * workers - 2, jobs - k) for k in range(1, jobs + 1)]
+        assert running == [0, workers]
+
+    def test_an_exception_cancels_the_jobs_not_yet_started(self):
+        """`on_eval` raises at the 10th commit of a 4-worker search. Jobs
+        e000010-e000013 hold the four threads until then, so e000014 and
+        e000015, drawn and queued behind them, must be cancelled and never
+        evaluated. e000000 finishes last of the first jobs, yet commits
+        first."""
+        workers, started, committed = 4, [], []
+        raised = threading.Event()
+
+        class Gated(SyntheticEvaluator):
+            def evaluate(self, arch, eval_id, cost):
+                started.append(eval_id)
+                n = int(eval_id[1:])
+                if n == 0:
+                    time.sleep(0.05)
+                elif n >= 10:
+                    raised.wait(10)
+                    time.sleep(0.1)  # time for the search to cancel its queue
+                return super().evaluate(arch, eval_id, cost)
+
+        def on_eval(cand, archive):
+            committed.append(cand.eval_id)
+            if archive.evaluations == 10:
+                raised.set()
+                raise RuntimeError("stop")
+
+        with pytest.raises(RuntimeError, match="stop"):
+            run_search(reduced_config(budget=30, workers=workers), Gated(), on_eval=on_eval)
+        ids = [f"e{n:06d}" for n in range(16)]
+        assert committed == ids[:10]
+        assert sorted(started) == ids[: len(started)]
+        assert 10 <= len(started) <= 10 + workers
 
     def test_flops_match_cost_model(self):
         _, history = run_logged(reduced_config(budget=10), SyntheticEvaluator())
