@@ -330,7 +330,7 @@ class TestRunSearch:
         assert {c.eval_id for c in archive.members} == brute_force_front(history)
 
     @pytest.mark.parametrize("workers", [2, 5])
-    def test_threads_draw_each_child_as_the_oldest_evaluation_commits(self, monkeypatch, workers):
+    def test_threads_draw_each_child_once_an_evaluation_finishes(self, monkeypatch, workers):
         """Evaluations commit in eval_id order, and job n + 2N - 1 is drawn
         as job n commits: at every commit, the candidates priced so far
         exceed those committed by exactly min(2N - 2, jobs left). Of the
