@@ -70,10 +70,7 @@ def _default_fusion(t):
 def _load_arch(args):
     backbone = parse_backbone(args.encoding)
     if getattr(args, "fusion", None):
-        with open(args.fusion) as fh:
-            fusion = data_io.fusion_from_json(
-                json.load(fh, object_pairs_hook=data_io.unique_keys)
-            )
+        fusion = data_io.fusion_from_json(data_io.read_json(args.fusion))
     else:
         fusion = _default_fusion(backbone.num_stages)
     return ArchEncoding(backbone=backbone, fusion=fusion)
@@ -163,16 +160,19 @@ def cmd_search(args):
     if args.evaluator == "builtin:synthetic":
         evaluator = search_engine.SyntheticEvaluator()
     elif args.evaluator.startswith("exec:"):
-        evaluator = search_engine.ExternalEvaluator(
-            args.evaluator[len("exec:") :], timeout=args.timeout
-        )
+        try:
+            evaluator = search_engine.ExternalEvaluator(
+                args.evaluator[len("exec:") :], timeout=args.timeout
+            )
+        except ValueError as exc:  # an empty command, or one that does not split
+            raise _UsageError(f"bad evaluator {args.evaluator!r}: {exc}") from exc
     else:
         raise _UsageError(f"unknown evaluator {args.evaluator!r}")
 
     os.makedirs(args.out, exist_ok=True)
     snapshot_path = os.path.join(args.out, "archive.json")
 
-    with open(history_path, "w") as hist_fh:
+    with open(history_path, "w", encoding="utf-8") as hist_fh:
         def on_eval(cand, archive):
             hist_fh.write(data_io.candidate_line(cand) + "\n")
             hist_fh.flush()
@@ -183,7 +183,7 @@ def cmd_search(args):
             )
 
         archive = search_engine.run_search(config, evaluator, on_eval=on_eval)
-    with open(history_path) as fh:
+    with open(history_path, encoding="utf-8") as fh:
         data_io.snapshot_archive(archive, fh, snapshot_path)
     front_path = os.path.join(args.out, "front.csv")
     data_io.export_front_csv(archive, front_path)
@@ -199,10 +199,7 @@ def _load_blend_params(args):
     """The `--params` file, or the identity mask: a level missing from
     `per_level` is masked by the identity."""
     if args.params:
-        with open(args.params) as fh:
-            params = data_io.blend_from_json(
-                json.load(fh, object_pairs_hook=data_io.unique_keys)
-            )
+        params = data_io.blend_from_json(data_io.read_json(args.params))
     else:
         params = BlendParamSet(per_level={})
     if args.plain_nms:
@@ -244,7 +241,7 @@ def cmd_blend(args):
                 [points for _, points in lanes],
             )
     if args.out:
-        with open(args.out, "w") as fh:
+        with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(out_doc, fh, default=np.ndarray.tolist)
     if args.json:
         print(json.dumps(out_doc, default=np.ndarray.tolist))
@@ -434,7 +431,7 @@ def main(argv=None):
         return 1
     except BrokenPipeError:
         return 0
-    except (LaneNasError, OSError, json.JSONDecodeError) as exc:
+    except (LaneNasError, OSError) as exc:
         # an OSError names the file it could not read or create
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -2,8 +2,11 @@
 
 Everything is JSON or JSON-lines with an explicit "version" field; CSV
 appears only in the final front export. Coordinates are floating-point
-pixels in image space. Every JSON reader checks its document against one
-of the schemas below with `_check` before it builds anything from it.
+pixels in image space. Every input file is read through `text_lines`
+and every JSON text parsed by `parse_json`, so a data error names its
+file, and its line in a line-oriented file. Every JSON reader checks its
+document against one of the schemas below with `_check` before it builds
+anything from it.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from .arch_space import (
     parse_backbone,
     serialize_backbone,
 )
-from .errors import DuplicateError, FormatError, LaneNasError, SchemaError, VersionError
+from .errors import FormatError, LaneNasError, SchemaError, VersionError
 from .lane_model import AnchorLayout, HeadGrid, LaneProposalSet
 from .point_blend import BlendParams, BlendParamSet
 
@@ -43,64 +46,92 @@ def read_culane_lines(path):
     must be finite; a FormatError names the file, line and token at fault.
     """
     lanes = []
-    with open(path) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            toks = line.split()
-            if not toks:
-                continue
-            if len(toks) % 2 != 0:
-                raise FormatError(path, line_no, toks[-1], "odd token count")
-            try:
-                vals = list(map(float, toks))
-                ok = math.isfinite(sum(vals))  # a finite sum has no NaN or inf term
-            except ValueError:
-                ok = False
-            if not ok:  # find the token at fault
-                for tok in toks:
-                    try:
-                        v = float(tok)
-                    except ValueError:
-                        raise FormatError(path, line_no, tok, "not a number") from None
-                    if not math.isfinite(v):
-                        raise FormatError(path, line_no, tok, "not finite")
-            pts = np.array(vals).reshape(-1, 2)
-            pts = pts[pts[:, 0] >= 0]
-            if len(pts) < 2:
-                raise FormatError(path, line_no, line.strip(), f"{len(pts)} point(s) with x >= 0, need 2")
-            lanes.append(pts[np.argsort(pts[:, 1], kind="stable")])
+    for line_no, line in text_lines(path):
+        toks = line.split()
+        if not toks:
+            continue
+        if len(toks) % 2 != 0:
+            raise FormatError(path, line_no, toks[-1], "odd token count")
+        try:
+            vals = list(map(float, toks))
+            ok = math.isfinite(sum(vals))  # a finite sum has no NaN or inf term
+        except ValueError:
+            ok = False
+        if not ok:  # find the token at fault
+            for tok in toks:
+                try:
+                    v = float(tok)
+                except ValueError:
+                    raise FormatError(path, line_no, tok, "not a number") from None
+                if not math.isfinite(v):
+                    raise FormatError(path, line_no, tok, "not finite")
+        pts = np.array(vals).reshape(-1, 2)
+        pts = pts[pts[:, 0] >= 0]
+        if len(pts) < 2:
+            raise FormatError(path, line_no, line.strip(), f"{len(pts)} point(s) with x >= 0, need 2")
+        lanes.append(pts[np.argsort(pts[:, 1], kind="stable")])
     return lanes
 
 
 def write_culane_lines(path, lanes):
     """Write lanes of `(x, y)` points, such as (n, 2) arrays, one lane
     per line, every coordinate to 4 decimals."""
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         for lane in lanes:
             pts = np.asarray(lane, dtype=np.float64).tolist()
             fh.write(" ".join(f"{x:.4f} {y:.4f}" for x, y in pts) + "\n")
 
 
 # ---------------------------------------------------------------------------
-# JSON objects with a repeated key
+# the one way in: the lines of a text file, and the JSON value of a text
 
-class RepeatedKeyError(json.JSONDecodeError):
-    """A JSON object names a key twice. As a `json.JSONDecodeError` it is
-    reported the way each reader reports malformed JSON. It carries no
-    position: `unique_keys` sees one object's pairs, not the text."""
+def text_lines(path):
+    """The numbered lines of the UTF-8 text file `path`, each with its
+    newline, split at LF, CRLF or CR as text mode splits them. A line
+    that is not UTF-8 is a SchemaError naming the file and the line:
+    a strict decode fails a whole 8 KiB chunk at once, so undecodable
+    bytes are kept as lone surrogates and each non-ASCII line checked."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for n, line in enumerate(fh, start=1):
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError as exc:
+                    byte = ord(line[exc.start]) - 0xDC00  # the byte a lone surrogate stands for
+                    raise SchemaError(f"{path}: line {n}", f"not UTF-8: byte 0x{byte:02x} "
+                                      f"at column {exc.start + 1}") from None
+            yield n, line
 
-    def __init__(self, key):
-        ValueError.__init__(self, f"repeated key {key!r}")
-        self.msg, self.doc, self.pos, self.lineno, self.colno = str(self), "", 0, 0, 0
 
-
-def unique_keys(pairs):
-    """The `object_pairs_hook` of every JSON reader: `json` alone keeps
-    the last value of a repeated key, so a repeat is refused instead."""
+def _unique_keys(pairs):
+    """An object's key-value pairs as a dict, for `parse_json`: `json`
+    alone keeps the last value of a repeated key, so a repeat is refused."""
     doc = dict(pairs)
     if len(doc) < len(pairs):
         keys = [key for key, _ in pairs]
-        raise RepeatedKeyError(next(k for i, k in enumerate(keys) if k in keys[:i]))
+        raise ValueError(f"repeated key {next(k for i, k in enumerate(keys) if k in keys[:i])!r}")
     return doc
+
+
+def parse_json(text, where, error=None):
+    """The JSON value of `text`, one whole input read from `where`: a
+    file, a line of a JSON-lines file or an evaluator's reply. Malformed
+    JSON, or an object that names a key twice, is a SchemaError at
+    `where`, or `error(exc)` when given. The reason ends with json's own
+    position in a text of several lines."""
+    try:
+        return json.loads(text, object_pairs_hook=_unique_keys)
+    except ValueError as exc:  # also a repeated key, or an integer of over 4300 digits
+        if error is not None:
+            raise error(exc) from exc
+        one_line = "\n" not in text.strip()  # named by `where`: json's position adds nothing
+        reason = exc.msg if one_line and isinstance(exc, json.JSONDecodeError) else exc
+        raise SchemaError(where, f"not JSON: {reason}") from None
+
+
+def read_json(path):
+    """The JSON value of the whole text file `path`."""
+    return parse_json("".join(line for _, line in text_lines(path)), path)
 
 
 # ---------------------------------------------------------------------------
@@ -183,10 +214,10 @@ def _check(value, schema, path):
 
 def _checked(path, make, *args, **kwargs):
     """`make(*args, **kwargs)`, a value it rejects (or cannot hold as a
-    float) reported at JSON path `path`."""
+    float), or a data error it raises, reported at `path`."""
     try:
         return make(*args, **kwargs)
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (TypeError, ValueError, OverflowError, LaneNasError) as exc:
         raise SchemaError(path, str(exc)) from exc
 
 
@@ -331,7 +362,7 @@ def proposals_from_json(doc: dict):
 
 def write_proposals(path, scenes):
     """scenes: iterable of (image_id, LaneProposalSet)."""
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         for image_id, proposals in scenes:
             fh.write(json.dumps(proposals_to_json(image_id, proposals)) + "\n")
 
@@ -339,16 +370,10 @@ def write_proposals(path, scenes):
 def read_proposals(path):
     """Stream (image_id, LaneProposalSet) pairs without loading the file;
     an error names the file and the line at fault."""
-    with open(path) as fh:
-        for n, line in enumerate(fh, start=1):
-            if line.strip():
-                try:
-                    scene = proposals_from_json(json.loads(line, object_pairs_hook=unique_keys))
-                except json.JSONDecodeError as exc:
-                    raise SchemaError(f"{path}: line {n}", f"not JSON: {exc.msg}") from None
-                except LaneNasError as exc:
-                    raise SchemaError(f"{path}: line {n}", str(exc)) from exc
-                yield scene
+    for n, line in text_lines(path):
+        if line.strip():
+            where = f"{path}: line {n}"
+            yield _checked(where, proposals_from_json, parse_json(line, where))
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +411,7 @@ def _atomic_file(path):
     tmp = os.path.join(d, f".snapshot-{uuid.uuid4().hex}")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w") as fh:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
@@ -453,20 +478,24 @@ def snapshot_archive(archive, history_lines, path):
         fh.write(f'\n],\n"version": {FORMAT_VERSION}}}\n')
 
 
-def _history_log(path):
-    """The candidate documents of a `history.jsonl` log. A last line with
-    no newline was torn by a crash and is dropped unread; any other line
-    that is not a JSON object is an error naming its line number."""
-    with open(path) as fh:
-        for n, line in enumerate(fh, start=1):
+def _logged_candidates(path):
+    """(where, document) pairs of the candidates a run recorded, where
+    is `<path>: line N` in a `*.jsonl` log and `<path>: history[i]` in
+    `archive.json`. A log's last line with no newline was torn by a
+    crash and is dropped unread."""
+    if os.fspath(path).endswith(".jsonl"):
+        for n, line in text_lines(path):
             if not line.endswith("\n"):
                 return
-            try:
-                doc = json.loads(line, object_pairs_hook=unique_keys)
-            except json.JSONDecodeError as exc:
-                raise SchemaError(f"line {n}", f"not JSON: {exc.msg}") from None
-            _check(doc, {}, f"line {n}")
-            yield n, doc
+            where = f"{path}: line {n}"
+            yield where, parse_json(line, where)
+        return
+    doc = read_json(path)
+    _check(doc, {"history?": list}, f"{path}: archive")
+    if doc.get("version") != FORMAT_VERSION:
+        raise VersionError(f"unsupported archive version {doc.get('version')}")
+    for i, entry in enumerate(doc.get("history", [])):
+        yield f"{path}: history[{i}]", entry
 
 
 def load_archive(path):
@@ -476,28 +505,13 @@ def load_archive(path):
     from .search_engine import ParetoArchive
 
     archive, ids = ParetoArchive(), set()
-
-    def insert(doc):
-        cand = candidate_from_json(doc)
+    for where, doc in _logged_candidates(path):
+        _check(doc, {}, where)
+        cand = _checked(where, candidate_from_json, doc)
         if cand.eval_id in ids:
-            raise DuplicateError(f"{cand.eval_id} is already recorded")
+            raise SchemaError(where, f"{cand.eval_id} is already recorded")
         ids.add(cand.eval_id)
         archive.insert(cand)
-
-    if os.fspath(path).endswith(".jsonl"):
-        for n, doc in _history_log(path):
-            try:
-                insert(doc)
-            except LaneNasError as exc:
-                raise SchemaError(f"line {n}", str(exc)) from exc
-        return archive
-    with open(path) as fh:
-        doc = json.load(fh, object_pairs_hook=unique_keys)
-    _check(doc, {"history?": [dict]}, "archive")
-    if doc.get("version") != FORMAT_VERSION:
-        raise VersionError(f"unsupported archive version {doc.get('version')}")
-    for entry in doc.get("history", []):
-        insert(entry)
     return archive
 
 
@@ -506,7 +520,7 @@ def export_front_csv(archive, path):
     and the fusion genome as compact JSON, CSV-quoted where a field holds
     a comma or a quote, so a member can be rebuilt from its row."""
     rows = sorted(archive.members, key=lambda c: c.flops)
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         out = csv.writer(fh, lineterminator="\n")
         out.writerow(["eval_id", "encoding", "flops", "score", "fusion"])
         for c in rows:

@@ -25,10 +25,6 @@ class DegenerateLineError(LaneNasError):
     """A lane line has fewer than two points."""
 
 
-class DuplicateError(LaneNasError):
-    """Candidate with this eval_id was already recorded."""
-
-
 class EmptyArchiveError(LaneNasError):
     """Operation requires a non-empty archive."""
 

@@ -36,13 +36,8 @@ class SceneCounts:
 
 
 @dataclass(frozen=True)
-class MetricsReport:
-    tp: int
-    fp: int
-    fn: int
-    precision: float
-    recall: float
-    f1: float
+class MetricsReport(SceneCounts):
+    """The counts summed over scenes, and each scene's own."""
     per_scene: tuple[SceneCounts, ...]
 
 
@@ -171,18 +166,9 @@ def _report(per_scene) -> MetricsReport:
     """Aggregate F1 over scenes: raw counts are summed first, then the
     precision/recall/F1 formulas are applied once (never averaged
     per-scene)."""
-    tp = sum(s.tp for s in per_scene)
-    fp = sum(s.fp for s in per_scene)
-    fn = sum(s.fn for s in per_scene)
-    total = SceneCounts(tp, fp, fn)
     return MetricsReport(
-        tp=tp,
-        fp=fp,
-        fn=fn,
-        precision=total.precision,
-        recall=total.recall,
-        f1=total.f1,
-        per_scene=per_scene,
+        sum(s.tp for s in per_scene), sum(s.fp for s in per_scene), sum(s.fn for s in per_scene),
+        per_scene,
     )
 
 

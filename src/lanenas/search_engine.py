@@ -128,6 +128,8 @@ class ExternalEvaluator:
 
     def __init__(self, command, timeout=3600.0):
         self.argv = shlex.split(command)
+        if not self.argv:
+            raise ValueError("no command to run")
         self.timeout = timeout
 
     def evaluate(self, arch: ArchEncoding, eval_id: str, cost: CostReport) -> float:
@@ -139,7 +141,7 @@ class ExternalEvaluator:
                 self.argv,
                 input=json.dumps(request) + "\n",
                 capture_output=True,
-                text=True,
+                encoding="utf-8",
                 timeout=self.timeout,
             )
         except subprocess.TimeoutExpired as exc:
@@ -153,10 +155,9 @@ class ExternalEvaluator:
         line = proc.stdout.strip().splitlines()
         if not line:
             raise ProtocolError("evaluator produced no output")
-        try:
-            doc = json.loads(line[-1], object_pairs_hook=data_io.unique_keys)
-        except json.JSONDecodeError as exc:
-            raise ProtocolError(f"bad JSON from evaluator: {exc}") from exc
+        doc = data_io.parse_json(
+            line[-1], "response", lambda exc: ProtocolError(f"bad JSON from evaluator: {exc}")
+        )
         return data_io.eval_response_from_json(doc, expect_eval_id=eval_id)
 
 

@@ -131,22 +131,22 @@ MALFORMED_PROPOSALS = {
 
 
 # edits to a well-formed archive.json (at its second candidate, e000001)
-# and fusion spec, and the JSON path each error names
+# and fusion spec, and the place each error names after the file
 MALFORMED_ARCHIVES = {
     "flops a string": (lambda doc: doc["history"][1].update(flops="12"),
-                       "candidate[e000001].flops"),
+                       "history[1]: candidate[e000001].flops"),
     "score a string": (lambda doc: doc["history"][1].update(score="0.5"),
-                       "candidate[e000001].score"),
+                       "history[1]: candidate[e000001].score"),
     "score NaN": (lambda doc: doc["history"][1].update(score=math.nan),
-                  "candidate[e000001].score"),
+                  "history[1]: candidate[e000001].score"),
     "history not a list": (lambda doc: doc.update(history=5), "archive.history"),
-    "entry not an object": (lambda doc: doc["history"].__setitem__(1, 5), "archive.history[1]"),
+    "entry not an object": (lambda doc: doc["history"].__setitem__(1, 5), "history[1]"),
     "heads_at not a list": (lambda doc: doc["history"][1]["arch"]["fusion"].update(heads_at=5),
-                            "candidate[e000001].arch.fusion.heads_at"),
+                            "history[1]: candidate[e000001].arch.fusion.heads_at"),
     "backbone not a string": (lambda doc: doc["history"][1]["arch"].update(backbone=5),
-                              "candidate[e000001].arch.backbone"),
+                              "history[1]: candidate[e000001].arch.backbone"),
     "arch not an object": (lambda doc: doc["history"][1].update(arch=5),
-                           "candidate[e000001].arch"),
+                           "history[1]: candidate[e000001].arch"),
 }
 MALFORMED_FUSIONS = {
     "layers not a list": (lambda doc: doc.update(layers=5), "fusion.layers"),
@@ -684,7 +684,7 @@ class TestSchemaErrors:
         code, _, err = run(capsys, "pareto-export", "--archive", str(bad),
                            "--out", str(tmp_path / "front.csv"))
         assert code == 2
-        assert f"error: {path}:" in err
+        assert err.startswith(f"error: {bad}: {path}: ")
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_FUSIONS))
     def test_malformed_fusion(self, tmp_path, capsys, case):
@@ -782,7 +782,7 @@ class TestRepeatedKeys:
         (tmp_path / "params.json").write_text(text.replace('"2": ', '"1": '))
         code, out, err = run(capsys, "blend", "--proposals", doc["proposals"], "--params", params)
         assert (code, out) == (2, "")
-        assert "error: repeated key '1'" in err
+        assert err == f"error: {params}: not JSON: repeated key '1'\n"
 
     def test_fusion_field_repeated(self, tmp_path, capsys):
         fusion = tmp_path / "fusion.json"
@@ -790,7 +790,7 @@ class TestRepeatedKeys:
                           '"channels": 128, "channels": 64, "heads_at": [1]}')
         code, _, err = run(capsys, "cost", "BB_64_13_[5,9]_[7,12]", "--fusion", str(fusion))
         assert code == 2
-        assert "error: repeated key 'channels'" in err
+        assert err == f"error: {fusion}: not JSON: repeated key 'channels'\n"
 
     def test_proposals_field_repeated(self, tmp_path, capsys):
         doc = gen_synth(capsys, tmp_path / "corpus", "--num-scenes", "1")
@@ -802,11 +802,9 @@ class TestRepeatedKeys:
         assert code == 2
         assert f"error: {bad}: line 1: not JSON: repeated key 'grid_w'" in err
 
-    @pytest.mark.parametrize("name, message", [
-        ("archive.json", "error: repeated key 'score'"),
-        ("history.jsonl", "error: line 1: not JSON: repeated key 'score'"),
-    ])
-    def test_candidate_field_repeated(self, tmp_path, capsys, name, message):
+    @pytest.mark.parametrize("name, where", [("archive.json", ""), ("history.jsonl", ": line 1")],
+                             ids=["archive.json", "history.jsonl"])
+    def test_candidate_field_repeated(self, tmp_path, capsys, name, where):
         out_dir = tmp_path / "run"
         code, _, _ = run(capsys, "search", "--budget", "1", "--init-population", "1",
                          "--seed", "0", "--out", str(out_dir))
@@ -816,7 +814,7 @@ class TestRepeatedKeys:
         bad.write_text(text.replace('"score": ', '"score": 0.5, "score": ', 1))
         code, _, err = export(capsys, bad, tmp_path / "front.csv")
         assert code == 2
-        assert message in err
+        assert err == f"error: {bad}{where}: not JSON: repeated key 'score'\n"
 
     def test_evaluator_response_field_repeated(self, tmp_path, capsys):
         import sys
@@ -837,6 +835,100 @@ class TestRepeatedKeys:
         for h in history:
             assert h["score"] is None
             assert h["error"] == "ProtocolError: bad JSON from evaluator: repeated key 'score'"
+
+
+# every reader, as (directory to copy from the inputs, file in it to
+# break, whether the file is read line by line, the command's arguments
+# given the copy and the inputs)
+READERS = {
+    "proposals": ("corpus", "proposals.jsonl", True,
+                  lambda copy, root: ["blend", "--proposals", str(copy / "proposals.jsonl")]),
+    "params": (".", "params.json", False,
+               lambda copy, root: ["blend", "--proposals", str(root / "corpus/proposals.jsonl"),
+                                   "--params", str(copy / "params.json")]),
+    "fusion": (".", "fusion.json", False,
+               lambda copy, root: ["cost", "BB_64_13_[5,9]_[7,12]",
+                                   "--fusion", str(copy / "fusion.json")]),
+    "archive.json": ("run", "archive.json", False,
+                     lambda copy, root: ["pareto-export", "--archive", str(copy / "archive.json"),
+                                         "--out", str(copy / "front.csv")]),
+    "history.jsonl": ("run", "history.jsonl", True,
+                      lambda copy, root: ["pareto-export", "--archive", str(copy / "history.jsonl"),
+                                          "--out", str(copy / "front.csv")]),
+    "pred .lines.txt": ("corpus/gt", "synth_00001.lines.txt", True,
+                        lambda copy, root: ["eval-f1", "--pred", str(copy),
+                                            "--gt", str(root / "corpus/gt")]),
+    "gt .lines.txt": ("corpus/gt", "synth_00001.lines.txt", True,
+                      lambda copy, root: ["eval-f1", "--pred", str(root / "corpus/gt"),
+                                          "--gt", str(copy)]),
+}
+
+
+def _edit_line(data, n, edit):
+    """`data` with its line `n` (from 1) passed through `edit`, as bytes."""
+    lines = data.splitlines(keepends=True)
+    lines[n - 1] = edit(lines[n - 1])
+    return b"".join(lines)
+
+
+class TestDataErrorContract:
+    """Every reader refuses malformed JSON (a bad token in a `.lines.txt`
+    file), an object naming a key twice, and bytes that are not UTF-8
+    alike: exit 2, nothing on stdout, and one line on stderr that names
+    the file, and the line in a file read line by line."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        """Well-formed inputs of every reader: a two-scene corpus whose
+        ground-truth files hold two lanes each, `blend --params` and
+        `cost --fusion` files, and the outputs of a two-evaluation run."""
+        root = tmp_path_factory.mktemp("inputs")
+        assert main(["gen-synth", "--out", str(root / "corpus"), "--num-scenes", "2"]) == 0
+        write_params(root / "params.json")
+        (root / "fusion.json").write_text(json.dumps(
+            {"layers": [{"input_a": 1, "input_b": 2, "output_level": 1}], "heads_at": [1]}))
+        assert main(["search", "--budget", "1", "--init-population", "1",
+                     "--out", str(root / "run")]) == 0
+        return root
+
+    @pytest.mark.parametrize("reader, fault", [
+        pytest.param(reader, fault, id=f"{reader}-{fault}")
+        for reader, (_, name, _, _) in READERS.items()
+        for fault in ("malformed", "repeated key", "not UTF-8")
+        if not (name.endswith(".lines.txt") and fault == "repeated key")
+    ])
+    def test_error_names_the_file_and_line(self, inputs, tmp_path, capsys, reader, fault):
+        folder, name, by_line, argv = READERS[reader]
+        copy = tmp_path / "copy"
+        shutil.copytree(inputs / folder, copy)
+        bad = copy / name
+        data = bad.read_bytes()
+        # a file read line by line breaks at its line 2, a JSON file at its last line
+        n = 2 if by_line else len(data.splitlines())
+        where = f": line {n}" if by_line else ""
+        if fault == "not UTF-8":
+            data = _edit_line(data, n, lambda line: b"\xff" + line)
+            where, message = f": line {n}", "not UTF-8: byte 0xff at column 1"
+        elif name.endswith(".lines.txt"):
+            data = _edit_line(data, n, lambda line: b"1.0 2.0 x 4.0\n")
+            where, message = f": line {n}, token 'x'", "not a number"
+        elif fault == "malformed":  # the closing brace of the line or file dropped
+            if by_line:
+                data = _edit_line(data, n, lambda line: line.replace(b"}\n", b"\n"))
+            else:
+                data = data[: data.rindex(b"}")] + data[data.rindex(b"}") + 1 :]
+            message = "not JSON: Expecting ',' delimiter"
+        else:
+            if by_line:
+                data = _edit_line(data, n, lambda line: line.replace(b"{", b'{"k": 0, "k": 1, ', 1))
+            else:
+                data = data.replace(b"{", b'{"k": 0, "k": 1, ', 1)
+            message = "not JSON: repeated key 'k'"
+        bad.write_bytes(data)
+        code, out, err = run(capsys, *argv(copy, inputs))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {bad}{where}: {message}")
+        assert err.count("\n") == 1 and err.endswith("\n")
 
 
 class TestSearchCommand:
@@ -1062,6 +1154,28 @@ class TestSearchCommand:
                          "--evaluator", "magic:thing")
         assert code == 1
 
+    @pytest.mark.parametrize("spec, reason", [
+        ("exec:", "no command to run"),
+        ("exec:   ", "no command to run"),
+    ], ids=["empty", "blank"])
+    def test_empty_exec_command_is_a_usage_error(self, tmp_path, capsys, spec, reason):
+        """Refused before the run starts: no evaluation fails on it and
+        no `history.jsonl` is created."""
+        out_dir = tmp_path / "run"
+        code, out, err = run(capsys, "search", "--out", str(out_dir), "--evaluator", spec)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"usage error: bad evaluator {spec!r}: {reason}\n")
+        assert not out_dir.exists()
+
+    def test_exec_command_that_does_not_split_is_a_usage_error(self, tmp_path, capsys):
+        out_dir = tmp_path / "run"
+        code, out, err = run(capsys, "search", "--out", str(out_dir),
+                             "--evaluator", "exec:'unterminated")
+        assert (code, out) == (1, "")
+        assert err.startswith("usage error: bad evaluator \"exec:'unterminated\": "
+                              "No closing quotation\n")
+        assert not out_dir.exists()
+
     def test_pareto_export_from_history_log(self, tmp_path, capsys):
         """A finished run's log gives the same front.csv as its archive."""
         out_dir = tmp_path / "run"
@@ -1139,10 +1253,10 @@ class TestSearchCommand:
         assert (tmp_path / "torn.csv").read_bytes() == (tmp_path / "shorter.csv").read_bytes()
 
     @pytest.mark.parametrize("second_line, message", [
-        (lambda first, second: '{"eval_id": "e000001"', "line 2: not JSON"),
-        (lambda first, second: "5", "line 2: need an object"),
+        (lambda first, second: '{"eval_id": "e000001"', "line 2: not JSON: Expecting ',' delimiter"),
+        (lambda first, second: "5", "line 2: need an object, got 5"),
         (lambda first, second: json.dumps({**json.loads(second), "flops": "12"}),
-         "line 2: candidate[e000001].flops: need int"),
+         "line 2: candidate[e000001].flops: need int, got '12'"),
         (lambda first, second: first, "line 2: e000000 is already recorded"),
     ], ids=["bad-json", "not-an-object", "schema-break", "repeated"])
     def test_malformed_log_line_is_a_data_error(self, tmp_path, capsys, second_line, message):
@@ -1157,7 +1271,7 @@ class TestSearchCommand:
         log.write_text(f"{first}\n{second_line(first, second)}\n")
         code, _, err = export(capsys, log, tmp_path / "front.csv")
         assert code == 2
-        assert f"error: {message}" in err
+        assert err == f"error: {log}: {message}\n"
 
     def test_pareto_export(self, tmp_path, capsys):
         out_dir = tmp_path / "run"

@@ -12,7 +12,6 @@ import pytest
 from lanenas import data_io
 from lanenas.arch_space import ArchEncoding, parse_backbone
 from lanenas.errors import (
-    DuplicateError,
     FormatError,
     LaneNasError,
     SchemaError,
@@ -139,6 +138,45 @@ class TestCulaneLines:
         data_io.write_culane_lines(pairs, lanes)
         data_io.write_culane_lines(arrays, [np.array(lane, dtype=np.float64) for lane in lanes])
         assert arrays.read_text() == pairs.read_text()
+
+
+class TestFrontDoor:
+    """`text_lines` and `parse_json`, through which every input is read."""
+
+    def test_lines_split_as_text_mode_splits_them(self, tmp_path):
+        path = tmp_path / "mixed.txt"
+        path.write_bytes("a\rb\r\nc\u00e9\nd".encode())
+        assert list(data_io.text_lines(path)) == [(1, "a\n"), (2, "b\n"), (3, "c\u00e9\n"), (4, "d")]
+
+    def test_cr_only_lane_file(self, tmp_path):
+        path = tmp_path / "cr.lines.txt"
+        path.write_bytes(b"100.0 590 110.0 580\r7 1 8 0\r")
+        assert_lanes(data_io.read_culane_lines(path),
+                     [((110.0, 580.0), (100.0, 590.0)), ((8.0, 0.0), (7.0, 1.0))])
+
+    def test_bytes_not_utf8_are_named_at_their_line(self, tmp_path):
+        """A strict decode would fail the whole 8 KiB chunk holding the
+        bad bytes; the line and column named are still exact."""
+        lines = [b"x" * 99 + b"\n"] * 200
+        lines[150] = "\u00e9".encode() + b"\xc3(\n"
+        path = tmp_path / "big.txt"
+        path.write_bytes(b"".join(lines))
+        with pytest.raises(SchemaError) as exc:
+            list(data_io.text_lines(path))
+        assert str(exc.value) == f"{path}: line 151: not UTF-8: byte 0xc3 at column 2"
+
+    @pytest.mark.parametrize("text, reason", [
+        ('{"a": 1,}', "not JSON: Expecting property name enclosed in double quotes"),
+        ('{\n"a": 1,\n}\n', "not JSON: Expecting property name enclosed in double quotes: "
+                           "line 3 column 1 (char 10)"),
+        ('{"a": {"b": 1, "b": 2}}', "not JSON: repeated key 'b'"),
+        ("1" * 5000, "not JSON: Exceeds the limit (4300 digits)"),
+    ], ids=["one line", "several lines", "repeated key", "integer too long"])
+    def test_parse_errors_name_where(self, text, reason):
+        with pytest.raises(SchemaError) as exc:
+            data_io.parse_json(text, "f.json")
+        assert exc.value.path == "f.json"
+        assert str(exc.value).startswith(f"f.json: {reason}")
 
 
 class TestArchJson:
@@ -296,7 +334,7 @@ class TestArchiveSnapshot:
         log.write_text("".join(line + "\n" for line in lines[:4]) + lines[4][:-1] + "\n")
         with pytest.raises(SchemaError) as exc:
             data_io.load_archive(log)
-        assert exc.value.path == "line 5"
+        assert exc.value.path == f"{log}: line 5"
 
     def test_duplicate_eval_id_rejected(self, tmp_path):
         """A repeated eval_id is refused, in a log (naming the line) and
@@ -307,12 +345,12 @@ class TestArchiveSnapshot:
         log.write_text("".join(data_io.candidate_line(c) + "\n" for c in repeated))
         with pytest.raises(SchemaError) as exc:
             data_io.load_archive(log)
-        assert str(exc.value) == "line 4: e0000 is already recorded"
+        assert str(exc.value) == f"{log}: line 4: e0000 is already recorded"
         path = tmp_path / "a.json"
         self.snapshot(a, repeated, path)
-        with pytest.raises(DuplicateError) as exc:
+        with pytest.raises(SchemaError) as exc:
             data_io.load_archive(path)
-        assert str(exc.value) == "e0000 is already recorded"
+        assert str(exc.value) == f"{path}: history[3]: e0000 is already recorded"
 
     def test_resume_with_zero_budget_unchanged(self, tmp_path):
         a, history = self.archive(seed=9)
@@ -354,7 +392,8 @@ class TestArchiveSnapshot:
         path.write_text(json.dumps(doc))
         with pytest.raises(SchemaError) as exc:
             data_io.load_archive(path)
-        assert "e0001" in exc.value.path
+        assert exc.value.path == f"{path}: history[1]"
+        assert str(exc.value) == f"{path}: history[1]: candidate[e0001].flops: missing field"
 
     def test_error_written_only_when_set(self, tmp_path, monkeypatch):
         ok = Candidate(make_arch(), 10, 0.5, "e0")

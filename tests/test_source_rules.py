@@ -1,0 +1,61 @@
+"""Rules on the package source that keep every input behind `data_io`'s
+front door: JSON is parsed only by `data_io.parse_json`, and every file
+opened as text names its encoding, so a file written under one locale
+reads under another."""
+
+import ast
+import pathlib
+
+import lanenas
+
+SOURCES = sorted(pathlib.Path(lanenas.__file__).parent.glob("*.py"))
+
+
+def calls(tree):
+    """(enclosing function name, call node) of every call in `tree`."""
+    def walk(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from walk(child, child.name)
+            else:
+                if isinstance(child, ast.Call):
+                    yield func, child
+                yield from walk(child, func)
+    yield from walk(tree, None)
+
+
+def dotted(node):
+    """`json.loads` for the callee `json.loads`, `open` for `open`."""
+    if isinstance(node, ast.Attribute):
+        return f"{dotted(node.value)}.{node.attr}"
+    return node.id if isinstance(node, ast.Name) else "?"
+
+
+def test_sources_found():
+    assert {"data_io.py", "cli.py", "search_engine.py"} <= {p.name for p in SOURCES}
+
+
+def test_json_is_parsed_only_by_parse_json():
+    found = []
+    for path in SOURCES:
+        for func, call in calls(ast.parse(path.read_text(encoding="utf-8"))):
+            if dotted(call.func) in ("json.load", "json.loads"):
+                found.append((path.name, func))
+    assert found == [("data_io.py", "parse_json")]
+
+
+def test_every_text_mode_open_names_an_encoding():
+    opens, missing = 0, []
+    for path in SOURCES:
+        for func, call in calls(ast.parse(path.read_text(encoding="utf-8"))):
+            if dotted(call.func) not in ("open", "os.fdopen"):
+                continue
+            mode = call.args[1] if len(call.args) > 1 else next(
+                (k.value for k in call.keywords if k.arg == "mode"), None)
+            if isinstance(mode, ast.Constant) and "b" in mode.value:
+                continue
+            opens += 1
+            if not any(k.arg == "encoding" for k in call.keywords):
+                missing.append(f"{path.name}:{call.lineno} in {func}")
+    assert opens >= 8
+    assert missing == []
