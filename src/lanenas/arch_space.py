@@ -128,9 +128,12 @@ class ArchEncoding:
         self.fusion.validate_against(self.backbone.num_stages)
 
 
+# digits are ASCII: `\d` and `str.isdigit` also pass digits `int` reads
+# ("٩" as 9) and digits it rejects ("²")
 _BACKBONE_RE = re.compile(
-    r"^\s*([A-Z]{2})_(\d+)_(\d+)_\[([^\]]*)\]_\[([^\]]*)\]\s*$"
+    r"^\s*([A-Z]{2})_([0-9]+)_([0-9]+)_\[([^\]]*)\]_\[([^\]]*)\]\s*$"
 )
+_INDEX_RE = re.compile(r"-?[0-9]+")
 
 
 def _parse_index_list(text, name):
@@ -139,7 +142,7 @@ def _parse_index_list(text, name):
         tok = tok.strip()
         if not tok:
             raise EncodingSyntaxError(f"empty entry in {name} list")
-        if not tok.lstrip("-").isdigit():
+        if not _INDEX_RE.fullmatch(tok):
             raise EncodingSyntaxError(f"non-integer {tok!r} in {name} list")
         items.append(int(tok))
     return tuple(items)

@@ -67,15 +67,6 @@ def _default_fusion(t):
     )
 
 
-def _load_arch(args):
-    backbone = parse_backbone(args.encoding)
-    if getattr(args, "fusion", None):
-        fusion = data_io.fusion_from_json(data_io.read_json(args.fusion))
-    else:
-        fusion = _default_fusion(backbone.num_stages)
-    return ArchEncoding(backbone=backbone, fusion=fusion)
-
-
 def cmd_parse_arch(args):
     spec = parse_backbone(args.encoding)
     doc = {
@@ -88,7 +79,7 @@ def cmd_parse_arch(args):
         "num_stages": spec.num_stages,
     }
     if args.json:
-        print(json.dumps(doc))
+        print(json.dumps(doc, allow_nan=False))
     else:
         for k, v in doc.items():
             print(f"{k}: {v}")
@@ -96,8 +87,10 @@ def cmd_parse_arch(args):
 
 
 def cmd_cost(args):
-    arch = _load_arch(args)
-    report = candidate_cost(arch, _parse_resolution(args.resolution))
+    backbone = parse_backbone(args.encoding)
+    fusion = (data_io.read_json(args.fusion, data_io.fusion_from_json) if args.fusion
+              else _default_fusion(backbone.num_stages))
+    report = candidate_cost(ArchEncoding(backbone, fusion), _parse_resolution(args.resolution))
     if args.json:
         print(
             json.dumps(
@@ -110,7 +103,8 @@ def cmd_cost(args):
                         {"component": n, "flops": f, "params": p}
                         for n, f, p in report.per_component
                     ],
-                }
+                },
+                allow_nan=False,
             )
         )
     else:
@@ -131,7 +125,8 @@ def cmd_space_size(args):
                     "backbone_count": report.backbone_count,
                     "fusion_count": report.fusion_count,
                     "assumptions": list(report.assumptions),
-                }
+                },
+                allow_nan=False,
             )
         )
     else:
@@ -189,22 +184,10 @@ def cmd_search(args):
     data_io.export_front_csv(archive, front_path)
     doc = {"evaluations": archive.evaluations, "front_size": len(archive.members),
            "archive": snapshot_path, "front": front_path, "history": history_path}
-    print(json.dumps(doc) if args.json else
+    print(json.dumps(doc, allow_nan=False) if args.json else
           f"{archive.evaluations} evaluations, front size {len(archive.members)}\n"
           f"wrote {snapshot_path}, {front_path}, {history_path}")
     return 0
-
-
-def _load_blend_params(args):
-    """The `--params` file, or the identity mask: a level missing from
-    `per_level` is masked by the identity."""
-    if args.params:
-        params = data_io.blend_from_json(data_io.read_json(args.params))
-    else:
-        params = BlendParamSet(per_level={})
-    if args.plain_nms:
-        params = point_blend.plain_nms_params(params)
-    return params
 
 
 def _check_file_id(image_id, written):
@@ -219,7 +202,11 @@ def _check_file_id(image_id, written):
 
 
 def cmd_blend(args):
-    params = _load_blend_params(args)
+    # a level missing from `per_level`, every level without `--params`, is masked by the identity
+    params = (data_io.read_json(args.params, data_io.blend_from_json) if args.params
+              else BlendParamSet(per_level={}))
+    if args.plain_nms:
+        params = point_blend.plain_nms_params(params)
     # only `--out` and `--json` keep every scene's lanes; else scenes stream through
     out_doc = {"version": data_io.FORMAT_VERSION, "scenes": []} if args.out or args.json else None
     n_scenes = n_lanes = 0
@@ -242,9 +229,9 @@ def cmd_blend(args):
             )
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(out_doc, fh, default=np.ndarray.tolist)
+            json.dump(out_doc, fh, default=np.ndarray.tolist, allow_nan=False)
     if args.json:
-        print(json.dumps(out_doc, default=np.ndarray.tolist))
+        print(json.dumps(out_doc, default=np.ndarray.tolist, allow_nan=False))
     else:
         print(f"{n_scenes} scenes, {n_lanes} lanes")
     return 0
@@ -287,7 +274,7 @@ def cmd_eval_f1(args):
         "f1": report.f1,
         "scenes": len(report.per_scene),
     }
-    print(json.dumps(doc) if args.json else f"F1 {report.f1:.4f} "
+    print(json.dumps(doc, allow_nan=False) if args.json else f"F1 {report.f1:.4f} "
           f"(P {report.precision:.4f}, R {report.recall:.4f}, "
           f"tp {report.tp}, fp {report.fp}, fn {report.fn})")
     return 0
@@ -308,7 +295,8 @@ def cmd_eval_tusimple(args):
         total += n
     acc = 1.0 if total == 0 else correct / total
     doc = {"accuracy": acc, "correct_points": correct, "gt_points": total}
-    print(json.dumps(doc) if args.json else f"accuracy {acc:.4f} ({correct}/{total})")
+    print(json.dumps(doc, allow_nan=False) if args.json else
+          f"accuracy {acc:.4f} ({correct}/{total})")
     return 0
 
 
@@ -339,7 +327,7 @@ def cmd_gen_synth(args):
 
     data_io.write_proposals(proposals_path, scenes())
     doc = {"proposals": proposals_path, "gt_dir": gt_dir, "scenes": n_scenes}
-    print(json.dumps(doc) if args.json else
+    print(json.dumps(doc, allow_nan=False) if args.json else
           f"wrote {n_scenes} scenes to {proposals_path} and {gt_dir}/")
     return 0
 
@@ -348,7 +336,7 @@ def cmd_pareto_export(args):
     archive = data_io.load_archive(args.archive)
     data_io.export_front_csv(archive, args.out)
     doc = {"front_size": len(archive.members), "out": args.out}
-    print(json.dumps(doc) if args.json else
+    print(json.dumps(doc, allow_nan=False) if args.json else
           f"exported {len(archive.members)} front members to {args.out}")
     return 0
 

@@ -3,10 +3,10 @@
 Everything is JSON or JSON-lines with an explicit "version" field; CSV
 appears only in the final front export. Coordinates are floating-point
 pixels in image space. Every input file is read through `text_lines`
-and every JSON text parsed by `parse_json`, so a data error names its
-file, and its line in a line-oriented file. Every JSON reader checks its
-document against one of the schemas below with `_check` before it builds
-anything from it.
+and every JSON text parsed by `parse_json`, so a malformed input is a
+SchemaError naming its file, and its line in a line-oriented file.
+Every JSON reader checks its document against one of the schemas below
+with `_check` before it builds anything from it.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .arch_space import (
     parse_backbone,
     serialize_backbone,
 )
-from .errors import FormatError, LaneNasError, SchemaError, VersionError
+from .errors import LaneNasError, SchemaError
 from .lane_model import AnchorLayout, HeadGrid, LaneProposalSet
 from .point_blend import BlendParams, BlendParamSet
 
@@ -43,15 +43,18 @@ def read_culane_lines(path):
 
     Points with negative x (the dataset's missing-point convention) are
     dropped, leaving at least 2 per lane, stably sorted by y. Coordinates
-    must be finite; a FormatError names the file, line and token at fault.
+    must be finite; a SchemaError names the file, line and token at fault.
     """
+    def bad(tok, reason):
+        return SchemaError(f"{path}: line {n}", f"token {tok!r}: {reason}")
+
     lanes = []
-    for line_no, line in text_lines(path):
+    for n, line in text_lines(path):
         toks = line.split()
         if not toks:
             continue
         if len(toks) % 2 != 0:
-            raise FormatError(path, line_no, toks[-1], "odd token count")
+            raise bad(toks[-1], "odd token count")
         try:
             vals = list(map(float, toks))
             ok = math.isfinite(sum(vals))  # a finite sum has no NaN or inf term
@@ -62,13 +65,13 @@ def read_culane_lines(path):
                 try:
                     v = float(tok)
                 except ValueError:
-                    raise FormatError(path, line_no, tok, "not a number") from None
+                    raise bad(tok, "not a number") from None
                 if not math.isfinite(v):
-                    raise FormatError(path, line_no, tok, "not finite")
+                    raise bad(tok, "not finite")
         pts = np.array(vals).reshape(-1, 2)
         pts = pts[pts[:, 0] >= 0]
         if len(pts) < 2:
-            raise FormatError(path, line_no, line.strip(), f"{len(pts)} point(s) with x >= 0, need 2")
+            raise bad(line.strip(), f"{len(pts)} point(s) with x >= 0, need 2")
         lanes.append(pts[np.argsort(pts[:, 1], kind="stable")])
     return lanes
 
@@ -113,25 +116,24 @@ def _unique_keys(pairs):
     return doc
 
 
-def parse_json(text, where, error=None):
+def parse_json(text, where):
     """The JSON value of `text`, one whole input read from `where`: a
     file, a line of a JSON-lines file or an evaluator's reply. Malformed
     JSON, or an object that names a key twice, is a SchemaError at
-    `where`, or `error(exc)` when given. The reason ends with json's own
-    position in a text of several lines."""
+    `where`. The reason ends with json's own position in a text of
+    several lines."""
     try:
         return json.loads(text, object_pairs_hook=_unique_keys)
     except ValueError as exc:  # also a repeated key, or an integer of over 4300 digits
-        if error is not None:
-            raise error(exc) from exc
         one_line = "\n" not in text.strip()  # named by `where`: json's position adds nothing
         reason = exc.msg if one_line and isinstance(exc, json.JSONDecodeError) else exc
         raise SchemaError(where, f"not JSON: {reason}") from None
 
 
-def read_json(path):
-    """The JSON value of the whole text file `path`."""
-    return parse_json("".join(line for _, line in text_lines(path)), path)
+def read_json(path, build):
+    """`build(doc)` of the JSON value `doc` of the whole text file
+    `path`; a data error `build` raises is reported at `path`."""
+    return _checked(path, build, parse_json("".join(line for _, line in text_lines(path)), path))
 
 
 # ---------------------------------------------------------------------------
@@ -165,6 +167,11 @@ def _text_or_null(v):
 def _sigma(v):
     """a finite number or "inf\""""
     return v == "inf" or _number(v)
+
+
+def _version(v):
+    """format version 1"""
+    return type(v) is int and v == FORMAT_VERSION
 
 
 # lists of these leaves are first checked whole: all floats (or nulls)
@@ -241,8 +248,10 @@ _BLEND = {
     "locality_sigma": _sigma,
 }
 _LEVEL_PARAMS = {"alpha1": _number, "beta1": _number, "alpha2": _number, "center": [_number, 2]}
-_SCENE = {"image_id?": str, "layout": {"image_size": [_number, 2], "rows": [_number]}}
+_SCENE = {"version?": _version, "image_id?": str,
+          "layout": {"image_size": [_number, 2], "rows": [_number]}}
 _RESPONSE = {"eval_id": str, "score": _unit}
+_ARCHIVE = {"version": _version, "history?": list}
 
 
 def _heads_schema(num_rows):
@@ -342,9 +351,6 @@ def proposals_to_json(image_id, proposals: LaneProposalSet) -> dict:
 
 
 def proposals_from_json(doc: dict):
-    _check(doc, dict, "scene")
-    if doc.get("version", FORMAT_VERSION) != FORMAT_VERSION:
-        raise VersionError(f"unsupported proposals version {doc.get('version')}")
     _check(doc, _SCENE, "")
     layout = _checked(
         "layout.rows", AnchorLayout, tuple(doc["layout"]["image_size"]), tuple(doc["layout"]["rows"])
@@ -363,8 +369,12 @@ def proposals_from_json(doc: dict):
 def write_proposals(path, scenes):
     """scenes: iterable of (image_id, LaneProposalSet)."""
     with open(path, "w", encoding="utf-8") as fh:
-        for image_id, proposals in scenes:
-            fh.write(json.dumps(proposals_to_json(image_id, proposals)) + "\n")
+        for n, (image_id, proposals) in enumerate(scenes, start=1):
+            try:
+                line = json.dumps(proposals_to_json(image_id, proposals), allow_nan=False)
+            except ValueError as exc:  # a number that overflowed to inf
+                raise LaneNasError(f"{path}: line {n}: {exc}") from None
+            fh.write(line + "\n")
 
 
 def read_proposals(path):
@@ -442,7 +452,7 @@ def candidate_to_json(cand) -> dict:
 
 def candidate_line(cand) -> str:
     """One candidate as a line of `history.jsonl` (without the newline)."""
-    return json.dumps(candidate_to_json(cand), sort_keys=True)
+    return json.dumps(candidate_to_json(cand), sort_keys=True, allow_nan=False)
 
 
 def candidate_from_json(doc: dict):
@@ -490,12 +500,14 @@ def _logged_candidates(path):
             where = f"{path}: line {n}"
             yield where, parse_json(line, where)
         return
-    doc = read_json(path)
-    _check(doc, {"history?": list}, f"{path}: archive")
-    if doc.get("version") != FORMAT_VERSION:
-        raise VersionError(f"unsupported archive version {doc.get('version')}")
-    for i, entry in enumerate(doc.get("history", [])):
+    for i, entry in enumerate(read_json(path, _archive_history)):
         yield f"{path}: history[{i}]", entry
+
+
+def _archive_history(doc):
+    """The history entries of an `archive.json` document."""
+    _check(doc, _ARCHIVE, "")
+    return doc.get("history", [])
 
 
 def load_archive(path):
@@ -524,6 +536,7 @@ def export_front_csv(archive, path):
         out = csv.writer(fh, lineterminator="\n")
         out.writerow(["eval_id", "encoding", "flops", "score", "fusion"])
         for c in rows:
-            fusion = json.dumps(fusion_to_json(c.arch.fusion), separators=(",", ":"))
+            fusion = json.dumps(fusion_to_json(c.arch.fusion), separators=(",", ":"),
+                                allow_nan=False)
             encoding = serialize_backbone(c.arch.backbone)
             out.writerow([c.eval_id, encoding, c.flops, c.score, fusion])

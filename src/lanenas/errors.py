@@ -34,31 +34,18 @@ class EmptyDatasetError(LaneNasError):
 
 
 class ProtocolError(LaneNasError):
-    """External evaluator returned a malformed response."""
+    """External evaluator process exited non-zero or wrote nothing."""
 
 
 class SpawnError(LaneNasError):
     """External evaluator process could not be started."""
 
 
-class FormatError(LaneNasError):
-    """Text data file is malformed; names the file, and carries the line
-    number and token."""
-
-    def __init__(self, path, line_no, token, message=""):
-        detail = message or "bad token"
-        super().__init__(f"{path}: line {line_no}, token {token!r}: {detail}")
-        self.line_no = line_no
-        self.token = token
-
-
 class SchemaError(LaneNasError):
-    """JSON document violates the expected schema; carries a JSON path."""
+    """Malformed input: `path` names the place at fault (a file, its
+    line, a JSON path or an evaluator's reply; empty for a whole JSON
+    document) and `reason` what is wrong there."""
 
-    def __init__(self, path, message=""):
-        super().__init__(f"{path}: {message or 'schema violation'}")
+    def __init__(self, path, reason):
+        super().__init__(f"{path}: {reason}" if path else reason)
         self.path = path
-
-
-class VersionError(LaneNasError):
-    """On-disk format version is not supported."""

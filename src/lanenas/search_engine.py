@@ -8,15 +8,17 @@ newline-delimited JSON).
 Evaluator protocol: `evaluate(arch, eval_id, cost) -> float` returns a
 score in [0, 1]. `eval_id` is the id the search records in its history
 (`e000000`, `e000001`, ...) and `cost` is the candidate's `CostReport`,
-priced once by the search at its input resolution. An exception marks
-the evaluation failed: the candidate is passed to `on_eval` with score
-None and `error` set to "<ExcClass>: <message>".
+priced once by the search at its input resolution. An exception, or a
+score that is not a real number in [0, 1], marks the evaluation failed:
+the candidate is passed to `on_eval` with score None and `error` set to
+"<ExcClass>: <message>".
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 import shlex
 from collections import deque
 from dataclasses import dataclass
@@ -40,6 +42,7 @@ from .errors import (
     EmptyArchiveError,
     EmptyDatasetError,
     ProtocolError,
+    SchemaError,
     SpawnError,
 )
 from .metrics import DEFAULT_LANE_WIDTH, SceneScorer
@@ -139,7 +142,7 @@ class ExternalEvaluator:
         try:
             proc = subprocess.run(
                 self.argv,
-                input=json.dumps(request) + "\n",
+                input=json.dumps(request, allow_nan=False) + "\n",
                 capture_output=True,
                 encoding="utf-8",
                 timeout=self.timeout,
@@ -155,9 +158,7 @@ class ExternalEvaluator:
         line = proc.stdout.strip().splitlines()
         if not line:
             raise ProtocolError("evaluator produced no output")
-        doc = data_io.parse_json(
-            line[-1], "response", lambda exc: ProtocolError(f"bad JSON from evaluator: {exc}")
-        )
+        doc = data_io.parse_json(line[-1], "response")
         return data_io.eval_response_from_json(doc, expect_eval_id=eval_id)
 
 
@@ -225,7 +226,11 @@ def mutate_arch(arch: ArchEncoding, rng, cfg: SearchConfig) -> ArchEncoding:
 
 def _evaluate(evaluator, arch, eval_id, cost, parent, step) -> Candidate:
     try:
-        score, error = evaluator.evaluate(arch, eval_id, cost), None
+        score = evaluator.evaluate(arch, eval_id, cost)
+        # a bool is an int, and NaN fails both comparisons
+        if isinstance(score, bool) or not (isinstance(score, numbers.Real) and 0 <= score <= 1):
+            raise SchemaError("score", f"need a number in [0, 1], got {score!r:.40}")
+        score, error = float(score), None
     except Exception as exc:
         score, error = None, f"{type(exc).__name__}: {exc}"
     return Candidate(arch, cost.total_flops, score, eval_id, parent, step, error)

@@ -9,6 +9,7 @@ offsets. With remote-noise sigma 0 the proposals are exact.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,8 +34,8 @@ class SynthSceneConfig:
     def __post_init__(self):
         if self.num_scenes <= 0 or self.lanes_per_scene <= 0:
             raise ValueError("num_scenes and lanes_per_scene must be positive")
-        if not self.remote_noise_sigma >= 0:
-            raise ValueError("remote_noise_sigma must be non-negative")
+        if not 0 <= self.remote_noise_sigma < math.inf:
+            raise ValueError("remote_noise_sigma must be non-negative and finite")
 
 
 @dataclass(frozen=True)

@@ -66,6 +66,11 @@ class TestParse:
             "BB_64_13_[5,a]_[7,12]",
             "BB_64_13_[]_[7,12]",
             "garbage",
+            # digits are ASCII: int() reads "٩" as 9 and rejects "²" and "--5"
+            "BB_64_13_[5,٩]_[7,12]",
+            "BB_64_13_[5,²]_[7,12]",
+            "BB_64_13_[--5,9]_[7,12]",
+            "BB_6٤_13_[5,9]_[7,12]",
         ],
     )
     def test_syntax_errors(self, text):

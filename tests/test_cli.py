@@ -139,7 +139,7 @@ MALFORMED_ARCHIVES = {
                        "history[1]: candidate[e000001].score"),
     "score NaN": (lambda doc: doc["history"][1].update(score=math.nan),
                   "history[1]: candidate[e000001].score"),
-    "history not a list": (lambda doc: doc.update(history=5), "archive.history"),
+    "history not a list": (lambda doc: doc.update(history=5), "history"),
     "entry not an object": (lambda doc: doc["history"].__setitem__(1, 5), "history[1]"),
     "heads_at not a list": (lambda doc: doc["history"][1]["arch"]["fusion"].update(heads_at=5),
                             "history[1]: candidate[e000001].arch.fusion.heads_at"),
@@ -169,6 +169,12 @@ class TestParseArch:
         code, _, err = run(capsys, "parse-arch", "BB_64_13")
         assert code == 2
         assert "error" in err
+
+    @pytest.mark.parametrize("digit", ["²", "٩"])
+    def test_non_ascii_digit_is_a_data_error(self, capsys, digit):
+        code, out, err = run(capsys, "parse-arch", f"BB_64_13_[5,{digit}]_[7,12]")
+        assert (code, out) == (2, "")
+        assert err == f"error: non-integer {digit!r} in downsample list\n"
 
     def test_constraint_violation(self, capsys):
         code, _, err = run(capsys, "parse-arch", "BB_50_13_[5,9]_[7,12]")
@@ -407,7 +413,7 @@ class TestPipeline:
         bad.write_text("1.0 2.0 3.0\n")
         code, _, err = run(capsys, command, "--pred", str(pred), "--gt", doc["gt_dir"])
         assert code == 2
-        assert err == f"error: {bad}: line 1, token '3.0': odd token count\n"
+        assert err == f"error: {bad}: line 1: token '3.0': odd token count\n"
 
     @pytest.mark.parametrize("command", ["eval-f1", "eval-tusimple"])
     def test_lane_with_one_point_left_names_the_file(self, tmp_path, capsys, command):
@@ -421,7 +427,7 @@ class TestPipeline:
         line_no = len(bad.read_text().splitlines())
         code, out, err = run(capsys, command, "--pred", str(pred), "--gt", doc["gt_dir"])
         assert (code, out) == (2, "")
-        assert err == (f"error: {bad}: line {line_no}, token '10 5 -1 20': "
+        assert err == (f"error: {bad}: line {line_no}: token '10 5 -1 20': "
                        "1 point(s) with x >= 0, need 2\n")
 
     @pytest.mark.parametrize("edit, message", [
@@ -617,34 +623,37 @@ class TestPipeline:
         bad.write_text("5\n")
         code, _, err = run(capsys, "blend", "--proposals", str(bad))
         assert code == 2
-        assert f"error: {bad}: line 1: scene:" in err
+        assert err == f"error: {bad}: line 1: need an object, got 5\n"
 
-    @pytest.mark.parametrize("fields, path", [
-        pytest.param(fields, path, id=str(fields)) for fields, path in [
-            ({"score_threshold": 2.0}, "blend"),
-            ({"group_distance": math.nan}, "blend.group_distance"),
-            ({"locality_sigma": "abc"}, "blend.locality_sigma"),
+    @pytest.mark.parametrize("fields, message", [
+        pytest.param(fields, message, id=str(fields)) for fields, message in [
+            ({"score_threshold": 2.0}, "blend: score_threshold must be in [0, 1]"),
+            ({"group_distance": math.nan},
+             "blend.group_distance: need a finite number, got nan"),
+            ({"locality_sigma": "abc"},
+             "blend.locality_sigma: need a finite number or \"inf\", got 'abc'"),
             # level keys are canonical decimal integers: int() alone reads
             # "01" as level 1 (so B would silently replace A) and "1_0" as 10
-            ({"per_level": {"1": LEVEL, "01": LEVEL}}, "blend.per_level.01"),
-            ({"per_level": {" 1": LEVEL}}, "blend.per_level. 1"),
-            ({"per_level": {"1_0": LEVEL}}, "blend.per_level.1_0"),
-            ({"per_level": {"+2": LEVEL}}, "blend.per_level.+2"),
+            ({"per_level": {"1": LEVEL, "01": LEVEL}},
+             "blend.per_level.01: need a decimal integer key"),
+            ({"per_level": {" 1": LEVEL}}, "blend.per_level. 1: need a decimal integer key"),
+            ({"per_level": {"1_0": LEVEL}}, "blend.per_level.1_0: need a decimal integer key"),
+            ({"per_level": {"+2": LEVEL}}, "blend.per_level.+2: need a decimal integer key"),
         ]
     ])
-    def test_malformed_params_are_data_errors(self, tmp_path, capsys, fields, path):
+    def test_malformed_params_are_data_errors(self, tmp_path, capsys, fields, message):
         doc = gen_synth(capsys, tmp_path / "corpus", "--num-scenes", "1")
         params = write_params(tmp_path / "params.json", **fields)
-        code, _, err = run(capsys, "blend", "--proposals", doc["proposals"], "--params", params)
-        assert code == 2
-        assert f"error: {path}:" in err
+        code, out, err = run(capsys, "blend", "--proposals", doc["proposals"], "--params", params)
+        assert (code, out) == (2, "")
+        assert err == f"error: {params}: {message}\n"
 
     def test_per_level_not_an_object_is_a_data_error(self, tmp_path, capsys):
         doc = gen_synth(capsys, tmp_path / "corpus", "--num-scenes", "1")
         params = write_params(tmp_path / "params.json", per_level=5)
         code, _, err = run(capsys, "blend", "--proposals", doc["proposals"], "--params", params)
         assert code == 2
-        assert "error: blend.per_level:" in err
+        assert err == f"error: {params}: blend.per_level: need dict, got 5\n"
 
     @pytest.mark.parametrize("field,value", [("alpha1", "x"), ("center", [0, "y"])],
                              ids=["alpha1", "center"])
@@ -654,17 +663,26 @@ class TestPipeline:
         params = write_params(tmp_path / "params.json", per_level={"1": level, "2": level})
         code, _, err = run(capsys, "blend", "--proposals", doc["proposals"], "--params", params)
         assert code == 2
-        assert f"error: blend.per_level.1.{field}" in err
+        assert err.startswith(f"error: {params}: blend.per_level.1.{field}")
 
     @pytest.mark.parametrize("flags", [
         ["--num-scenes", "0"], ["--lanes", "0"], ["--lanes", "-2"],
-        ["--noise", "-1"], ["--noise", "nan"],
+        ["--noise", "-1"], ["--noise", "nan"], ["--noise", "inf"], ["--noise", "-inf"],
     ], ids=" ".join)
     def test_gen_synth_bad_values_are_usage_errors(self, tmp_path, capsys, flags):
         code, _, err = run(capsys, "gen-synth", "--out", str(tmp_path / "corpus"), *flags)
         assert code == 1
         assert "usage" in err
         assert not (tmp_path / "corpus").exists()
+
+    def test_gen_synth_noise_that_overflows_is_a_data_error(self, tmp_path, capsys):
+        """Remote offsets that overflow to inf are refused as they are
+        written, not written as `Infinity`, which no reader accepts."""
+        out = tmp_path / "corpus"
+        code, stdout, err = run(capsys, "gen-synth", "--out", str(out), "--noise", "1e308")
+        assert (code, stdout) == (2, "")
+        assert err.startswith(f"error: {out / 'proposals.jsonl'}: line 1: "
+                              "Out of range float values are not JSON compliant")
 
 
 class TestSchemaErrors:
@@ -700,7 +718,7 @@ class TestSchemaErrors:
         bad.write_text(json.dumps(doc))
         code, _, err = run(capsys, "cost", "BB_64_13_[5,9]_[7,12]", "--fusion", str(bad))
         assert code == 2
-        assert f"error: {path}:" in err
+        assert err.startswith(f"error: {bad}: {path}: ")
 
     def test_non_finite_lane_file(self, tmp_path, capsys):
         """A bad file met after other scenes were scored still exits 2
@@ -714,7 +732,7 @@ class TestSchemaErrors:
         code, out, err = run(capsys, "eval-f1", "--pred", str(pred), "--gt", doc["gt_dir"])
         assert code == 2
         assert out == ""
-        assert "line 1, token 'nan'" in err
+        assert err == f"error: {pred / 'synth_00002.lines.txt'}: line 1: token 'nan': not finite\n"
 
     def test_very_negative_mask_logit(self, tmp_path, capsys):
         """A mask whose logit underflows the sigmoid scores its cells 0."""
@@ -834,33 +852,52 @@ class TestRepeatedKeys:
         assert len(history) == 2
         for h in history:
             assert h["score"] is None
-            assert h["error"] == "ProtocolError: bad JSON from evaluator: repeated key 'score'"
+            assert h["error"] == "SchemaError: response: not JSON: repeated key 'score'"
+
+
+def _last(old, new):
+    """An edit replacing the last `old` of a text by `new`."""
+    return lambda data: new.join(data.rsplit(old, 1))
 
 
 # every reader, as (directory to copy from the inputs, file in it to
 # break, whether the file is read line by line, the command's arguments
-# given the copy and the inputs)
+# given the copy and the inputs, and an edit of the file's broken line
+# (its whole text, if not read line by line) that breaks its schema,
+# with the reason the error gives)
 READERS = {
     "proposals": ("corpus", "proposals.jsonl", True,
-                  lambda copy, root: ["blend", "--proposals", str(copy / "proposals.jsonl")]),
+                  lambda copy, root: ["blend", "--proposals", str(copy / "proposals.jsonl")],
+                  _last(b'"version": 1,', b'"version": 99,'),
+                  "version: need format version 1, got 99"),
     "params": (".", "params.json", False,
                lambda copy, root: ["blend", "--proposals", str(root / "corpus/proposals.jsonl"),
-                                   "--params", str(copy / "params.json")]),
+                                   "--params", str(copy / "params.json")],
+               _last(b'"score_threshold": 0.3', b'"score_threshold": "x"'),
+               "blend.score_threshold: need a finite number, got 'x'"),
     "fusion": (".", "fusion.json", False,
                lambda copy, root: ["cost", "BB_64_13_[5,9]_[7,12]",
-                                   "--fusion", str(copy / "fusion.json")]),
+                                   "--fusion", str(copy / "fusion.json")],
+               _last(b'"heads_at": [1]', b'"heads_at": 3'),
+               "fusion.heads_at: need a list, got 3"),
     "archive.json": ("run", "archive.json", False,
                      lambda copy, root: ["pareto-export", "--archive", str(copy / "archive.json"),
-                                         "--out", str(copy / "front.csv")]),
+                                         "--out", str(copy / "front.csv")],
+                     _last(b'"version": 1}', b'"version": 99}'),
+                     "version: need format version 1, got 99"),
     "history.jsonl": ("run", "history.jsonl", True,
                       lambda copy, root: ["pareto-export", "--archive", str(copy / "history.jsonl"),
-                                          "--out", str(copy / "front.csv")]),
+                                          "--out", str(copy / "front.csv")],
+                      _last(b'"score": ', b'"score": "x", "_": '),
+                      "candidate[e000001].score: need a finite number or null, got 'x'"),
     "pred .lines.txt": ("corpus/gt", "synth_00001.lines.txt", True,
                         lambda copy, root: ["eval-f1", "--pred", str(copy),
-                                            "--gt", str(root / "corpus/gt")]),
+                                            "--gt", str(root / "corpus/gt")],
+                        lambda line: b"1.0 2.0 3.0\n", "token '3.0': odd token count"),
     "gt .lines.txt": ("corpus/gt", "synth_00001.lines.txt", True,
                       lambda copy, root: ["eval-f1", "--pred", str(root / "corpus/gt"),
-                                          "--gt", str(copy)]),
+                                          "--gt", str(copy)],
+                      lambda line: b"1.0 2.0 3.0\n", "token '3.0': odd token count"),
 }
 
 
@@ -873,9 +910,9 @@ def _edit_line(data, n, edit):
 
 class TestDataErrorContract:
     """Every reader refuses malformed JSON (a bad token in a `.lines.txt`
-    file), an object naming a key twice, and bytes that are not UTF-8
-    alike: exit 2, nothing on stdout, and one line on stderr that names
-    the file, and the line in a file read line by line."""
+    file), an object naming a key twice, bytes that are not UTF-8 and a
+    value its schema does not allow alike: exit 2, nothing on stdout, and
+    one line on stderr, `error: <file>[: line N]: <place>: <reason>`."""
 
     @pytest.fixture(scope="class")
     def inputs(self, tmp_path_factory):
@@ -893,12 +930,12 @@ class TestDataErrorContract:
 
     @pytest.mark.parametrize("reader, fault", [
         pytest.param(reader, fault, id=f"{reader}-{fault}")
-        for reader, (_, name, _, _) in READERS.items()
-        for fault in ("malformed", "repeated key", "not UTF-8")
+        for reader, (_, name, *_) in READERS.items()
+        for fault in ("malformed", "repeated key", "not UTF-8", "schema")
         if not (name.endswith(".lines.txt") and fault == "repeated key")
     ])
     def test_error_names_the_file_and_line(self, inputs, tmp_path, capsys, reader, fault):
-        folder, name, by_line, argv = READERS[reader]
+        folder, name, by_line, argv, break_schema, reason = READERS[reader]
         copy = tmp_path / "copy"
         shutil.copytree(inputs / folder, copy)
         bad = copy / name
@@ -909,9 +946,12 @@ class TestDataErrorContract:
         if fault == "not UTF-8":
             data = _edit_line(data, n, lambda line: b"\xff" + line)
             where, message = f": line {n}", "not UTF-8: byte 0xff at column 1"
+        elif fault == "schema":
+            data = _edit_line(data, n, break_schema) if by_line else break_schema(data)
+            message = reason
         elif name.endswith(".lines.txt"):
             data = _edit_line(data, n, lambda line: b"1.0 2.0 x 4.0\n")
-            where, message = f": line {n}, token 'x'", "not a number"
+            message = "token 'x': not a number"
         elif fault == "malformed":  # the closing brace of the line or file dropped
             if by_line:
                 data = _edit_line(data, n, lambda line: line.replace(b"}\n", b"\n"))
@@ -927,8 +967,11 @@ class TestDataErrorContract:
         bad.write_bytes(data)
         code, out, err = run(capsys, *argv(copy, inputs))
         assert (code, out) == (2, "")
-        assert err.startswith(f"error: {bad}{where}: {message}")
-        assert err.count("\n") == 1 and err.endswith("\n")
+        if fault == "malformed" and not by_line and b"\n" in data.strip():
+            # json's own position follows in a file of several lines
+            assert err.startswith(f"error: {bad}: {message}: line ") and err.count("\n") == 1
+        else:
+            assert err == f"error: {bad}{where}: {message}\n"
 
 
 class TestSearchCommand:

@@ -11,12 +11,7 @@ import pytest
 
 from lanenas import data_io
 from lanenas.arch_space import ArchEncoding, parse_backbone
-from lanenas.errors import (
-    FormatError,
-    LaneNasError,
-    SchemaError,
-    VersionError,
-)
+from lanenas.errors import LaneNasError, SchemaError
 from lanenas.lane_model import AnchorLayout, HeadGrid, LaneProposalSet
 from lanenas.point_blend import BlendParams
 from lanenas.search_engine import (
@@ -75,18 +70,18 @@ class TestCulaneLines:
     def test_odd_token_count(self, tmp_path):
         path = tmp_path / "odd.lines.txt"
         path.write_text("1.0 2.0 3.0\n")
-        with pytest.raises(FormatError) as exc:
+        with pytest.raises(SchemaError) as exc:
             data_io.read_culane_lines(path)
-        assert exc.value.line_no == 1
-        assert str(exc.value) == f"{path}: line 1, token '3.0': odd token count"
+        assert exc.value.path == f"{path}: line 1"
+        assert str(exc.value) == f"{path}: line 1: token '3.0': odd token count"
 
     def test_non_numeric_token(self, tmp_path):
         path = tmp_path / "bad.lines.txt"
         path.write_text("1.0 2.0 3.0 4.0\nx 4.0\n")
-        with pytest.raises(FormatError) as exc:
+        with pytest.raises(SchemaError) as exc:
             data_io.read_culane_lines(path)
-        assert exc.value.line_no == 2
-        assert exc.value.token == "x"
+        assert exc.value.path == f"{path}: line 2"
+        assert str(exc.value) == f"{path}: line 2: token 'x': not a number"
 
     @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "NaN", "Infinity"])
     @pytest.mark.parametrize("where", ["x", "y"])
@@ -94,9 +89,10 @@ class TestCulaneLines:
         path = tmp_path / "nonfinite.lines.txt"
         point = f"{token} 4.0" if where == "x" else f"3.0 {token}"
         path.write_text(f"1.0 2.0 3.0 4.0\n5.0 6.0 {point}\n")
-        with pytest.raises(FormatError) as exc:
+        with pytest.raises(SchemaError) as exc:
             data_io.read_culane_lines(path)
-        assert (exc.value.line_no, exc.value.token) == (2, token)
+        assert exc.value.path == f"{path}: line 2"
+        assert str(exc.value) == f"{path}: line 2: token {token!r}: not finite"
 
     def test_huge_finite_coordinates_accepted(self, tmp_path):
         # the sum overflows, but every token is finite
@@ -115,10 +111,11 @@ class TestCulaneLines:
     def test_lane_with_fewer_than_two_points_is_a_format_error(self, tmp_path, line, left):
         path = tmp_path / "short.lines.txt"
         path.write_text(f"1.0 2.0 3.0 4.0\n{line}\n")
-        with pytest.raises(FormatError) as exc:
+        with pytest.raises(SchemaError) as exc:
             data_io.read_culane_lines(path)
+        assert exc.value.path == f"{path}: line 2"
         assert str(exc.value) == (
-            f"{path}: line 2, token {line!r}: {left} point(s) with x >= 0, need 2"
+            f"{path}: line 2: token {line!r}: {left} point(s) with x >= 0, need 2"
         )
 
     def test_write_read_round_trip(self, tmp_path):
@@ -266,8 +263,10 @@ class TestProposalsJsonl:
     def test_version_checked(self):
         doc = data_io.proposals_to_json(*self.corpus(1)[0])
         doc["version"] = 99
-        with pytest.raises(VersionError):
+        with pytest.raises(SchemaError) as exc:
             data_io.proposals_from_json(doc)
+        assert exc.value.path == "version"
+        assert str(exc.value) == "version: need format version 1, got 99"
 
 
 class TestArchiveSnapshot:
@@ -431,8 +430,10 @@ class TestArchiveSnapshot:
     def test_version_mismatch(self, tmp_path):
         path = tmp_path / "a.json"
         path.write_text(json.dumps({"version": 99, "members": [], "history": []}))
-        with pytest.raises(VersionError):
+        with pytest.raises(SchemaError) as exc:
             data_io.load_archive(path)
+        assert exc.value.path == path
+        assert str(exc.value) == f"{path}: version: need format version 1, got 99"
 
     def test_atomic_write_no_temp_left(self, tmp_path):
         a, history = self.archive(n=3)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import sys
 import threading
 import time
@@ -23,6 +24,7 @@ from lanenas.errors import (
     EmptyArchiveError,
     EmptyDatasetError,
     ProtocolError,
+    SchemaError,
     SpawnError,
 )
 from lanenas.metrics import SceneScorer, match_and_score, score_scene
@@ -299,6 +301,26 @@ class TestRunSearch:
         assert all(c.error == "RuntimeError: boom" for c in failed)
         assert all(c.error is None for c in history if c.score is not None)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 2.0, -0.5, True, "0.5", None],
+                             ids=repr)
+    def test_score_not_in_the_unit_interval_fails_its_evaluation(self, tmp_path, bad):
+        """A score that is not a real number in [0, 1] fails its evaluation,
+        as an exception does, so the run's log stays readable; a numpy
+        float in range is recorded as a float."""
+        class Odd(SyntheticEvaluator):
+            def evaluate(self, arch, eval_id, cost):
+                score = super().evaluate(arch, eval_id, cost)
+                return {"e000003": bad, "e000004": np.float64(score)}.get(eval_id, score)
+
+        archive, history = run_logged(reduced_config(budget=4, init_population=4), Odd())
+        assert history[3].score is None
+        assert history[3].error == f"SchemaError: score: need a number in [0, 1], got {bad!r}"
+        assert type(history[4].score) is float
+        assert [c.eval_id for c in history if c.error] == ["e000003"]
+        log = tmp_path / "history.jsonl"
+        log.write_text("".join(data_io.candidate_line(c) + "\n" for c in history))
+        assert data_io.load_archive(log).members == archive.members
+
     def test_evaluator_receives_search_ids_and_cost(self):
         seen = []
 
@@ -570,8 +592,9 @@ class TestExternalEvaluator:
 
     def test_nonzero_exit(self, tmp_path, arch):
         ev = ExternalEvaluator(stub_command(tmp_path, STUB_FAIL, "fail"))
-        with pytest.raises(ProtocolError):
+        with pytest.raises(ProtocolError) as exc:
             evaluate(ev, arch)
+        assert str(exc.value) == "evaluator exited 3: "
 
     def test_timeout(self, tmp_path, arch):
         ev = ExternalEvaluator(stub_command(tmp_path, STUB_SLEEP, "slow"), timeout=0.5)
@@ -580,8 +603,10 @@ class TestExternalEvaluator:
 
     def test_garbage_output(self, tmp_path, arch):
         ev = ExternalEvaluator(stub_command(tmp_path, STUB_GARBAGE, "bad"))
-        with pytest.raises(ProtocolError):
+        with pytest.raises(SchemaError) as exc:
             evaluate(ev, arch)
+        assert exc.value.path == "response"
+        assert str(exc.value) == "response: not JSON: Expecting value"
 
     def test_missing_binary(self, arch):
         ev = ExternalEvaluator("/nonexistent/trainer-binary")

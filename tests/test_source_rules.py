@@ -1,7 +1,8 @@
 """Rules on the package source that keep every input behind `data_io`'s
-front door: JSON is parsed only by `data_io.parse_json`, and every file
+front door: JSON is parsed only by `data_io.parse_json`, every file
 opened as text names its encoding, so a file written under one locale
-reads under another."""
+reads under another, and JSON is written strict, so the program reads
+what it writes."""
 
 import ast
 import pathlib
@@ -58,4 +59,19 @@ def test_every_text_mode_open_names_an_encoding():
             if not any(k.arg == "encoding" for k in call.keywords):
                 missing.append(f"{path.name}:{call.lineno} in {func}")
     assert opens >= 8
+    assert missing == []
+
+
+def test_every_json_dump_refuses_nan_and_infinity():
+    """`json` writes NaN and Infinity, which are not JSON, unless told not to."""
+    dumps, missing = 0, []
+    for path in SOURCES:
+        for func, call in calls(ast.parse(path.read_text(encoding="utf-8"))):
+            if dotted(call.func) not in ("json.dump", "json.dumps"):
+                continue
+            dumps += 1
+            if not any(k.arg == "allow_nan" and isinstance(k.value, ast.Constant)
+                       and k.value.value is False for k in call.keywords):
+                missing.append(f"{path.name}:{call.lineno} in {func}")
+    assert dumps >= 12
     assert missing == []
