@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import ConstraintError, EncodingSyntaxError, ExhaustedError
+from .errors import ExhaustedError, SchemaError
 
 ALLOWED_BASE_CHANNELS = (48, 64, 80, 96, 128)
 NUM_BLOCKS_MIN = 10
@@ -50,21 +50,21 @@ class BackboneSpec:
 
 def validate_backbone(spec: BackboneSpec):
     if spec.base_channels not in ALLOWED_BASE_CHANNELS:
-        raise ConstraintError(
+        raise SchemaError(
             "base_channels",
             f"{spec.base_channels} not in {ALLOWED_BASE_CHANNELS}",
         )
     if not NUM_BLOCKS_MIN <= spec.num_blocks <= NUM_BLOCKS_MAX:
-        raise ConstraintError(
+        raise SchemaError(
             "num_blocks",
             f"{spec.num_blocks} outside [{NUM_BLOCKS_MIN}, {NUM_BLOCKS_MAX}]",
         )
     if len(spec.downsample_at) not in ALLOWED_STAGE_LIST_LENS:
-        raise ConstraintError(
+        raise SchemaError(
             "downsample_at", f"length {len(spec.downsample_at)} not in {{2, 3}}"
         )
     if len(spec.double_channels_at) != len(spec.downsample_at):
-        raise ConstraintError(
+        raise SchemaError(
             "double_channels_at",
             "length must equal len(downsample_at)",
         )
@@ -73,10 +73,10 @@ def validate_backbone(spec: BackboneSpec):
         ("double_channels_at", spec.double_channels_at),
     ):
         if any(i2 <= i1 for i1, i2 in zip(idxs, idxs[1:])):
-            raise ConstraintError(name, f"{list(idxs)} not strictly increasing")
+            raise SchemaError(name, f"{list(idxs)} not strictly increasing")
         for i in idxs:
             if not 2 <= i <= spec.num_blocks:
-                raise ConstraintError(
+                raise SchemaError(
                     name, f"index {i} outside [2, {spec.num_blocks}]"
                 )
 
@@ -98,9 +98,9 @@ class FusionSpec:
         object.__setattr__(self, "layers", tuple(self.layers))
         object.__setattr__(self, "heads_at", frozenset(self.heads_at))
         if not self.heads_at:
-            raise ConstraintError("heads_at", "at least one prediction head required")
+            raise SchemaError("heads_at", "at least one prediction head required")
         if self.channels <= 0:
-            raise ConstraintError("channels", "must be positive")
+            raise SchemaError("channels", "must be positive")
 
     def validate_against(self, t: int):
         """Check all level indices fit the backbone's stage count t."""
@@ -108,12 +108,12 @@ class FusionSpec:
             for fld in ("input_a", "input_b", "output_level"):
                 v = getattr(layer, fld)
                 if not 1 <= v <= t:
-                    raise ConstraintError(
+                    raise SchemaError(
                         f"layers[{i}].{fld}", f"level {v} outside [1, {t}]"
                     )
         for lvl in self.heads_at:
             if not 1 <= lvl <= t:
-                raise ConstraintError("heads_at", f"level {lvl} outside [1, {t}]")
+                raise SchemaError("heads_at", f"level {lvl} outside [1, {t}]")
 
 
 @dataclass(frozen=True)
@@ -141,9 +141,9 @@ def _parse_index_list(text, name):
     for tok in text.split(","):
         tok = tok.strip()
         if not tok:
-            raise EncodingSyntaxError(f"empty entry in {name} list")
+            raise SchemaError("", f"empty entry in {name} list")
         if not _INDEX_RE.fullmatch(tok):
-            raise EncodingSyntaxError(f"non-integer {tok!r} in {name} list")
+            raise SchemaError("", f"non-integer {tok!r} in {name} list")
         items.append(int(tok))
     return tuple(items)
 
@@ -151,15 +151,15 @@ def _parse_index_list(text, name):
 def parse_backbone(encoding: str) -> BackboneSpec:
     """Parse a backbone encoding string into a validated BackboneSpec.
 
-    Raises EncodingSyntaxError on malformed strings and ConstraintError
-    when the syntax is fine but an invariant is violated.
+    A malformed string, or one whose syntax is fine but breaks an
+    invariant, is a SchemaError.
     """
     m = _BACKBONE_RE.match(encoding)
     if m is None:
-        raise EncodingSyntaxError(f"malformed backbone encoding: {encoding!r}")
+        raise SchemaError("", f"malformed backbone encoding: {encoding!r}")
     kind_code, base, n, down, dbl = m.groups()
     if kind_code not in KIND_CODES:
-        raise EncodingSyntaxError(f"unknown block kind code {kind_code!r}")
+        raise SchemaError("", f"unknown block kind code {kind_code!r}")
     return BackboneSpec(
         block_kind=BlockKind(KIND_CODES[kind_code]),
         base_channels=int(base),

@@ -88,9 +88,11 @@ def cmd_parse_arch(args):
 
 def cmd_cost(args):
     backbone = parse_backbone(args.encoding)
-    fusion = (data_io.read_json(args.fusion, data_io.fusion_from_json) if args.fusion
-              else _default_fusion(backbone.num_stages))
-    report = candidate_cost(ArchEncoding(backbone, fusion), _parse_resolution(args.resolution))
+    # a fusion spec that does not fit the backbone is a fault of its file
+    arch = (data_io.read_json(args.fusion,
+                              lambda doc: ArchEncoding(backbone, data_io.fusion_from_json(doc)))
+            if args.fusion else ArchEncoding(backbone, _default_fusion(backbone.num_stages)))
+    report = candidate_cost(arch, _parse_resolution(args.resolution))
     if args.json:
         print(
             json.dumps(
@@ -211,8 +213,14 @@ def cmd_blend(args):
     out_doc = {"version": data_io.FORMAT_VERSION, "scenes": []} if args.out or args.json else None
     n_scenes = n_lanes = 0
     written = set()
-    for n_scenes, (image_id, proposals) in enumerate(data_io.read_proposals(args.proposals), 1):
-        lanes = point_blend.postprocess(point_blend.LaneTable(proposals), params)
+    for n_scenes, (where, image_id, proposals) in enumerate(
+            data_io.read_proposals(args.proposals), 1):
+        try:
+            lanes = point_blend.postprocess(point_blend.LaneTable(proposals), params)
+            if args.culane_out:
+                _check_file_id(image_id, written)
+        except SchemaError as exc:  # a fault of this scene, reported at its line
+            raise SchemaError(where, str(exc)) from exc
         n_lanes += len(lanes)
         if out_doc is not None:
             # points stay (n, 2) arrays until written; lists of pairs take several times the memory
@@ -221,7 +229,6 @@ def cmd_blend(args):
                 "lanes": [{"score": score, "points": points} for score, points in lanes],
             })
         if args.culane_out:
-            _check_file_id(image_id, written)
             os.makedirs(args.culane_out, exist_ok=True)
             data_io.write_culane_lines(
                 os.path.join(args.culane_out, f"{image_id}.lines.txt"),

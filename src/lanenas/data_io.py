@@ -27,7 +27,7 @@ from .arch_space import (
     parse_backbone,
     serialize_backbone,
 )
-from .errors import LaneNasError, SchemaError
+from .errors import SchemaError
 from .lane_model import AnchorLayout, HeadGrid, LaneProposalSet
 from .point_blend import BlendParams, BlendParamSet
 
@@ -224,7 +224,7 @@ def _checked(path, make, *args, **kwargs):
     float), or a data error it raises, reported at `path`."""
     try:
         return make(*args, **kwargs)
-    except (TypeError, ValueError, OverflowError, LaneNasError) as exc:
+    except (TypeError, ValueError, OverflowError, SchemaError) as exc:
         raise SchemaError(path, str(exc)) from exc
 
 
@@ -373,17 +373,18 @@ def write_proposals(path, scenes):
             try:
                 line = json.dumps(proposals_to_json(image_id, proposals), allow_nan=False)
             except ValueError as exc:  # a number that overflowed to inf
-                raise LaneNasError(f"{path}: line {n}: {exc}") from None
+                raise SchemaError(f"{path}: line {n}", str(exc)) from None
             fh.write(line + "\n")
 
 
 def read_proposals(path):
-    """Stream (image_id, LaneProposalSet) pairs without loading the file;
-    an error names the file and the line at fault."""
+    """Stream (where, image_id, LaneProposalSet) triples without loading
+    the file, where is the scene's place `<path>: line N`; an error names
+    the file and the line at fault."""
     for n, line in text_lines(path):
         if line.strip():
             where = f"{path}: line {n}"
-            yield _checked(where, proposals_from_json, parse_json(line, where))
+            yield where, *_checked(where, proposals_from_json, parse_json(line, where))
 
 
 # ---------------------------------------------------------------------------

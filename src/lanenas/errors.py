@@ -5,18 +5,6 @@ class LaneNasError(Exception):
     """Base class for all package errors."""
 
 
-class EncodingSyntaxError(LaneNasError):
-    """Backbone encoding string does not match the grammar."""
-
-
-class ConstraintError(LaneNasError):
-    """Syntactically valid value violates a domain invariant."""
-
-    def __init__(self, field, message):
-        super().__init__(f"{field}: {message}")
-        self.field = field
-
-
 class ExhaustedError(LaneNasError):
     """No valid mutation exists for the given genome."""
 

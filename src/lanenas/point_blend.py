@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConstraintError
+from .errors import SchemaError
 from .lane_model import LaneProposalSet
 
 _EPS = 1e-6
@@ -88,11 +88,14 @@ class BlendParamSpace:
 
 def mask_logit(params: BlendParams, center) -> float:
     """Mask logit at a grid center: a vertical-position term plus a
-    radial-distance term from the level's reference point."""
+    radial-distance term from the level's reference point. At `alpha2`
+    0 that term is 0.0, and the distance, which may overflow, is not taken."""
     cx, cy = center
-    ux, uy = params.center
-    radial = math.sqrt((cx - ux) ** 2 + (cy - uy) ** 2)
-    return params.alpha1 * cy + params.beta1 + params.alpha2 * radial
+    radial = 0.0
+    if params.alpha2:
+        ux, uy = params.center
+        radial = params.alpha2 * math.sqrt((cx - ux) ** 2 + (cy - uy) ** 2)
+    return params.alpha1 * cy + params.beta1 + radial
 
 
 def apply_mask(score: float, logit_mask: float) -> float:
@@ -112,7 +115,7 @@ def mask_proposals(table: LaneTable, params: BlendParamSet):
     """The masked score of every table entry, one flat list in entry
     order. A level whose logit terms overflow on an entry (a radial term
     past a float's range, or `inf - inf`: a NaN logit, so a NaN score)
-    is a ConstraintError naming the level of the first such entry. A
+    is a SchemaError naming the level of the first such entry. A
     cell with no entry makes no lane, so its score is not masked."""
     identity = BlendParams()
     scores = []
@@ -123,7 +126,7 @@ def mask_proposals(table: LaneTable, params: BlendParamSet):
                 raise OverflowError
             scores.append(s)
     except OverflowError:
-        raise ConstraintError(f"blend.per_level.{level}", "mask logit overflows") from None
+        raise SchemaError(f"blend.per_level.{level}", "mask logit overflows") from None
     return scores
 
 
@@ -141,7 +144,8 @@ class LaneTable:
     the cell's centre `(cx[k], cy[k])` and raw `score[k]`, as Python
     floats, and its x values as row `k` of `xs`, a float64 matrix over
     the layout's anchor rows with NaN where the cell has no point. A cell
-    that decodes to fewer than 2 points has no entry. Lane distances are
+    that decodes to fewer than 2 points has no entry; an x that overflows
+    on a decodable cell is a SchemaError naming the cell. Lane distances are
     filled in per entry pair as grouping asks for them; locality factors
     per sigma, for the two sigmas used last.
     """
@@ -162,9 +166,13 @@ class LaneTable:
             self.cx += head.cx[decodable].tolist()
             self.cy += head.cy[decodable].tolist()
             self.score += head.score[decodable].tolist()
-            xs.append(np.where(
-                present[decodable], head.cx[decodable, None] + head.offsets[decodable], np.nan
-            ))
+            with np.errstate(over="ignore"):  # an overflow is refused below
+                x = np.where(present[decodable], head.cx[decodable, None] + head.offsets[decodable],
+                             np.nan)
+            if np.isinf(x).any():
+                i = decodable[np.isinf(x).any(axis=1)][0]
+                raise SchemaError(f"heads[{h}].cells[{i}]", "decoded x overflows")
+            xs.append(x)
         self.xs = np.concatenate(xs)
         self.present = ~np.isnan(self.xs)
         self._distance = {}

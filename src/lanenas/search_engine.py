@@ -184,8 +184,8 @@ class SearchConfig:
             raise ValueError("budget and init_population must be non-negative")
 
 
-# relative weights of backbone and fusion mutation
-_MUTATION_WEIGHTS = (0.4, 0.3)
+# the chance of a backbone mutation: weight 0.4 against the fusion's 0.3
+_BACKBONE_SHARE = 0.4 / 0.7
 # retry mutation this many times before accepting an already-seen genome
 # (deterministic evaluators make re-evaluation a waste)
 _DEDUP_RETRIES = 16
@@ -197,27 +197,12 @@ def _random_arch(rng, cfg: SearchConfig) -> ArchEncoding:
     return ArchEncoding(backbone=bb, fusion=fusion)
 
 
-# probabilities over the first n mutation kinds (backbone, then fusion)
-_KIND_PROBS = {
-    n: np.array(_MUTATION_WEIGHTS[:n]) / sum(_MUTATION_WEIGHTS[:n]) for n in (1, 2)
-}
-
-
-# the normalized cumulative weights `Generator.choice` builds from p
-_KIND_CDF = {n: p.cumsum() / p.cumsum()[-1] for n, p in _KIND_PROBS.items()}
-
-
-def _draw_kind(rng, n_kinds) -> int:
-    """`rng.choice(n_kinds, p=_KIND_PROBS[n_kinds])` without its argument
-    checks: `Generator.choice` draws one `rng.random()` and searches
-    `_KIND_CDF`, as here. It draws even when one kind is left; skipping
-    the draw would shift every later one."""
-    return int(_KIND_CDF[n_kinds].searchsorted(rng.random(), side="right"))
-
-
 def mutate_arch(arch: ArchEncoding, rng, cfg: SearchConfig) -> ArchEncoding:
-    n_kinds = 1 if cfg.fixed_fusion is not None else 2
-    if _draw_kind(rng, n_kinds) == 0:
+    """Mutate the backbone or the fusion, the backbone when one
+    `rng.random()` is below `_BACKBONE_SHARE`: the draw and the test of
+    `rng.choice(2, p=[0.4, 0.3] / 0.7)`. The draw is made even when the
+    fusion is pinned; skipping it would shift every later one."""
+    if rng.random() < _BACKBONE_SHARE or cfg.fixed_fusion is not None:
         return ArchEncoding(mutate_backbone(arch.backbone, rng, cfg.space), arch.fusion)
     return ArchEncoding(
         arch.backbone, mutate_fusion(arch.fusion, arch.backbone.num_stages, rng)

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from lanenas.errors import ConstraintError, DegenerateLineError
+from lanenas.errors import DegenerateLineError, SchemaError
 from lanenas.lane_model import AnchorLayout, HeadGrid, LaneProposalSet
 from lanenas.point_blend import BlendParams, apply_mask, mask_logit
 
@@ -214,12 +214,12 @@ def blend_group(group, locality_sigma) -> LaneLine:
 def postprocess(proposals, params):
     """mask -> decode/threshold -> group -> blend, one LaneLine per group.
     A lane whose masked score is NaN (an overflowing logit; NaN passes
-    every threshold) is a ConstraintError naming its level; a cell that
+    every threshold) is a SchemaError naming its level; a cell that
     decodes to no lane is never an error."""
     scores = mask_scores(proposals, params)
     lines = decode_all(proposals, params.score_threshold, scores)
     for line in lines:
         if math.isnan(line.score):
-            raise ConstraintError(f"blend.per_level.{line.source.level}", "mask logit overflows")
+            raise SchemaError(f"blend.per_level.{line.source.level}", "mask logit overflows")
     groups = group_lines(lines, params.group_distance)
     return [blend_group(g, params.locality_sigma) for g in groups]

@@ -16,7 +16,7 @@ from lanenas.arch_space import (
     serialize_backbone,
     space_cardinality,
 )
-from lanenas.errors import ConstraintError, EncodingSyntaxError
+from lanenas.errors import SchemaError
 
 from block_oracle import enumerate_backbones, neighbor_specs, stage_layout
 
@@ -54,9 +54,9 @@ class TestParse:
         assert spec.num_blocks == 10
 
     def test_bad_base_channels(self):
-        with pytest.raises(ConstraintError) as exc:
+        with pytest.raises(SchemaError) as exc:
             parse_backbone("BB_50_13_[5,9]_[7,12]")
-        assert exc.value.field == "base_channels"
+        assert exc.value.path == "base_channels"
 
     @pytest.mark.parametrize(
         "text",
@@ -74,8 +74,9 @@ class TestParse:
         ],
     )
     def test_syntax_errors(self, text):
-        with pytest.raises(EncodingSyntaxError):
+        with pytest.raises(SchemaError) as exc:
             parse_backbone(text)
+        assert exc.value.path == ""  # a syntax error names no field
 
     @pytest.mark.parametrize(
         "text,field",
@@ -89,9 +90,9 @@ class TestParse:
         ],
     )
     def test_constraint_errors(self, text, field):
-        with pytest.raises(ConstraintError) as exc:
+        with pytest.raises(SchemaError) as exc:
             parse_backbone(text)
-        assert exc.value.field == field
+        assert exc.value.path == field
 
 
 class TestSerialize:

@@ -4,6 +4,7 @@ import math
 import os
 import shutil
 import tracemalloc
+import warnings
 
 import pytest
 
@@ -593,8 +594,11 @@ class TestPipeline:
         pred = tmp_path / "work" / "pred"
         code, _, err = run(capsys, "blend", "--proposals", str(proposals),
                            "--culane-out", str(pred))
+        reason = ("names an earlier scene's file too" if ids == ["a", "a"]
+                  else "cannot name a .lines.txt file")
         assert code == 2
-        assert f"image_id: {ids[first] or ''!r}" in err
+        assert err == (f"error: {proposals}: line {first + 1}: "
+                       f"image_id: {ids[first] or ''!r} {reason}\n")
         written = sorted(p.relative_to(tmp_path).as_posix()
                          for p in tmp_path.rglob("*.lines.txt") if "corpus" not in p.parts)
         assert written == [f"work/pred/{i}.lines.txt" for i in ids[:first]]
@@ -746,11 +750,12 @@ class TestSchemaErrors:
 
     @pytest.mark.parametrize("level", [
         {"alpha1": 1e308, "beta1": 0.0, "alpha2": -1e308, "center": [0, 0]},
-        {"alpha1": 0.0, "beta1": 0.0, "alpha2": 0.0, "center": [1e200, 0]},
+        {"alpha1": 0.0, "beta1": 0.0, "alpha2": 0.001, "center": [1e200, 0]},
     ], ids=["inf-minus-inf", "radial-overflow"])
     def test_overflowing_mask_logit_is_a_data_error(self, tmp_path, capsys, level):
         """Finite coefficients whose logit terms overflow would score
-        lanes NaN; the level at fault is named instead."""
+        lanes NaN; the scene's line and the level at fault are named
+        instead."""
         doc = gen_synth(capsys, tmp_path / "corpus", "--num-scenes", "2")
         params = write_params(tmp_path / "params.json", per_level={"1": level, "2": level},
                               score_threshold=0.0)
@@ -758,7 +763,25 @@ class TestSchemaErrors:
                              "--params", params, "--json")
         assert code == 2
         assert out == ""
-        assert "error: blend.per_level.1: mask logit overflows" in err
+        assert err == (f"error: {doc['proposals']}: line 1: "
+                       "blend.per_level.1: mask logit overflows\n")
+
+    def test_identity_mask_takes_no_radial_distance(self, tmp_path, capsys):
+        """Without `--params` every level's mask is the identity, whose
+        radial weight is 0: a centre far from the origin, whose squared
+        distance overflows a float, still masks nothing."""
+        doc = gen_synth(capsys, tmp_path / "corpus", "--num-scenes", "1")
+        with open(doc["proposals"]) as fh:
+            scene = json.loads(fh.readline())
+        for head in scene["heads"]:
+            for cell in head["cells"]:
+                cell["cx"] = 1e200
+        far = tmp_path / "far.jsonl"
+        far.write_text(json.dumps(scene) + "\n")
+        code, out, err = run(capsys, "blend", "--proposals", str(far), "--json")
+        assert (code, err) == (0, "")
+        lanes = json.loads(out)["scenes"][0]["lanes"]
+        assert lanes and {x for lane in lanes for x, _ in lane["points"]} == {1e200}
 
     @pytest.mark.parametrize("response, path", [
         ("{'eval_id': req['eval_id'], 'score': True}", "response.score"),
@@ -908,6 +931,46 @@ def _edit_line(data, n, edit):
     return b"".join(lines)
 
 
+# faults found only once an input was read and built, each as the file
+# to write and its text (given the inputs), and the command's arguments
+# and its whole stderr, given that file and the inputs
+FAULTS_AFTER_READING = {
+    "fusion does not fit the backbone": (
+        "f.json",
+        lambda root: json.dumps({"layers": [{"input_a": 1, "input_b": 9, "output_level": 1}],
+                                 "heads_at": [1]}),
+        lambda bad, root: ["cost", "BB_64_13_[5,9]_[7,12]", "--fusion", str(bad)],
+        lambda bad, root: f"error: {bad}: layers[0].input_b: level 9 outside [1, 3]\n"),
+    "image_id repeated": (
+        "dup.jsonl",
+        lambda root: "".join(
+            json.dumps({**json.loads(line), "image_id": "synth_00000"}) + "\n"
+            for line in (root / "corpus/proposals.jsonl").read_text().splitlines()),
+        lambda bad, root: ["blend", "--proposals", str(bad),
+                           "--culane-out", str(bad.parent / "pred")],
+        lambda bad, root: f"error: {bad}: line 2: image_id: 'synth_00000' names an earlier "
+                          "scene's file too\n"),
+    "mask logit overflows": (
+        "p.json",
+        lambda root: json.dumps({**json.loads((root / "params.json").read_text()),
+                                 "per_level": {"1": {**LEVEL, "alpha1": 1e308, "alpha2": -1e308}}}),
+        lambda bad, root: ["blend", "--proposals", str(root / "corpus/proposals.jsonl"),
+                           "--params", str(bad)],
+        lambda bad, root: f"error: {root / 'corpus/proposals.jsonl'}: line 1: "
+                          "blend.per_level.1: mask logit overflows\n"),
+    "decoded x overflows": (
+        "p.jsonl",
+        lambda root: "".join(
+            json.dumps({**scene, "heads": [{**head, "cells": [
+                {**cell, "cx": 1.7e308, "offsets": [1.7e308] * len(cell["offsets"]), "end_y": 0.0}
+                for cell in head["cells"]]} for head in scene["heads"]]}) + "\n"
+            for scene in map(json.loads,
+                             (root / "corpus/proposals.jsonl").read_text().splitlines())),
+        lambda bad, root: ["blend", "--proposals", str(bad)],
+        lambda bad, root: f"error: {bad}: line 1: heads[0].cells[0]: decoded x overflows\n"),
+}
+
+
 class TestDataErrorContract:
     """Every reader refuses malformed JSON (a bad token in a `.lines.txt`
     file), an object naming a key twice, bytes that are not UTF-8 and a
@@ -972,6 +1035,19 @@ class TestDataErrorContract:
             assert err.startswith(f"error: {bad}: {message}: line ") and err.count("\n") == 1
         else:
             assert err == f"error: {bad}{where}: {message}\n"
+
+    @pytest.mark.parametrize("fault", list(FAULTS_AFTER_READING))
+    def test_fault_found_after_reading_names_its_input(self, inputs, tmp_path, capsys, fault):
+        """A well-formed input that the program cannot use is a data error
+        at that input too, with no warning on the way."""
+        name, text, argv, error = FAULTS_AFTER_READING[fault]
+        bad = tmp_path / name
+        bad.write_text(text(inputs))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, *argv(bad, inputs))
+        assert (code, out, caught) == (2, "", [])
+        assert err == error(bad, inputs)
 
 
 class TestSearchCommand:

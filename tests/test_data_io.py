@@ -207,7 +207,7 @@ class TestProposalsJsonl:
         path = tmp_path / "props.jsonl"
         data_io.write_proposals(path, scenes)
         back = list(data_io.read_proposals(path))
-        assert back == scenes
+        assert back == [(f"{path}: line {n}", *scene) for n, scene in enumerate(scenes, 1)]
 
     def test_nan_offsets_round_trip_as_null(self, tmp_path):
         doc = data_io.proposals_to_json(*self.corpus(1)[0])
@@ -250,7 +250,7 @@ class TestProposalsJsonl:
         data_io.write_proposals(path, self.corpus(20))
         gen = data_io.read_proposals(path)
         first = next(gen)
-        assert first[0] == "synth_00000"
+        assert first[:2] == (f"{path}: line 1", "synth_00000")
         gen.close()
 
     def test_missing_score_field(self, tmp_path):

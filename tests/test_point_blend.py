@@ -1,10 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from lanenas import point_blend
-from lanenas.errors import ConstraintError
+from lanenas.errors import SchemaError
 from lanenas.lane_model import AnchorLayout, HeadGrid, LaneProposalSet
 from lanenas.point_blend import (
     BlendParams,
@@ -84,6 +85,15 @@ class TestMaskLogit:
             expected = a1 * cy + b1 + a2 * ((cx - ux) ** 2 + (cy - uy) ** 2) ** 0.5
             got = mask_logit(BlendParams(a1, b1, a2, (ux, uy)), (cx, cy))
             assert abs(got - expected) < 1e-12
+
+    def test_no_radial_distance_at_alpha2_zero(self):
+        """The identity mask takes no distance, so a centre whose squared
+        distance overflows a float still gives logit 0."""
+        for alpha2 in (0.0, -0.0):
+            assert mask_logit(BlendParams(alpha2=alpha2), (1e200, 0.0)) == 0.0
+        assert mask_logit(BlendParams(alpha1=0.5, beta1=1.0), (1e200, 4.0)) == 3.0
+        with pytest.raises(OverflowError):
+            mask_logit(BlendParams(alpha2=1e-300), (1e200, 0.0))
 
 
 class TestApplyMask:
@@ -189,11 +199,60 @@ class TestMaskProposals:
         ))
         params = BlendParamSet(per_level={2: level}, score_threshold=0.0)
         for run in (mask_proposals, postprocess):
-            with pytest.raises(ConstraintError, match="mask logit overflows") as exc:
+            with pytest.raises(SchemaError, match="mask logit overflows") as exc:
                 run(LaneTable(proposals), params)
-            assert exc.value.field == "blend.per_level.2"
-        with pytest.raises(ConstraintError, match=r"blend\.per_level\.2: mask logit overflows"):
+            assert exc.value.path == "blend.per_level.2"
+        with pytest.raises(SchemaError, match=r"blend\.per_level\.2: mask logit overflows"):
             blend_oracle.postprocess(proposals, params)
+
+    def test_identity_mask_on_a_far_centre_keeps_the_score(self):
+        full = (0.0,) * len(LAYOUT.rows)
+        proposals = LaneProposalSet(layout=LAYOUT, heads=(
+            head_grid(1, (Cell(1e200, 200.0, 0.9, full), Cell(100.0, 200.0, 0.6, full))),
+        ))
+        params = BlendParamSet(per_level={}, score_threshold=0.0)
+        table = LaneTable(proposals)
+        assert mask_proposals(table, params) == [0.9, 0.6]
+        lanes = postprocess(table, params)
+        assert [(s, p[0, 0]) for s, p in lanes] == [(0.9, 1e200), (0.6, 100.0)]
+        assert_same_lanes(lanes, blend_oracle.postprocess(proposals, params))
+
+
+class TestDecodeOverflow:
+    """A decoded x is the cell's centre plus its offset, which can
+    overflow for finite inputs near a float's maximum."""
+
+    N = len(LAYOUT.rows)
+
+    def table(self, *cells):
+        full = (0.0,) * self.N
+        return LaneTable(LaneProposalSet(layout=LAYOUT, heads=(
+            head_grid(1, (Cell(100.0, 200.0, 0.9, full),)),
+            head_grid(2, (Cell(300.0, 200.0, 0.9, full),) + cells),
+        )))
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["inf", "-inf"])
+    def test_on_a_decodable_cell_names_the_cell_and_warns_nothing(self, sign):
+        big = sign * 1.7e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SchemaError) as exc:
+                self.table(Cell(1.0, 200.0, 0.9, (0.0,) * (self.N - 1) + (big,)),
+                           Cell(big, 200.0, 0.9, (big,) * self.N))
+        assert exc.value.path == "heads[1].cells[2]"
+        assert str(exc.value) == "heads[1].cells[2]: decoded x overflows"
+
+    def test_where_no_point_is_kept_is_no_error(self):
+        """An overflow on a cell that decodes to one point, or on a row
+        above a cell's ending row, makes no point of any lane."""
+        one_point = (1.7e308,) + (None,) * (self.N - 1)
+        above_end = (1.7e308,) + (0.0,) * (self.N - 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = self.table(Cell(1.7e308, 200.0, 0.9, one_point),
+                               Cell(1.7e308, 200.0, 0.9, above_end, end_y=LAYOUT.rows[1]))
+        assert table.level == [1, 2, 2]
+        assert np.isnan(table.xs[2, 0]) and np.isfinite(table.xs[2, 1:]).all()
 
 
 class TestGroupLines:

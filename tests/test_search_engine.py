@@ -526,16 +526,25 @@ class TestMutationStream:
 
 
 class TestKindDraw:
-    """`_draw_kind` repeats `Generator.choice`'s draw without its checks;
-    this pins that reading of numpy's internals."""
+    """`mutate_arch` picks its mutation kind by one `rng.random()` and one
+    comparison, not by `Generator.choice`; this pins that reading of
+    numpy's internals: the same kind and the same draws, with the fusion
+    pinned (one kind) and free (two)."""
 
     @pytest.mark.parametrize("n", [1, 2])
-    def test_equals_generator_choice(self, n):
+    def test_equals_generator_choice(self, n, monkeypatch):
+        kinds = []  # the mutators only record their kind, drawing nothing
+        monkeypatch.setattr(search_engine, "mutate_backbone",
+                            lambda spec, rng, space: kinds.append(0) or spec)
+        monkeypatch.setattr(search_engine, "mutate_fusion",
+                            lambda spec, t, rng: kinds.append(1) or spec)
+        arch = make_arch()
+        cfg = SearchConfig(fixed_fusion=arch.fusion if n == 1 else None)
+        weights = np.array((0.4, 0.3)[:n])
         rng_new, rng_ref = np.random.default_rng(2024), np.random.default_rng(2024)
         for _ in range(100_000):
-            assert search_engine._draw_kind(rng_new, n) == int(
-                rng_ref.choice(n, p=search_engine._KIND_PROBS[n])
-            )
+            assert search_engine.mutate_arch(arch, rng_new, cfg) == arch
+            assert kinds.pop() == int(rng_ref.choice(n, p=weights / weights.sum()))
         assert rng_new.bit_generator.state == rng_ref.bit_generator.state
 
 

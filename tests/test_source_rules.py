@@ -2,7 +2,7 @@
 front door: JSON is parsed only by `data_io.parse_json`, every file
 opened as text names its encoding, so a file written under one locale
 reads under another, and JSON is written strict, so the program reads
-what it writes."""
+what it writes. Every error type the package defines is raised."""
 
 import ast
 import pathlib
@@ -75,3 +75,19 @@ def test_every_json_dump_refuses_nan_and_infinity():
                 missing.append(f"{path.name}:{call.lineno} in {func}")
     assert dumps >= 12
     assert missing == []
+
+
+def test_every_error_class_is_raised():
+    """An error type that nothing raises, one folded into another say, is
+    not left defined: every class of `errors.py` is raised by name."""
+    errors = next(p for p in SOURCES if p.name == "errors.py")
+    defined = {node.name for node in ast.parse(errors.read_text(encoding="utf-8")).body
+               if isinstance(node, ast.ClassDef)}
+    raised = set()
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(dotted(exc).rpartition(".")[2])
+    assert len(defined) >= 8
+    assert sorted(defined - raised) == []
