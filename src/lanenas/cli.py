@@ -89,8 +89,8 @@ def cmd_parse_arch(args):
 def cmd_cost(args):
     backbone = parse_backbone(args.encoding)
     # a fusion spec that does not fit the backbone is a fault of its file
-    arch = (data_io.read_json(args.fusion,
-                              lambda doc: ArchEncoding(backbone, data_io.fusion_from_json(doc)))
+    arch = (data_io.read_json(args.fusion, lambda doc: ArchEncoding(
+                backbone, data_io.fusion_from_json(doc, stages=backbone.num_stages)))
             if args.fusion else ArchEncoding(backbone, _default_fusion(backbone.num_stages)))
     report = candidate_cost(arch, _parse_resolution(args.resolution))
     if args.json:

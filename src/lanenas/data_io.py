@@ -37,13 +37,20 @@ FORMAT_VERSION = 1
 # ---------------------------------------------------------------------------
 # CULane-style lane annotation files: one lane per line, alternating x y
 
+# The largest magnitude of a kept `.lines.txt` coordinate: far beyond any
+# canvas, and small enough that the lane metric's squares and products of
+# coordinate differences stay finite
+MAX_COORD = 1e100
+
+
 def read_culane_lines(path):
     """Parse one .lines.txt file into a list of lanes, each an (n, 2)
     float64 array of `(x, y)` points.
 
     Points with negative x (the dataset's missing-point convention) are
     dropped, leaving at least 2 per lane, stably sorted by y. Coordinates
-    must be finite; a SchemaError names the file, line and token at fault.
+    must be finite, and those of a kept point at most `MAX_COORD` (1e100)
+    in magnitude; a SchemaError names the file, line and token at fault.
     """
     def bad(tok, reason):
         return SchemaError(f"{path}: line {n}", f"token {tok!r}: {reason}")
@@ -68,6 +75,12 @@ def read_culane_lines(path):
                     raise bad(tok, "not a number") from None
                 if not math.isfinite(v):
                     raise bad(tok, "not finite")
+        if max(map(abs, vals)) > MAX_COORD:  # find a kept point's coordinate beyond it
+            for i in range(0, len(vals), 2):
+                x, y = vals[i], vals[i + 1]
+                if x >= 0 and max(x, abs(y)) > MAX_COORD:
+                    raise bad(toks[i if x > MAX_COORD else i + 1],
+                              f"magnitude above {MAX_COORD:.0e}")
         pts = np.array(vals).reshape(-1, 2)
         pts = pts[pts[:, 0] >= 0]
         if len(pts) < 2:
@@ -275,10 +288,19 @@ def fusion_to_json(spec: FusionSpec) -> dict:
     }
 
 
-def fusion_from_json(doc: dict) -> FusionSpec:
-    _check(doc, _FUSION, "fusion")
+def fusion_from_json(doc: dict, path="fusion", stages=None) -> FusionSpec:
+    """The fusion spec of `doc`, the JSON object at `path`; given a
+    backbone's number of `stages`, it must fit them. A field the genome
+    checks refuse is named by its JSON path under `path`."""
+    _check(doc, _FUSION, path)
     layers = [FusionLayer(l["input_a"], l["input_b"], l["output_level"]) for l in doc["layers"]]
-    return FusionSpec(layers, doc.get("channels", 128), doc["heads_at"])
+    try:
+        fusion = FusionSpec(layers, doc.get("channels", 128), doc["heads_at"])
+        if stages is not None:
+            fusion.validate_against(stages)
+    except SchemaError as exc:  # its path is a field of `doc`
+        raise SchemaError(f"{path}.{exc.path}", exc.reason) from None
+    return fusion
 
 
 def blend_from_json(doc: dict) -> BlendParamSet:
@@ -308,9 +330,14 @@ def arch_to_json(arch: ArchEncoding) -> dict:
     }
 
 
-def arch_from_json(doc: dict) -> ArchEncoding:
-    _check(doc, _ARCH, "arch")
-    return ArchEncoding(parse_backbone(doc["backbone"]), fusion_from_json(doc["fusion"]))
+def arch_from_json(doc: dict, path="arch") -> ArchEncoding:
+    """The genome of `doc`, the JSON object at `path`; a backbone string
+    that breaks the grammar or an invariant is a data error at
+    `<path>.backbone`, a fusion field at its path under `<path>.fusion`."""
+    _check(doc, _ARCH, path)
+    backbone = _checked(f"{path}.backbone", parse_backbone, doc["backbone"])
+    fusion = fusion_from_json(doc["fusion"], f"{path}.fusion", backbone.num_stages)
+    return ArchEncoding(backbone, fusion)
 
 
 # ---------------------------------------------------------------------------
@@ -459,9 +486,10 @@ def candidate_line(cand) -> str:
 def candidate_from_json(doc: dict):
     from .search_engine import Candidate
 
-    _check(doc, _CANDIDATE, f"candidate[{doc.get('eval_id', '<unknown>')}]")
+    path = f"candidate[{doc.get('eval_id', '<unknown>')}]"
+    _check(doc, _CANDIDATE, path)
     return Candidate(
-        arch_from_json(doc["arch"]), doc["flops"], doc["score"], doc["eval_id"],
+        arch_from_json(doc["arch"], f"{path}.arch"), doc["flops"], doc["score"], doc["eval_id"],
         doc.get("parent"), doc.get("birth_step", 0), doc.get("error"),
     )
 

@@ -36,4 +36,4 @@ class SchemaError(LaneNasError):
 
     def __init__(self, path, reason):
         super().__init__(f"{path}: {reason}" if path else reason)
-        self.path = path
+        self.path, self.reason = path, reason

@@ -214,11 +214,15 @@ def line_distance(xa, xb) -> float:
     """Mean |xa - xb| over the anchor rows where both x arrays have a
     point (NaN marks none); +inf if there is no such row. The gaps are
     summed left to right (as `np.cumsum` does; `np.sum` adds pairwise),
-    so the result equals a plain loop's running sum bit for bit."""
-    gaps = np.abs(xa - xb)[~(np.isnan(xa) | np.isnan(xb))]
-    if not len(gaps):
-        return math.inf
-    return float(np.add.accumulate(gaps)[-1] / len(gaps))  # np.cumsum's ufunc
+    so the result equals a plain loop's running sum bit for bit. A gap or
+    a sum beyond the float range (x near the float maximum) makes the
+    distance +inf without a warning: such lanes group under no finite
+    distance."""
+    with np.errstate(over="ignore"):
+        gaps = np.abs(xa - xb)[~(np.isnan(xa) | np.isnan(xb))]
+        if not len(gaps):
+            return math.inf
+        return float(np.add.accumulate(gaps)[-1] / len(gaps))  # np.cumsum's ufunc
 
 
 def decode_all(scores, score_threshold):

@@ -20,6 +20,7 @@ import json
 import math
 import numbers
 import shlex
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
@@ -70,27 +71,60 @@ def dominates(a: Candidate, b: Candidate) -> bool:
 
 
 class ParetoArchive:
-    """Non-dominated (FLOPS, score) set, in insertion order, and a count of inserts."""
+    """Non-dominated (FLOPS, score) set, in insertion order, and a count of inserts.
+
+    The front is also kept in FLOPS order as parallel lists of FLOPS,
+    score and insertion sequence number. Along that order scores never
+    decrease (a member with fewer FLOPS and no lower score would
+    dominate the next), and members of equal FLOPS have equal scores.
+    So an insert finds its place by bisection: the candidate is
+    dominated only if the last member with FLOPS <= its FLOPS is, and
+    the members it dominates form one contiguous slice."""
 
     def __init__(self):
-        self.members: list[Candidate] = []
         self.evaluations = 0
+        self._flops: list[int] = []
+        self._scores: list[float] = []
+        self._seqs: list[int] = []
+        self._live: dict[int, Candidate] = {}  # by sequence number, in insertion order
+        self._members: list[Candidate] | None = []
+
+    @property
+    def members(self) -> list[Candidate]:
+        """The front in insertion order, rebuilt after a change."""
+        if self._members is None:
+            self._members = list(self._live.values())
+        return self._members
 
     def insert(self, cand: Candidate):
         """Add an evaluated candidate; a failed one (score None) is only counted."""
         self.evaluations += 1
-        if cand.score is None:
+        f, s = cand.flops, cand.score
+        if s is None:
             return
-        if any(dominates(m, cand) for m in self.members):
-            return
-        self.members = [m for m in self.members if not dominates(cand, m)]
-        self.members.append(cand)
+        flops, scores = self._flops, self._scores
+        i = bisect_right(flops, f)
+        if i and (scores[i - 1] > s or (scores[i - 1] == s and flops[i - 1] < f)):
+            return  # dominated by the best-scoring member with FLOPS <= f
+        # members with FLOPS >= f and score <= s, in FLOPS order
+        lo = bisect_left(flops, f, 0, i)
+        hi = bisect_right(scores, s, lo)
+        if lo < hi and flops[lo] == f and scores[lo] == s:
+            lo = hi  # equal pairs (the whole slice) stay, the candidate after them
+        for seq in self._seqs[lo:hi]:
+            del self._live[seq]
+        flops[lo:hi] = (f,)
+        scores[lo:hi] = (s,)
+        self._seqs[lo:hi] = (self.evaluations,)
+        self._live[self.evaluations] = cand
+        self._members = None
 
     def select_parent(self, rng) -> Candidate:
         """Uniform draw over current front members."""
-        if not self.members:
+        members = self.members
+        if not members:
             raise EmptyArchiveError("archive has no evaluated members")
-        return self.members[int(rng.integers(len(self.members)))]
+        return members[int(rng.integers(len(members)))]
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import shutil
 import tracemalloc
 import warnings
 
+import numpy as np
 import pytest
 
 from lanenas import data_io
@@ -940,7 +941,23 @@ FAULTS_AFTER_READING = {
         lambda root: json.dumps({"layers": [{"input_a": 1, "input_b": 9, "output_level": 1}],
                                  "heads_at": [1]}),
         lambda bad, root: ["cost", "BB_64_13_[5,9]_[7,12]", "--fusion", str(bad)],
-        lambda bad, root: f"error: {bad}: layers[0].input_b: level 9 outside [1, 3]\n"),
+        lambda bad, root: f"error: {bad}: fusion.layers[0].input_b: level 9 outside [1, 3]\n"),
+    "fusion channels not positive": (
+        "f.json",
+        lambda root: json.dumps({"layers": [{"input_a": 1, "input_b": 2, "output_level": 1}],
+                                 "channels": 0, "heads_at": [1]}),
+        lambda bad, root: ["cost", "BB_64_13_[5,9]_[7,12]", "--fusion", str(bad)],
+        lambda bad, root: f"error: {bad}: fusion.channels: must be positive\n"),
+    "logged backbone breaks an invariant": (
+        "h.jsonl",
+        lambda root: "".join(
+            json.dumps({**doc, "arch": {**doc["arch"], "backbone": "BB_50_13_[5,9]_[7,12]"}}
+                       if doc["eval_id"] == "e000001" else doc) + "\n"
+            for doc in map(json.loads, (root / "run/history.jsonl").read_text().splitlines())),
+        lambda bad, root: ["pareto-export", "--archive", str(bad),
+                           "--out", str(bad.parent / "front.csv")],
+        lambda bad, root: f"error: {bad}: line 2: candidate[e000001].arch.backbone: "
+                          "base_channels: 50 not in (48, 64, 80, 96, 128)\n"),
     "image_id repeated": (
         "dup.jsonl",
         lambda root: "".join(
@@ -1048,6 +1065,43 @@ class TestDataErrorContract:
             code, out, err = run(capsys, *argv(bad, inputs))
         assert (code, out, caught) == (2, "", [])
         assert err == error(bad, inputs)
+
+    def test_lanes_too_far_apart_to_measure_are_blended_without_warning(
+            self, inputs, tmp_path, capsys):
+        """Cells at x = -1e308 and 1e308 decode to finite lanes whose
+        distance is beyond the float range: +inf, so they group with no
+        lane, and no warning is printed."""
+        scene = json.loads((inputs / "corpus/proposals.jsonl").read_text().splitlines()[0])
+        cells = scene["heads"][0]["cells"]
+        cells[0]["cx"], cells[1]["cx"] = -1e308, 1e308
+        one = tmp_path / "one.jsonl"
+        one.write_text(json.dumps(scene) + "\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, "blend", "--proposals", str(one))
+        assert (code, out, err, caught) == (0, "1 scenes, 4 lanes\n", "", [])
+
+    @pytest.mark.parametrize("x", [1e100, float(np.nextafter(1e100, math.inf))],
+                             ids=["at", "beyond"])
+    def test_pred_coordinate_bound(self, inputs, tmp_path, capsys, x):
+        """A kept `.lines.txt` coordinate may be up to 1e100 in magnitude,
+        which the lane metric squares without overflow; one beyond that
+        is a data error at its token."""
+        gt = inputs / "corpus/gt"
+        pred = tmp_path / "pred"
+        shutil.copytree(gt, pred)
+        bad = pred / "synth_00001.lines.txt"
+        bad.write_text(f"{x!r} 10 -1e308 200 5 280\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, "eval-f1", "--pred", str(pred), "--gt", str(gt),
+                                 "--canvas", "512x288")
+        assert caught == []
+        if x == 1e100:
+            assert (code, err) == (0, "") and out.startswith("F1 ")
+        else:
+            assert (code, out) == (2, "")
+            assert err == f"error: {bad}: line 1: token {repr(x)!r}: magnitude above 1e+100\n"
 
 
 class TestSearchCommand:

@@ -227,6 +227,30 @@ class TestPerBlockOracle:
                 candidate_cost(arch, resolution)
         assert len(keys) > 100
 
+    def test_shape_price_memos_match_unmemoized(self, monkeypatch):
+        """Every stem, fusion layer and head shape the cost model prices
+        gets the value a fresh computation gives, as a tuple of ints no
+        caller can change."""
+        keys = {name: set() for name in ("_stem_cost", "_fusion_cost", "_head_cost")}
+
+        def checked(name, memo):
+            def price(*args):
+                got = memo(*args)
+                assert got == memo.__wrapped__(*args)
+                assert type(got) is tuple and all(type(v) is int for v in got)
+                keys[name].add(args)
+                return got
+            return price
+
+        for name in keys:
+            monkeypatch.setattr(cost_model, name, checked(name, getattr(cost_model, name)))
+        for arch in random_genomes_and_children():
+            for resolution in ORACLE_RESOLUTIONS:
+                candidate_cost(arch, resolution)
+        # every base channel count, and every level's grid, at each resolution
+        assert (len(keys["_stem_cost"]), len(keys["_head_cost"])) == (5 * 3, 4 * 3)
+        assert len(keys["_fusion_cost"]) > 1000
+
 
 def random_genomes_and_children():
     """2,000 seeded random genomes, each followed by one `mutate_arch`

@@ -95,10 +95,25 @@ class TestCulaneLines:
         assert str(exc.value) == f"{path}: line 2: token {token!r}: not finite"
 
     def test_huge_finite_coordinates_accepted(self, tmp_path):
-        # the sum overflows, but every token is finite
+        # the sum overflows, but every token is finite; the huge ones are
+        # of dropped points, and the kept ones at the bound
         path = tmp_path / "huge.lines.txt"
-        path.write_text("1e308 2.0 1e308 3.0\n")
-        assert_lanes(data_io.read_culane_lines(path), [((1e308, 2.0), (1e308, 3.0))])
+        path.write_text("-1e308 1.0 -1e308 1e308 1e100 2.0 5.0 -1e100\n")
+        assert_lanes(data_io.read_culane_lines(path), [((5.0, -1e100), (1e100, 2.0))])
+
+    # just beyond the bound, as x or y of a kept point
+    BEYOND = repr(float(np.nextafter(data_io.MAX_COORD, math.inf)))
+
+    @pytest.mark.parametrize("point, token", [
+        (f"{BEYOND} 4.0", BEYOND), (f"3.0 {BEYOND}", BEYOND), (f"3.0 -{BEYOND}", f"-{BEYOND}"),
+    ])
+    def test_kept_coordinate_beyond_the_bound_is_refused(self, tmp_path, point, token):
+        path = tmp_path / "far.lines.txt"
+        path.write_text(f"1.0 2.0 3.0 4.0\n5.0 6.0 {point}\n")
+        with pytest.raises(SchemaError) as exc:
+            data_io.read_culane_lines(path)
+        assert exc.value.path == f"{path}: line 2"
+        assert str(exc.value) == f"{path}: line 2: token {token!r}: magnitude above 1e+100"
 
     def test_negative_x_dropped(self, tmp_path):
         path = tmp_path / "neg.lines.txt"

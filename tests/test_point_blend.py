@@ -501,6 +501,16 @@ class TestLaneTable:
             if all(len(l.points) for l in lines):
                 assert line_distance(*lines) == want
 
+    @pytest.mark.parametrize("xa, xb", [
+        ([-1e308, 0.0, 5.0], [1e308, 0.0, 1e308]),  # a gap beyond the float range
+        ([1e308, 1e308, math.nan], [-1e307, -1e307, 0.0]),  # gaps whose sum is beyond it
+    ])
+    def test_line_distance_beyond_the_float_range_is_inf_without_warning(self, xa, xb):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = point_blend.line_distance(np.array(xa), np.array(xb))
+        assert (got, caught) == (math.inf, [])
+
     def test_locality_factors_are_math_exp(self):
         rng = np.random.default_rng(8)
         cells = tuple(

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 import sys
@@ -106,6 +107,10 @@ def hypervolume(members, ref_flops, ref_score=0.0):
     return hv
 
 
+# FLOPS 1-4 by scores 0, 0.5 and 1, and a failed candidate
+TINY_GRID = [(f, s) for f in range(1, 5) for s in (0.0, 0.5, 1.0)] + [(2, None)]
+
+
 class TestArchive:
     def test_strict_domination_replaces(self):
         a = ParetoArchive()
@@ -179,6 +184,32 @@ class TestArchive:
         assert a.evaluations == len(history)
         assert len(a.members) >= 2000
         assert len({(m.flops, m.score) for m in a.members}) < len(a.members)
+
+    @staticmethod
+    def assert_front_after_each_insert(pairs):
+        """Insert one candidate per (FLOPS, score) pair; after each insert
+        the members are the inserted candidates no other dominates, in
+        insertion order."""
+        history = [cand(f, s, f"e{n}") for n, (f, s) in enumerate(pairs)]
+        a = ParetoArchive()
+        for n, c in enumerate(history, start=1):
+            a.insert(c)
+            scored = [c for c in history[:n] if c.score is not None]
+            assert [m.eval_id for m in a.members] == [
+                c.eval_id for c in scored if not any(dominates(o, c) for o in scored)]
+        assert a.evaluations == len(history)
+
+    def test_every_short_sequence_on_a_tiny_grid_matches_brute_force(self):
+        """Every sequence of four inserts from the tiny grid, repeats
+        included: equal pairs, equal FLOPS at another score, slices of
+        several dominated members, and failed candidates between them."""
+        for pairs in itertools.product(TINY_GRID, repeat=4):
+            self.assert_front_after_each_insert(pairs)
+
+    @settings(max_examples=300)
+    @given(st.lists(st.sampled_from(TINY_GRID), max_size=40))
+    def test_long_sequences_on_a_tiny_grid_match_brute_force(self, pairs):
+        self.assert_front_after_each_insert(pairs)
 
     def test_never_contains_dominated_member(self):
         rng = np.random.default_rng(4)
