@@ -70,7 +70,7 @@ def _row_spans(seg, y, rho):
     dy, l2 and the segment length."""
     x1, y1, x2, y2, dx, dy, l2, length = seg
     ry = y - y1
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         # the end discs, NaN off the disc
         h1 = np.sqrt(rho * rho - ry * ry)
         h2 = np.sqrt(rho * rho - (y - y2) ** 2)
@@ -78,7 +78,10 @@ def _row_spans(seg, y, rho):
         # each linear in u = x - x1. A zero coefficient makes a bound
         # +-inf, or NaN when the bound is 0 too; NaN drops the part, which
         # only happens on a row through an end, which its disc covers, or
-        # on a row at exactly distance rho.
+        # on a row at exactly distance rho. A subnormal coefficient or a
+        # huge rho overflows a bound to the same +-inf, the limit the
+        # zero case takes; the band test of `polyline_runs` still decides
+        # the pixels near the boundary one by one.
         t_a, t_b = -ry * dy / dx, (l2 - ry * dy) / dx
         s_a = (ry * dx - rho * length) / dy
         s_b = (ry * dx + rho * length) / dy

@@ -20,6 +20,9 @@ ALLOWED_BASE_CHANNELS = (48, 64, 80, 96, 128)
 NUM_BLOCKS_MIN = 10
 NUM_BLOCKS_MAX = 45
 ALLOWED_STAGE_LIST_LENS = (2, 3)  # 3 or 4 stages
+MAX_STAGES = max(ALLOWED_STAGE_LIST_LENS) + 1  # the fusion levels counted by `space_cardinality`
+FUSION_LAYERS = 2  # layers of a random fusion genome
+P_EXTENDED = 0.2  # the chance that a backbone mutation takes a structural move
 
 KIND_CODES = {"RB": "basic", "BB": "bottleneck"}
 CODE_FOR_KIND = {v: k for k, v in KIND_CODES.items()}
@@ -188,8 +191,6 @@ class SpaceConfig:
     base_channels: tuple[int, ...] = ALLOWED_BASE_CHANNELS
     num_blocks_range: tuple[int, int] = (NUM_BLOCKS_MIN, NUM_BLOCKS_MAX)
     stage_list_lens: tuple[int, ...] = ALLOWED_STAGE_LIST_LENS
-    fusion_layers: int = 2
-    fusion_t: int = 4
 
 
 @dataclass(frozen=True)
@@ -215,7 +216,7 @@ def space_cardinality(cfg: SpaceConfig = SpaceConfig()) -> CardinalityReport:
         backbone += per_n
     backbone *= len(cfg.block_kinds) * len(cfg.base_channels)
 
-    t, m = cfg.fusion_t, cfg.fusion_layers
+    t, m = MAX_STAGES, FUSION_LAYERS
     fusion = (t**3) ** m * (2**t - 1)
 
     assumptions = (
@@ -272,24 +273,17 @@ def _extended_move_candidates(spec: BackboneSpec, cfg: SpaceConfig):
     return moves
 
 
-def mutate_backbone(
-    spec: BackboneSpec,
-    rng,
-    cfg: SpaceConfig = SpaceConfig(),
-    p_extended: float = 0.2,
-) -> BackboneSpec:
+def mutate_backbone(spec: BackboneSpec, rng, cfg: SpaceConfig = SpaceConfig()) -> BackboneSpec:
     """One mutation step.
 
     The primary move shifts one downsample or double-channel index to a
-    neighboring block position. With probability p_extended a structural
+    neighboring block position. With probability P_EXTENDED a structural
     move is taken instead (num_blocks +-1, adjacent base channel size, or
     block kind flip) so the search can traverse those dimensions too.
     """
     index_moves = _list_move_candidates(spec)
     extended_moves = _extended_move_candidates(spec, cfg)
-    use_extended = extended_moves and (
-        not index_moves or rng.random() < p_extended
-    )
+    use_extended = extended_moves and (not index_moves or rng.random() < P_EXTENDED)
     # the constructor validates the mutant; vars() of these dataclasses
     # holds exactly their init fields (cheaper than dataclasses.replace)
     if use_extended:
@@ -337,14 +331,14 @@ def random_backbone(rng, cfg: SpaceConfig = SpaceConfig()) -> BackboneSpec:
     return BackboneSpec(kind, base, n, down, dbl)
 
 
-def random_fusion(rng, t: int, cfg: SpaceConfig = SpaceConfig()) -> FusionSpec:
+def random_fusion(rng, t: int) -> FusionSpec:
     layers = tuple(
         FusionLayer(
             int(rng.integers(1, t + 1)),
             int(rng.integers(1, t + 1)),
             int(rng.integers(1, t + 1)),
         )
-        for _ in range(cfg.fusion_layers)
+        for _ in range(FUSION_LAYERS)
     )
     n_heads = int(rng.integers(1, t + 1))
     heads = frozenset(

@@ -32,10 +32,17 @@ from .metrics import (
     DEFAULT_CANVAS,
     DEFAULT_IOU_THRESHOLD,
     DEFAULT_LANE_WIDTH,
+    DEFAULT_X_TOLERANCE,
     match_and_score,
     tusimple_counts,
 )
 from .point_blend import BlendParamSet
+from .search_engine import DEFAULT_TIMEOUT, SearchConfig
+from .synth import SynthSceneConfig
+
+# the largest side of a `--resolution` or `--canvas`, in px: a pixel's
+# run index `y * w + x` stays far inside int64
+MAX_SIDE = 65536
 
 
 class _UsageError(Exception):
@@ -47,14 +54,14 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _parse_resolution(text):
+def _parse_resolution(text, flag):
+    """The (w, h) of a `WxH` flag value, each side in [1, MAX_SIDE]."""
     try:
-        w, h = text.lower().split("x")
-        w, h = int(w), int(h)
+        w, h = (int(side) for side in text.lower().split("x"))
     except ValueError:
-        raise _UsageError(f"bad resolution {text!r}, expected WxH")
-    if w <= 0 or h <= 0:
-        raise _UsageError(f"bad resolution {text!r}, both sides must be positive")
+        raise _UsageError(f"bad {flag} {text!r}, expected WxH")
+    if not (0 < w <= MAX_SIDE and 0 < h <= MAX_SIDE):
+        raise _UsageError(f"bad {flag} {text!r}, each side must be in [1, {MAX_SIDE}]")
     return w, h
 
 
@@ -92,7 +99,7 @@ def cmd_cost(args):
     arch = (data_io.read_json(args.fusion, lambda doc: ArchEncoding(
                 backbone, data_io.fusion_from_json(doc, stages=backbone.num_stages)))
             if args.fusion else ArchEncoding(backbone, _default_fusion(backbone.num_stages)))
-    report = candidate_cost(arch, _parse_resolution(args.resolution))
+    report = candidate_cost(arch, _parse_resolution(args.resolution, "--resolution"))
     if args.json:
         print(
             json.dumps(
@@ -144,7 +151,7 @@ def cmd_search(args):
     if not 0 < args.timeout < math.inf:
         raise _UsageError(f"--timeout must be positive and finite, got {args.timeout}")
     try:
-        config = search_engine.SearchConfig(
+        config = SearchConfig(
             budget=args.budget, init_population=args.init_population,
             workers=args.workers, seed=args.seed,
         )
@@ -258,11 +265,11 @@ def _paired_lane_files(pred_dir, gt_dir):
 
 
 def cmd_eval_f1(args):
-    if args.width <= 0:
-        raise _UsageError(f"--width must be positive, got {args.width}")
+    if not 0 < args.width <= sys.float_info.max:  # lanes are drawn in floats
+        raise _UsageError(f"--width must be positive and convert to a finite float, got {args.width}")
     if not 0.0 <= args.iou < 1.0:
         raise _UsageError(f"--iou must be in [0, 1), got {args.iou}")
-    canvas = _parse_resolution(args.canvas)
+    canvas = _parse_resolution(args.canvas, "--canvas")
     pairs = _paired_lane_files(args.pred, args.gt)
     # read lazily, so one scene's lanes are held at a time
     report = match_and_score(
@@ -309,7 +316,7 @@ def cmd_eval_tusimple(args):
 
 def cmd_gen_synth(args):
     try:
-        cfg = synth.SynthSceneConfig(
+        cfg = SynthSceneConfig(
             num_scenes=args.num_scenes,
             remote_noise_sigma=args.noise,
             lanes_per_scene=args.lanes,
@@ -369,13 +376,13 @@ def build_parser():
     add("space-size", cmd_space_size, help="search-space cardinality with assumptions")
 
     p = add("search", cmd_search, help="run the multi-objective search")
-    p.add_argument("--budget", type=int, default=200)
-    p.add_argument("--init-population", type=int, default=16)
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--budget", type=int, default=SearchConfig.budget)
+    p.add_argument("--init-population", type=int, default=SearchConfig.init_population)
+    p.add_argument("--workers", type=int, default=SearchConfig.workers)
+    p.add_argument("--seed", type=int, default=SearchConfig.seed)
     p.add_argument("--evaluator", default="builtin:synthetic",
                    help="builtin:synthetic or exec:<command>")
-    p.add_argument("--timeout", type=float, default=3600.0)
+    p.add_argument("--timeout", type=float, default=DEFAULT_TIMEOUT)
     p.add_argument("--out", required=True)
 
     p = add("blend", cmd_blend, help="post-process a proposals dump into lanes")
@@ -396,14 +403,14 @@ def build_parser():
     p = add("eval-tusimple", cmd_eval_tusimple, help="point accuracy over .lines.txt dirs")
     p.add_argument("--pred", required=True)
     p.add_argument("--gt", required=True)
-    p.add_argument("--tolerance", type=float, default=20.0)
+    p.add_argument("--tolerance", type=float, default=DEFAULT_X_TOLERANCE)
 
     p = add("gen-synth", cmd_gen_synth, help="generate a synthetic corpus")
     p.add_argument("--out", required=True)
-    p.add_argument("--num-scenes", type=int, default=50)
-    p.add_argument("--noise", type=float, default=20.0)
-    p.add_argument("--lanes", type=int, default=2)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--num-scenes", type=int, default=SynthSceneConfig.num_scenes)
+    p.add_argument("--noise", type=float, default=SynthSceneConfig.remote_noise_sigma)
+    p.add_argument("--lanes", type=int, default=SynthSceneConfig.lanes_per_scene)
+    p.add_argument("--seed", type=int, default=SynthSceneConfig.seed)
 
     p = add("pareto-export", cmd_pareto_export, help="archive snapshot to front CSV")
     p.add_argument("--archive", required=True)

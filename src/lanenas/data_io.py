@@ -426,10 +426,11 @@ def eval_request_to_json(eval_id, arch: ArchEncoding, resolution) -> dict:
     }
 
 
-def eval_response_from_json(doc: dict, expect_eval_id=None) -> float:
-    """The validated score; any other field, `diagnostics` say, is ignored."""
+def eval_response_from_json(doc: dict, expect_eval_id: str) -> float:
+    """The validated score of the request `expect_eval_id`; any other
+    field, `diagnostics` say, is ignored."""
     _check(doc, _RESPONSE, "response")
-    if expect_eval_id is not None and doc["eval_id"] != expect_eval_id:
+    if doc["eval_id"] != expect_eval_id:
         raise SchemaError("response.eval_id", f"expected {expect_eval_id}, got {doc['eval_id']}")
     return float(doc["score"])
 

@@ -34,12 +34,12 @@ class AnchorLayout:
             raise ValueError("anchor rows must lie within [0, height)")
 
     @classmethod
-    def uniform(cls, image_size, num_rows=ANCHOR_ROWS):
-        """Evenly spaced rows over the image height (default one per 4 px
-        on a 288-px-high input)."""
+    def uniform(cls, image_size):
+        """`ANCHOR_ROWS` evenly spaced rows over the image height (one per
+        4 px on a 288-px-high input)."""
         w, h = image_size
-        step = h / num_rows
-        return cls((w, h), tuple(i * step for i in range(num_rows)))
+        step = h / ANCHOR_ROWS
+        return cls((w, h), tuple(i * step for i in range(ANCHOR_ROWS)))
 
 
 @dataclass(frozen=True, eq=False)

@@ -13,6 +13,7 @@ from .errors import DegenerateLineError
 DEFAULT_LANE_WIDTH = 30
 DEFAULT_CANVAS = (1640, 590)  # CULane resolution
 DEFAULT_IOU_THRESHOLD = 0.5
+DEFAULT_X_TOLERANCE = 20.0  # px, of `tusimple_counts`
 
 
 @dataclass(frozen=True)
@@ -208,7 +209,7 @@ def _row_map(line):
     return dict(zip(ys.tolist(), xs.tolist()))
 
 
-def tusimple_counts(pred, gt, x_tolerance=20.0):
+def tusimple_counts(pred, gt, x_tolerance=DEFAULT_X_TOLERANCE):
     """(correct points, gt points) for one scene.
 
     Lanes are paired greedily by mean horizontal distance; a gt point on

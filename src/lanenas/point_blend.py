@@ -326,9 +326,7 @@ def perturb(params: BlendParamSet, space: BlendParamSpace, rng) -> BlendParamSet
 
 def plain_nms_params(params: BlendParamSet) -> BlendParamSet:
     """Same thresholds, identity mask, infinite locality: plain Line-NMS."""
-    return BlendParamSet(
-        per_level={lvl: BlendParams() for lvl in params.per_level},
-        score_threshold=params.score_threshold,
-        group_distance=params.group_distance,
-        locality_sigma=math.inf,
+    return BlendParamSet.identity(
+        params.per_level, score_threshold=params.score_threshold,
+        group_distance=params.group_distance, locality_sigma=math.inf,
     )

@@ -8,7 +8,7 @@ newline-delimited JSON).
 Evaluator protocol: `evaluate(arch, eval_id, cost) -> float` returns a
 score in [0, 1]. `eval_id` is the id the search records in its history
 (`e000000`, `e000001`, ...) and `cost` is the candidate's `CostReport`,
-priced once by the search at its input resolution. An exception, or a
+priced once by the search at `DEFAULT_RESOLUTION`. An exception, or a
 score that is not a real number in [0, 1], marks the evaluation failed:
 the candidate is passed to `on_eval` with score None and `error` set to
 "<ExcClass>: <message>".
@@ -158,12 +158,15 @@ class SyntheticEvaluator:
         return min(max(score, 0.0), 1.0)
 
 
+DEFAULT_TIMEOUT = 3600.0  # s an evaluator process may take
+
+
 class ExternalEvaluator:
     """Runs a child process per evaluation: request JSON on stdin, one
     response JSON line on stdout. The request's resolution is the one the
     search priced the candidate at."""
 
-    def __init__(self, command, timeout=3600.0):
+    def __init__(self, command, timeout=DEFAULT_TIMEOUT):
         self.argv = shlex.split(command)
         if not self.argv:
             raise ValueError("no command to run")
@@ -193,7 +196,7 @@ class ExternalEvaluator:
         if not line:
             raise ProtocolError("evaluator produced no output")
         doc = data_io.parse_json(line[-1], "response")
-        return data_io.eval_response_from_json(doc, expect_eval_id=eval_id)
+        return data_io.eval_response_from_json(doc, eval_id)
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +209,6 @@ class SearchConfig:
     workers: int = 1
     seed: int = 0
     space: SpaceConfig = SpaceConfig()
-    resolution: tuple[int, int] = DEFAULT_RESOLUTION
     # pin the fusion genome (and skip fusion mutation); used when the
     # search is restricted to an enumerable backbone-only space
     fixed_fusion: FusionSpec | None = None
@@ -227,7 +229,7 @@ _DEDUP_RETRIES = 16
 
 def _random_arch(rng, cfg: SearchConfig) -> ArchEncoding:
     bb = random_backbone(rng, cfg.space)
-    fusion = cfg.fixed_fusion or random_fusion(rng, bb.num_stages, cfg.space)
+    fusion = cfg.fixed_fusion or random_fusion(rng, bb.num_stages)
     return ArchEncoding(backbone=bb, fusion=fusion)
 
 
@@ -285,7 +287,7 @@ def run_search(config: SearchConfig, evaluator, on_eval=None) -> ParetoArchive:
     def make_job(n, arch, parent):
         seen.add(arch)
         step = max(n - config.init_population + 1, 0)  # children are born at 1, 2, ...
-        return arch, f"e{n:06d}", candidate_cost(arch, config.resolution), parent, step
+        return arch, f"e{n:06d}", candidate_cost(arch, DEFAULT_RESOLUTION), parent, step
 
     def jobs():
         for n in range(config.init_population):
@@ -323,7 +325,6 @@ def run_search(config: SearchConfig, evaluator, on_eval=None) -> ParetoArchive:
 class InnerSearchConfig:
     budget: int = 200
     seed: int = 0
-    lane_width: int = DEFAULT_LANE_WIDTH
 
 
 class BlendScenes:
@@ -381,13 +382,13 @@ def run_blend_inner_search(
     decoded once, each ground-truth lane drawn once, each distinct
     predicted lane once per scene, and each distinct parameter value
     scored once; scores are exact."""
-    prepared = BlendScenes(scenes, config.lane_width)
+    prepared = BlendScenes(scenes)
     rng = np.random.default_rng(config.seed)
     best = init_params
-    best_score = evaluate_blend_params(scenes, best, config.lane_width, prepared)
+    best_score = evaluate_blend_params(scenes, best, prepared=prepared)
     for _ in range(config.budget):
         cand = point_blend.perturb(best, space, rng)
-        score = evaluate_blend_params(scenes, cand, config.lane_width, prepared)
+        score = evaluate_blend_params(scenes, cand, prepared=prepared)
         if score > best_score:
             best, best_score = cand, score
     return best

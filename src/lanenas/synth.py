@@ -21,6 +21,7 @@ CURVATURE_RANGE = (1e-4, 4e-4)  # 1/px
 HIGH_SCORE = 0.9  # the bottom cell of each lane
 LOW_SCORE = 0.5   # upper-lane cells, plus up to 0.05
 LOW_CELLS_PER_LANE = 2
+IMAGE_SIZE = (512, 288)  # (width, height) px of every scene
 
 
 @dataclass(frozen=True)
@@ -29,7 +30,6 @@ class SynthSceneConfig:
     remote_noise_sigma: float = 20.0  # px
     lanes_per_scene: int = 2
     seed: int = 0
-    image_size: tuple[int, int] = (512, 288)
 
     def __post_init__(self):
         if self.num_scenes <= 0 or self.lanes_per_scene <= 0:
@@ -47,7 +47,7 @@ class SceneRecord:
 
 
 def _lane_curve(rng, cfg, slot):
-    w, h = cfg.image_size
+    w, h = IMAGE_SIZE
     x0 = w * (slot + 1) / (cfg.lanes_per_scene + 1) + rng.uniform(-15, 15)
     slope = rng.uniform(-0.25, 0.25)
     lo, hi = CURVATURE_RANGE
@@ -64,7 +64,7 @@ def _lane_curve(rng, cfg, slot):
 def _corruption(rng, cfg):
     """Remote offset error: zero below mid-height, ramping linearly to a
     scene-scaled amplitude at the top."""
-    _, h = cfg.image_size
+    _, h = IMAGE_SIZE
     sigma = cfg.remote_noise_sigma
     amp = sigma * (5.0 + abs(rng.normal())) * (1 if rng.random() < 0.5 else -1)
     y_cut = h * 0.5
@@ -81,8 +81,8 @@ def generate_scene(rng, cfg: SynthSceneConfig, scene_idx: int):
     """One (LaneProposalSet, SceneRecord) pair. Lane `slot` proposes
     cell `slot` of the level-2 head and cells `LOW_CELLS_PER_LANE * slot`
     onwards of the level-1 head."""
-    _, h = cfg.image_size
-    layout = AnchorLayout.uniform(cfg.image_size)
+    _, h = IMAGE_SIZE
+    layout = AnchorLayout.uniform(IMAGE_SIZE)
     rows = np.array(layout.rows)
     n, n_rows = cfg.lanes_per_scene, len(rows)
     n_low = n * LOW_CELLS_PER_LANE

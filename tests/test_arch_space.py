@@ -157,11 +157,13 @@ class TestStageLayout:
 class TestMutateBackbone:
     def test_neighbor_move_example(self):
         spec = parse_backbone("BB_64_13_[5,9]_[7,12]")
+        # one kind, one base width, one block count: no structural move,
+        # so every draw is an index move
+        cfg = SpaceConfig(block_kinds=(BlockKind.BOTTLENECK,), base_channels=(64,),
+                          num_blocks_range=(13, 13))
         seen = set()
         for seed in range(200):
-            m = mutate_backbone(
-                spec, np.random.default_rng(seed), p_extended=0.0
-            )
+            m = mutate_backbone(spec, np.random.default_rng(seed), cfg)
             seen.add(m.downsample_at + m.double_channels_at)
         # first downsample index can move to 4 or 6
         assert any(m[:2] in {(4, 9), (6, 9)} for m in seen)
@@ -258,7 +260,7 @@ class TestCardinality:
         )
 
     def test_fusion_count(self):
-        assert space_cardinality(SpaceConfig(fusion_t=4, fusion_layers=2)).fusion_count == 61440
+        assert space_cardinality(SpaceConfig()).fusion_count == 61440
 
     def test_assumptions_reported(self):
         report = space_cardinality()

@@ -1,8 +1,10 @@
 import hashlib
+import inspect
 import json
 import math
 import os
 import shutil
+import sys
 import tracemalloc
 import warnings
 
@@ -10,7 +12,11 @@ import numpy as np
 import pytest
 
 from lanenas import data_io
-from lanenas.cli import main
+from lanenas.cli import MAX_SIDE, build_parser, main
+from lanenas.cost_model import candidate_cost
+from lanenas.metrics import match_and_score, tusimple_counts
+from lanenas.search_engine import ExternalEvaluator, SearchConfig
+from lanenas.synth import SynthSceneConfig
 
 
 def run(capsys, *argv):
@@ -167,6 +173,17 @@ class TestParseArch:
         assert doc["base_channels"] == 64
         assert doc["downsample_at"] == [5, 9]
 
+    def test_paper_string_text(self, capsys):
+        code, out, _ = run(capsys, "parse-arch", "BB_64_13_[5,9]_[7,12]")
+        assert code == 0
+        assert out == ("encoding: BB_64_13_[5,9]_[7,12]\n"
+                       "block_kind: bottleneck\n"
+                       "base_channels: 64\n"
+                       "num_blocks: 13\n"
+                       "downsample_at: [5, 9]\n"
+                       "double_channels_at: [7, 12]\n"
+                       "num_stages: 3\n")
+
     def test_malformed_is_data_error(self, capsys):
         code, _, err = run(capsys, "parse-arch", "BB_64_13")
         assert code == 2
@@ -195,6 +212,7 @@ class TestUsage:
     @pytest.mark.parametrize("flags", [
         ["cost", "BB_64_13_[5,9]_[7,12]", "--resolution", "0x288"],
         ["cost", "BB_64_13_[5,9]_[7,12]", "--resolution", "512x-288"],
+        ["cost", "BB_64_13_[5,9]_[7,12]", "--resolution", "abc"],
         ["eval-f1", "--width", "0"],
         ["eval-f1", "--width", "-30"],
         ["eval-f1", "--canvas", "0x0"],
@@ -225,9 +243,58 @@ class TestUsage:
         assert "usage error" in err and out == ""
         assert not (tmp_path / "run").exists()
 
-    @pytest.mark.parametrize("flags", [["--iou", "0"], ["--width", "1"], ["--canvas", "1x1"]])
+    @pytest.mark.parametrize("flags", [
+        ["--iou", "0"], ["--width", "1"], ["--canvas", "1x1"],
+        ["--width", str(int(sys.float_info.max))], ["--canvas", f"{MAX_SIDE}x{MAX_SIDE}"],
+    ], ids=["iou 0", "width 1", "canvas 1x1", "width float max", "canvas max side"])
     def test_eval_f1_flag_bounds_are_accepted(self, capsys, lanes_dir, flags):
         assert run(capsys, "eval-f1", "--pred", lanes_dir, "--gt", lanes_dir, *flags)[0] == 0
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--width", str(10**400)),
+        ("--width", str(int(sys.float_info.max) + 1)),
+        ("--canvas", "100000000000000000000x32"),
+        ("--canvas", f"{MAX_SIDE + 1}x32"),
+        ("--canvas", f"32x{MAX_SIDE + 1}"),
+        ("--resolution", f"{10**400}x288"),
+        ("--resolution", f"512x{MAX_SIDE + 1}"),
+    ], ids=["width 1e400", "width above float max", "canvas 1e20", "canvas w above max",
+            "canvas h above max", "resolution 1e400", "resolution h above max"])
+    def test_sizes_beyond_their_bound_are_usage_errors(self, capsys, lanes_dir, flag, value):
+        """A `--width` that is no finite float, or a `--resolution` or
+        `--canvas` side above `MAX_SIDE`, is refused before any output."""
+        command = (["cost", "BB_64_13_[5,9]_[7,12]"] if flag == "--resolution"
+                   else ["eval-f1", "--pred", lanes_dir, "--gt", lanes_dir])
+        code, out, err = run(capsys, *command, flag, value)
+        assert (code, out) == (1, "")
+        assert err.startswith("usage error: ") and flag in err.splitlines()[0]
+
+    def test_resolution_side_bound_is_accepted(self, capsys):
+        code, out, _ = run(capsys, "cost", "BB_64_13_[5,9]_[7,12]",
+                           "--resolution", f"{MAX_SIDE}x{MAX_SIDE}", "--json")
+        assert code == 0
+        assert json.loads(out)["input_resolution"] == [MAX_SIDE, MAX_SIDE]
+
+    def test_flag_defaults_are_the_defaults_they_stand_for(self):
+        parser = build_parser()
+        search = parser.parse_args(["search", "--out", "run"])
+        assert SearchConfig(budget=search.budget, init_population=search.init_population,
+                            workers=search.workers, seed=search.seed) == SearchConfig()
+        assert search.timeout == inspect.signature(ExternalEvaluator).parameters["timeout"].default
+        corpus = parser.parse_args(["gen-synth", "--out", "corpus"])
+        assert SynthSceneConfig(num_scenes=corpus.num_scenes, remote_noise_sigma=corpus.noise,
+                                lanes_per_scene=corpus.lanes, seed=corpus.seed) == SynthSceneConfig()
+        tusimple = parser.parse_args(["eval-tusimple", "--pred", "p", "--gt", "g"])
+        assert tusimple.tolerance == \
+            inspect.signature(tusimple_counts).parameters["x_tolerance"].default
+        f1 = parser.parse_args(["eval-f1", "--pred", "p", "--gt", "g"])
+        scoring = inspect.signature(match_and_score).parameters
+        assert (f1.iou, f1.width, f1.canvas) == (
+            scoring["iou_threshold"].default, scoring["width"].default,
+            "{}x{}".format(*scoring["canvas"].default))
+        cost = parser.parse_args(["cost", "BB_64_13_[5,9]_[7,12]"])
+        assert cost.resolution == "{}x{}".format(
+            *inspect.signature(candidate_cost).parameters["resolution"].default)
 
     def test_search_flag_bounds_are_accepted(self, capsys, tmp_path):
         code, out, _ = run(capsys, "search", "--workers", "1", "--budget", "0",
@@ -247,6 +314,19 @@ class TestUsage:
     def test_missing_required_flag(self, capsys):
         code, _, _ = run(capsys, "search")
         assert code == 1
+
+    def test_closed_stdout_pipe_exits_0(self, monkeypatch):
+        """A reader that closes the pipe early, `| head` say, ends the
+        command quietly."""
+        class ClosedPipe:
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def flush(self):
+                pass
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert main(["space-size"]) == 0
 
 
 class TestCost:
@@ -274,8 +354,54 @@ class TestSpaceSize:
         assert doc["fusion_count"] == 61440
         assert doc["assumptions"]
 
+    def test_text_output_reports_the_json_counts(self, capsys):
+        doc = json.loads(run(capsys, "space-size", "--json")[1])
+        code, out, _ = run(capsys, "space-size")
+        assert code == 0
+        assert out == (f"backbone genomes: {doc['backbone_count']:,}\n"
+                       "fusion genomes:   61,440\n"
+                       "assumptions:\n"
+                       + "".join(f"  - {a}\n" for a in doc["assumptions"]))
+
 
 class TestPipeline:
+    def test_blend_out_file_holds_the_json_document(self, tmp_path, capsys):
+        proposals = gen_synth(capsys, tmp_path / "corpus", "--num-scenes", "3")["proposals"]
+        out_file = tmp_path / "lanes.json"
+        code, out, _ = run(capsys, "blend", "--proposals", proposals, "--out", str(out_file))
+        assert (code, out) == (0, "3 scenes, 6 lanes\n")
+        code, printed, _ = run(capsys, "blend", "--proposals", proposals, "--json")
+        assert code == 0
+        assert out_file.read_text() + "\n" == printed
+
+    def test_eval_f1_gt_dir_without_lane_files_is_a_data_error(self, tmp_path, capsys):
+        gt = tmp_path / "gt"
+        gt.mkdir()
+        (gt / "notes.txt").write_text("no lanes here\n")
+        code, out, err = run(capsys, "eval-f1", "--pred", str(tmp_path), "--gt", str(gt))
+        assert (code, out, err) == (2, "", f"error: no .lines.txt files under {gt}\n")
+
+    def test_eval_tusimple_text_reports_the_json_counts(self, tmp_path, capsys):
+        gt = gen_synth(capsys, tmp_path / "corpus", "--num-scenes", "2")["gt_dir"]
+        doc = json.loads(run(capsys, "eval-tusimple", "--pred", gt, "--gt", gt, "--json")[1])
+        code, out, _ = run(capsys, "eval-tusimple", "--pred", gt, "--gt", gt)
+        assert code == 0 and doc["gt_points"] > 0
+        assert out == f"accuracy 1.0000 ({doc['gt_points']}/{doc['gt_points']})\n"
+
+    @pytest.mark.parametrize("width", ["30", str(10**160)])
+    def test_subnormal_x_gap_is_scored_without_warning(self, tmp_path, capsys, width):
+        """A lane whose x gap is subnormal, scored at the default width or
+        at one whose square overflows, gives F1 1 against itself."""
+        lanes = tmp_path / "lanes"
+        lanes.mkdir()
+        (lanes / "a.lines.txt").write_text("0 10 5e-324 200\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, "eval-f1", "--pred", str(lanes), "--gt", str(lanes),
+                                 "--canvas", "64x32", "--width", width)
+        assert (code, out, err, caught) == (
+            0, "F1 1.0000 (P 1.0000, R 1.0000, tp 1, fp 0, fn 0)\n", "", [])
+
     def test_gen_blend_eval(self, tmp_path, capsys):
         out_dir = tmp_path / "corpus"
         code, out, _ = run(capsys, "gen-synth", "--out", str(out_dir),

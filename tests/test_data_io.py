@@ -456,6 +456,16 @@ class TestArchiveSnapshot:
         leftovers = [p for p in tmp_path.iterdir() if p.name.startswith(".snapshot-")]
         assert leftovers == []
 
+    def test_atomic_file_keeps_the_target_when_the_block_raises(self, tmp_path):
+        target = tmp_path / "a.json"
+        target.write_text("before")
+        with pytest.raises(RuntimeError, match="stop"):
+            with data_io._atomic_file(target) as fh:
+                fh.write("after")
+                raise RuntimeError("stop")
+        assert target.read_text() == "before"
+        assert [p.name for p in tmp_path.iterdir()] == ["a.json"]
+
 
 class TestWireProtocol:
     def test_request_fields(self, arch):
@@ -474,11 +484,11 @@ class TestWireProtocol:
 
     def test_response_missing_score(self):
         with pytest.raises(SchemaError):
-            data_io.eval_response_from_json({"eval_id": "e1"})
+            data_io.eval_response_from_json({"eval_id": "e1"}, "e1")
 
     def test_response_score_out_of_range(self):
         with pytest.raises(SchemaError):
-            data_io.eval_response_from_json({"eval_id": "e1", "score": 1.5})
+            data_io.eval_response_from_json({"eval_id": "e1", "score": 1.5}, "e1")
 
     def test_response_eval_id_mismatch(self):
         with pytest.raises(SchemaError):

@@ -224,6 +224,18 @@ def test_radius_within_the_band_keeps_only_pixels_on_the_line():
         assert np.array_equal(got, reference_rasterize(xs, ys, radius, canvas))
 
 
+@pytest.mark.parametrize("radius", [0.5, 1.5, 15.0, 1e160])
+def test_subnormal_x_gaps_and_huge_radii_match_reference(radius):
+    """A subnormal x gap or a huge radius overflows a closed-form bound
+    to +-inf, the limit it takes at a zero gap, with no warning."""
+    canvas = (61, 47)
+    for xs, ys in [([0.0, 5e-324], [10.0, 200.0]),
+                   ([5e-324, 0.0, 7.0], [-3.0, 20.0, 40.0]),
+                   ([30.0, -1e-320, 2.5e-310], [5.0, 12.0, 44.0])]:
+        got = _kernels.rasterize_polyline(xs, ys, radius, canvas)
+        assert np.array_equal(got, reference_rasterize(xs, ys, radius, canvas))
+
+
 @pytest.mark.parametrize("radius", [-1.0, np.nan, np.inf])
 def test_negative_or_non_finite_radius_rejected(radius):
     with pytest.raises(ValueError):

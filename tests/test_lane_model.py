@@ -19,7 +19,7 @@ from blend_oracle import (
     line_distance,
 )
 
-LAYOUT = AnchorLayout.uniform((512, 288), 72)
+LAYOUT = AnchorLayout.uniform((512, 288))
 
 
 def cell(cx=100.0, cy=200.0, score=0.8, offsets=None, end_y=0.0):

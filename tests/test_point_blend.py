@@ -33,7 +33,7 @@ from blend_oracle import (
     line_distance,
 )
 
-LAYOUT = AnchorLayout.uniform((512, 288), 72)
+LAYOUT = AnchorLayout.uniform((512, 288))
 
 
 def reference_blend(group, locality_sigma):
@@ -558,6 +558,18 @@ class TestPerturb:
         a = perturb(params, space, np.random.default_rng(4))
         b = perturb(params, space, np.random.default_rng(4))
         assert a == b
+
+    def test_infinite_value_steps_from_the_upper_bound(self):
+        """An infinite locality sigma (plain Line-NMS) is perturbed as if
+        it sat at the bound's `hi`, so a step can take it below `hi`."""
+        space = BlendParamSpace()
+        params = BlendParamSet(per_level={}, locality_sigma=math.inf)
+        rng = np.random.default_rng(6)
+        sigmas = [perturb(params, space, rng).locality_sigma for _ in range(60)]
+        stepped = [s for s in sigmas if s != math.inf]
+        assert stepped and all(space.locality_sigma.lo <= s <= space.locality_sigma.hi
+                               for s in stepped)
+        assert any(s < space.locality_sigma.hi for s in stepped)
 
     def test_changes_exactly_one_parameter(self):
         rng = np.random.default_rng(17)

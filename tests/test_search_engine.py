@@ -20,7 +20,7 @@ from lanenas.arch_space import (
     FusionSpec,
     SpaceConfig,
 )
-from lanenas.cost_model import candidate_cost
+from lanenas.cost_model import DEFAULT_RESOLUTION, candidate_cost
 from lanenas.errors import (
     EmptyArchiveError,
     EmptyDatasetError,
@@ -28,7 +28,8 @@ from lanenas.errors import (
     SchemaError,
     SpawnError,
 )
-from lanenas.metrics import SceneScorer, match_and_score, score_scene
+from lanenas.lane_model import AnchorLayout, LaneProposalSet
+from lanenas.metrics import DEFAULT_LANE_WIDTH, SceneScorer, match_and_score, score_scene
 from lanenas.point_blend import (
     BlendParams,
     BlendParamSet,
@@ -610,6 +611,7 @@ STUB_OK = (
 STUB_FAIL = "import sys; sys.exit(3)\n"
 STUB_SLEEP = "import time; time.sleep(30)\n"
 STUB_GARBAGE = "print('not json at all')\n"
+STUB_SILENT = "import sys; sys.stdin.read()\n"
 STUB_LOG_RESOLUTION = (
     "import sys, json\n"
     "req = json.loads(sys.stdin.readline())\n"
@@ -648,6 +650,12 @@ class TestExternalEvaluator:
         assert exc.value.path == "response"
         assert str(exc.value) == "response: not JSON: Expecting value"
 
+    def test_no_output(self, tmp_path, arch):
+        ev = ExternalEvaluator(stub_command(tmp_path, STUB_SILENT, "silent"))
+        with pytest.raises(ProtocolError) as exc:
+            evaluate(ev, arch)
+        assert str(exc.value) == "evaluator produced no output"
+
     def test_missing_binary(self, arch):
         ev = ExternalEvaluator("/nonexistent/trainer-binary")
         with pytest.raises(SpawnError):
@@ -656,11 +664,11 @@ class TestExternalEvaluator:
     def test_request_resolution_is_the_priced_one(self, tmp_path):
         log = tmp_path / "resolutions.log"
         command = stub_command(tmp_path, STUB_LOG_RESOLUTION, "res") + f" {log}"
-        cfg = reduced_config(budget=1, init_population=1, resolution=(256, 144))
+        cfg = reduced_config(budget=1, init_population=1)
         archive = run_search(cfg, ExternalEvaluator(command))
         logged = [json.loads(line) for line in log.read_text().splitlines()]
         assert len(logged) == archive.evaluations == 2
-        assert all(r == [256, 144] for r in logged)
+        assert all(r == list(DEFAULT_RESOLUTION) for r in logged)
 
     def test_search_continues_past_failures(self, tmp_path):
         ev = ExternalEvaluator(stub_command(tmp_path, STUB_FAIL, "fail2"))
@@ -733,8 +741,8 @@ class TestBlendInnerSearch:
 
     def test_mixed_canvases_rejected(self):
         small = blend_scenes(sigma=20.0, n=2)
-        cfg = SynthSceneConfig(num_scenes=2, remote_noise_sigma=20.0, image_size=(640, 360))
-        large = [(props, rec.gt_lanes) for props, rec in generate_synthetic_scenes(cfg)]
+        large = [(LaneProposalSet(AnchorLayout.uniform((640, 360)), props.heads), gt)
+                 for props, gt in small]
         with pytest.raises(ValueError, match="canvas"):
             evaluate_blend_params(small + large, default_params())
         with pytest.raises(ValueError, match="canvas"):
@@ -768,7 +776,7 @@ def unmemoized_inner_search(scenes, space, config, init_params):
     def f1(params):
         preds = [[line.points for line in oracle_postprocess(proposals, params)]
                  for proposals, _ in scenes]
-        return match_and_score(preds, gts, width=config.lane_width, canvas=canvas).f1
+        return match_and_score(preds, gts, width=DEFAULT_LANE_WIDTH, canvas=canvas).f1
 
     rng = np.random.default_rng(config.seed)
     best, best_score = init_params, f1(init_params)
@@ -911,7 +919,8 @@ class TestBlendScorer:
         evaluate, run = search_engine.evaluate_blend_params, search_engine.postprocess
         monkeypatch.setattr(
             search_engine, "evaluate_blend_params",
-            lambda scenes, params, *a: evaluated.append(params) or evaluate(scenes, params, *a),
+            lambda scenes, params, *a, **kw:
+                evaluated.append(params) or evaluate(scenes, params, *a, **kw),
         )
         monkeypatch.setattr(search_engine, "postprocess", lambda *a: calls.append(1) or run(*a))
         budget = 60
