@@ -246,7 +246,7 @@ class TestUsage:
     @pytest.mark.parametrize("flags", [
         ["--iou", "0"], ["--width", "1"], ["--canvas", "1x1"],
         ["--width", str(int(sys.float_info.max))], ["--canvas", f"{MAX_SIDE}x{MAX_SIDE}"],
-    ], ids=["iou 0", "width 1", "canvas 1x1", "width float max", "canvas max side"])
+    ])
     def test_eval_f1_flag_bounds_are_accepted(self, capsys, lanes_dir, flags):
         assert run(capsys, "eval-f1", "--pred", lanes_dir, "--gt", lanes_dir, *flags)[0] == 0
 
