@@ -8,25 +8,26 @@ set as *runs*: two int64 arrays `(starts, stops)` of half-open ranges
 disjoint and never touching. Counting, unions and IoU work on runs
 directly, so no canvas-sized array is allocated to score a lane.
 
-The kernel prices a lane row by row. It cuts the polyline at every
-vertex where y turns back, so each piece only rises or only falls (flat
-segments join either). On one pixel row the points within `rho` of such
-a piece form a single interval: the piece's points within `rho` rows of
-the row are one connected stretch of it, each contributes a chord of its
-disc, and the chords move continuously along the stretch, so their union
-is connected. The kernel finds the row's chord of each segment's capsule
-in closed form and keeps, per row, the least start and the greatest end.
+The kernel prices a lane row by row. A lane's points come top to
+bottom: y never decreases, as on CULane and CurveLanes, where a lane
+holds one x per image row, and `polyline_runs` refuses any other order.
+So a lane meets each pixel row in one interval: its points within `rho`
+rows of the row are one connected stretch of it, each contributes a
+chord of its disc, and the chords move continuously along the stretch,
+so their union is connected. The kernel finds the row's chord of each
+segment's capsule in closed form and keeps, per row, the least start
+and the greatest end.
 
-Only segments that can reach a row are priced on it. The point of a
-piece nearest a pixel is inside a segment, where the offset to the pixel
+Only segments that can reach a row are priced on it. The point of the
+lane nearest a pixel is inside a segment, where the offset to the pixel
 is normal to the segment, or at a vertex, where it lies between the two
 segments' normals; either way it is at most `rho * |dx| / length` rows
 from the pixel, for the segment (of the two at a vertex, the one with
 the larger `|dx| / length`) that holds it. So a segment is priced on the
 rows within `reach = rho * |dx| / length + 1` of its y-range, the 1
-absorbing rounding. The first and last vertex of a piece are its ends,
+absorbing rounding. The first and last vertex are the lane's ends,
 where the offset may point anywhere in the cap, so the first and last
-segment of each piece are priced on their whole window.
+segment are priced on their whole window.
 
 Each row is priced twice, for `radius - eta` and `radius + eta`, where
 `eta` is far above the floating-point error of both the closed form and
@@ -39,11 +40,11 @@ horizontal segment) are decided by the per-pixel predicate
     t = clip(((px - x1) * dx + (py - y1) * dy) / l2, 0, 1)    (0 if l2 == 0)
     (x1 + t * dx - px) ** 2 + (y1 + t * dy - py) ** 2 <= radius ** 2
 
-against every segment of the piece whose clamped window holds the pixel,
-reach or not, written as the same float64 expression in the same order
-as the per-segment reference in `tests/test_kernels.py`. The result is
+against every segment whose clamped window holds the pixel, reach or
+not, written as the same float64 expression in the same order as the
+per-segment reference in `tests/test_kernels.py`. The result is
 therefore bit-identical to painting each segment's window with that
-predicate and OR-ing the masks. The runs of the pieces are merged last.
+predicate and OR-ing the masks.
 """
 
 import numpy as np
@@ -142,7 +143,8 @@ def _envelope(lo, hi):
 
 
 def polyline_runs(xs, ys, radius, canvas):
-    """Runs of all canvas pixels within `radius` of the polyline."""
+    """Runs of all canvas pixels within `radius` of the polyline, whose
+    points come top to bottom (a ValueError otherwise)."""
     w, h = canvas
     xs = np.ascontiguousarray(xs, dtype=np.float64)
     ys = np.ascontiguousarray(ys, dtype=np.float64)
@@ -155,63 +157,43 @@ def polyline_runs(xs, ys, radius, canvas):
         raise ValueError("radius must be finite and not negative")
     x1, y1, x2, y2 = xs[:-1], ys[:-1], xs[1:], ys[1:]
     dx, dy = x2 - x1, y2 - y1
+    if (dy < 0.0).any():
+        raise ValueError("lane points must come top to bottom")
     l2 = dx * dx + dy * dy
     length = np.sqrt(l2)
     n = len(dx)
     # the rows of the clamped window each segment may paint
-    y_min, y_max = np.minimum(y1, y2), np.maximum(y1, y2)
-    y_lo = np.maximum(np.floor(y_min - radius), 0.0)
-    y_hi = np.minimum(np.ceil(y_max + radius), h - 1.0)
+    y_lo = np.maximum(np.floor(y1 - radius), 0.0)
+    y_hi = np.minimum(np.ceil(y2 + radius), h - 1.0)
     eta = _BAND * (1.0 + radius + max(w, h, np.abs(xs).max(), np.abs(ys).max()))
 
-    # pieces [start, stop), cut where dy changes sign; a flat segment
-    # joins the piece before it (the first piece, if none is before it)
-    sloped = np.flatnonzero(dy)
-    up = dy[sloped] > 0.0
-    turn = np.flatnonzero(up[1:] != up[:-1]) + 1
-    start = np.concatenate(([0], sloped[turn]))
-    stop = np.concatenate((sloped[turn], [n]))
-    falling = ~up[np.concatenate(([0], turn))] if len(up) else np.zeros(1, np.bool_)
-    # segments by position: the pieces in turn, each in rising y; rows as
-    # keys row + piece * (h + 1), so that no two pieces share a key
-    if len(start) == 1:
-        order, offset = np.arange(n)[::-1] if falling[0] else np.arange(n), 0
-    else:
-        piece = np.repeat(np.arange(len(start)), stop - start)
-        order = np.arange(n)
-        order = np.where(falling[piece], (start + stop - 1)[piece] - order, order)
-        offset = piece * (h + 1)
-
     # the rows each segment is priced on: those within `reach` of its
-    # y-range, its whole window for the first and last of a piece
+    # y-range, its whole window for the first and last segment
     reach = (radius + eta) * np.divide(
         np.abs(dx), length, out=np.zeros(n), where=length > 0.0
     ) + 1.0
-    reach[start] = reach[stop - 1] = np.inf
-    a = np.minimum(np.maximum(y_lo, np.ceil(y_min - reach)), h)
-    b = np.maximum(np.minimum(y_hi, np.floor(y_max + reach)), -1.0)
-    a, b = _envelope(a[order].astype(np.int64) + offset, b[order].astype(np.int64) + offset)
-    # (segment, row) pairs in row-major order, over the keys of every
-    # piece's rows (the keys between two pieces hold no segment)
-    keys = np.arange(a[0], b[-1] + 1)
-    lo_pos, hi_pos = np.searchsorted(b, keys), np.searchsorted(a, keys, "right")
+    reach[0] = reach[-1] = np.inf
+    a = np.minimum(np.maximum(y_lo, np.ceil(y1 - reach)), h)
+    b = np.maximum(np.minimum(y_hi, np.floor(y2 + reach)), -1.0)
+    a, b = _envelope(a.astype(np.int64), b.astype(np.int64))
+    # (segment, row) pairs in row-major order
+    row = np.arange(a[0], b[-1] + 1)
+    lo_pos, hi_pos = np.searchsorted(b, row), np.searchsorted(a, row, "right")
     count = hi_pos - lo_pos
     priced = count > 0
     if not priced.all():
-        keys, lo_pos, count = keys[priced], lo_pos[priced], count[priced]
-    if len(keys) == 0:
+        row, lo_pos, count = row[priced], lo_pos[priced], count[priced]
+    if len(row) == 0:
         return tuple(np.zeros((2, 0), dtype=np.int64))
     first = np.cumsum(count) - count
-    pos = np.arange(first[-1] + count[-1]) + np.repeat(lo_pos - first, count)
-    s = order[pos]
-    row = keys % (h + 1)
+    s = np.arange(first[-1] + count[-1]) + np.repeat(lo_pos - first, count)
     seg = (x1[s], y1[s], x2[s], y2[s], dx[s], dy[s], l2[s], length[s])
 
     # one outer (row 0) and one inner (row 1) interval per pixel row; no
     # inner one when the radius is within the band
     rho = np.array([[radius + eta], [radius - eta if radius > eta else np.nan]])
     span_lo, span_hi = _row_spans(seg, np.repeat(row.astype(np.float64), count), rho)
-    first = np.concatenate((first, first + len(pos)))
+    first = np.concatenate((first, first + len(s)))
     span_lo = np.ceil(np.minimum.reduceat(span_lo.ravel(), first)).reshape(2, -1)
     span_hi = np.floor(np.maximum.reduceat(span_hi.ravel(), first)).reshape(2, -1) + 1.0
     lo = np.minimum(np.maximum(span_lo[0], 0.0), w)
@@ -229,20 +211,17 @@ def polyline_runs(xs, ys, radius, canvas):
         return _merge_runs(sure_starts, sure_stops)  # no pixel between them
 
     # decide the pixels between the inner and outer intervals one by one,
-    # against every segment of the piece whose window holds the pixel
+    # against every segment whose window holds the pixel
     px, band_row = _expand(
         np.concatenate([lo, sure_stop]), np.concatenate([sure_lo, stop])
     )
-    band_row %= len(row)
-    a, b = _envelope(
-        np.minimum(y_lo, h)[order].astype(np.int64) + offset,
-        np.maximum(y_hi, -1.0)[order].astype(np.int64) + offset,
+    py = row[band_row % len(row)]
+    s, pixel = _expand(
+        np.searchsorted(np.maximum(y_hi, -1.0).astype(np.int64), py),
+        np.searchsorted(np.minimum(y_lo, h).astype(np.int64), py, "right"),
     )
-    key = keys[band_row]
-    pos, pixel = _expand(np.searchsorted(b, key), np.searchsorted(a, key, "right"))
-    s = order[pos]
-    px, band_row = px[pixel], band_row[pixel]
-    fx, fy = px.astype(np.float64), row[band_row].astype(np.float64)
+    px, py = px[pixel], py[pixel]
+    fx, fy = px.astype(np.float64), py.astype(np.float64)
     sx, sy, sdx, sdy, sl2 = x1[s], y1[s], dx[s], dy[s], l2[s]
     with np.errstate(divide="ignore", invalid="ignore"):
         t = ((fx - sx) * sdx + (fy - sy) * sdy) / sl2
@@ -253,7 +232,7 @@ def polyline_runs(xs, ys, radius, canvas):
     x_hi = np.minimum(np.ceil(np.maximum(x1, x2) + radius), w - 1.0)[s]
     in_window = (x_lo <= fx) & (fx <= x_hi) & (y_lo[s] <= fy) & (fy <= y_hi[s])
     hit = in_window & (ex * ex + ey * ey <= radius * radius)
-    hit_px = row[band_row[hit]] * w + px[hit]
+    hit_px = py[hit] * w + px[hit]
     return _merge_runs(
         np.concatenate([sure_starts, hit_px]), np.concatenate([sure_stops, hit_px + 1])
     )

@@ -14,13 +14,12 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import ExhaustedError, SchemaError
+from .errors import SchemaError
 
 ALLOWED_BASE_CHANNELS = (48, 64, 80, 96, 128)
 NUM_BLOCKS_MIN = 10
 NUM_BLOCKS_MAX = 45
 ALLOWED_STAGE_LIST_LENS = (2, 3)  # 3 or 4 stages
-MAX_STAGES = max(ALLOWED_STAGE_LIST_LENS) + 1  # the fusion levels counted by `space_cardinality`
 FUSION_LAYERS = 2  # layers of a random fusion genome
 P_EXTENDED = 0.2  # the chance that a backbone mutation takes a structural move
 
@@ -216,7 +215,7 @@ def space_cardinality(cfg: SpaceConfig = SpaceConfig()) -> CardinalityReport:
         backbone += per_n
     backbone *= len(cfg.block_kinds) * len(cfg.base_channels)
 
-    t, m = MAX_STAGES, FUSION_LAYERS
+    t, m = max(cfg.stage_list_lens) + 1, FUSION_LAYERS
     fusion = (t**3) ** m * (2**t - 1)
 
     assumptions = (
@@ -283,14 +282,12 @@ def mutate_backbone(spec: BackboneSpec, rng, cfg: SpaceConfig = SpaceConfig()) -
     """
     index_moves = _list_move_candidates(spec)
     extended_moves = _extended_move_candidates(spec, cfg)
-    use_extended = extended_moves and (not index_moves or rng.random() < P_EXTENDED)
+    use_extended = extended_moves and rng.random() < P_EXTENDED
     # the constructor validates the mutant; vars() of these dataclasses
     # holds exactly their init fields (cheaper than dataclasses.replace)
     if use_extended:
         fld, value = extended_moves[rng.integers(len(extended_moves))]
         return BackboneSpec(**{**vars(spec), fld: value})
-    if not index_moves:
-        raise ExhaustedError(f"no valid mutation for {serialize_backbone(spec)}")
     fld, pos, delta = index_moves[rng.integers(len(index_moves))]
     idxs = list(getattr(spec, fld))
     idxs[pos] += delta

@@ -5,10 +5,6 @@ class LaneNasError(Exception):
     """Base class for all package errors."""
 
 
-class ExhaustedError(LaneNasError):
-    """No valid mutation exists for the given genome."""
-
-
 class DegenerateLineError(LaneNasError):
     """A lane line has fewer than two points."""
 

@@ -1,5 +1,6 @@
 """Evaluation metrics: IoU-matched F1 over rasterized 30-px-wide lanes
-(CULane style) and point-level accuracy (TuSimple style)."""
+(CULane style), whose points come top to bottom, and point-level
+accuracy (TuSimple style)."""
 
 from __future__ import annotations
 
@@ -43,9 +44,11 @@ class MetricsReport(SceneCounts):
 
 
 def _as_xy(line):
-    """The x and y float64 arrays of a lane given as its (n, 2) `(x, y)`
-    points: an array, such as a ground-truth lane or the points of a
-    `postprocess` lane (its columns, not copied), or a list of pairs."""
+    """A lane's x and y coordinates as two float64 arrays. The lane is
+    its `(x, y)` points: an (n, 2) array, such as a ground-truth lane or
+    the points of a `postprocess` lane, whose columns are returned
+    without a copy, or a list of pairs. The points keep their order:
+    the IoU metric needs them top to bottom and refuses any other."""
     pts = np.asarray(line, dtype=np.float64)
     if pts.shape == (0,):  # `[]`: no point at all
         pts = pts.reshape(0, 2)
@@ -70,7 +73,8 @@ def _canvas_size(canvas):
 
 
 def rasterize_lane(line, width=DEFAULT_LANE_WIDTH, canvas=DEFAULT_CANVAS):
-    """Pixels within width/2 of the polyline, clipped to the canvas."""
+    """Pixels within width/2 of the polyline, clipped to the canvas. Its
+    points come top to bottom (y never decreases), else a ValueError."""
     radius = _radius(width)
     xs, ys = _as_xy(line)
     return rasterize_polyline(xs, ys, radius, canvas)

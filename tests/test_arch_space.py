@@ -9,6 +9,7 @@ from lanenas.arch_space import (
     FusionLayer,
     FusionSpec,
     SpaceConfig,
+    _list_move_candidates,
     mutate_backbone,
     mutate_fusion,
     parse_backbone,
@@ -186,6 +187,18 @@ class TestMutateBackbone:
             spec = random_backbone(rng)
             assert mutate_backbone(spec, rng) != spec
 
+    @pytest.mark.parametrize("down, dbl, moves", [
+        ((2, 3, 4), (8, 9, 10), [("downsample_at", 2, 1), ("double_channels_at", 0, -1)]),
+        ((2, 3, 4), (2, 3, 4), [("downsample_at", 2, 1), ("double_channels_at", 2, 1)]),
+        ((9, 10), (9, 10), [("downsample_at", 0, -1), ("double_channels_at", 0, -1)]),
+    ])
+    def test_indices_packed_at_both_ends_keep_an_index_move(self, down, dbl, moves):
+        """On the shortest backbone, 10 blocks, at most 3 indices per list
+        in [2, 10] leave one index free to move, so a backbone always has
+        an index move."""
+        spec = BackboneSpec(BlockKind.BASIC, 64, 10, down, dbl)
+        assert _list_move_candidates(spec) == moves
+
     def test_reachability_reduced_space(self):
         # every (num_blocks=10, 3-stage) layout is reachable from every
         # other via single-index neighbor moves
@@ -261,6 +274,10 @@ class TestCardinality:
 
     def test_fusion_count(self):
         assert space_cardinality(SpaceConfig()).fusion_count == 61440
+        # 3-stage backbones only: every level in [1, 3]
+        report = space_cardinality(SpaceConfig(stage_list_lens=(2,)))
+        assert report.fusion_count == (3**3) ** 2 * (2**3 - 1) == 5103
+        assert any("[1, 3]^3" in a for a in report.assumptions)
 
     def test_assumptions_reported(self):
         report = space_cardinality()

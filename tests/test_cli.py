@@ -200,6 +200,11 @@ class TestParseArch:
         assert code == 2
         assert "base_channels" in err
 
+    def test_one_index_per_list_is_a_data_error(self, capsys):
+        code, out, err = run(capsys, "parse-arch", "BB_64_13_[5]_[7]")
+        assert (code, out) == (2, "")
+        assert err == "error: downsample_at: length 1 not in {2, 3}\n"
+
 
 class TestUsage:
     @pytest.fixture(scope="class")

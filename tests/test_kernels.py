@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from lanenas import _kernels
-from lanenas.metrics import score_scene
+from lanenas.metrics import rasterize_lane, score_scene
 from lanenas.synth import SynthSceneConfig, generate_synthetic_scenes
 
 from test_metrics import lane_iou
@@ -42,9 +42,10 @@ def reference_rasterize(xs, ys, radius, canvas):
 
 
 def adversarial_polylines(seed, n):
-    """Random polylines over and around a small canvas, with the segment
-    kinds where rounding decides boundary pixels: integer and half-integer
-    coordinates, horizontal, vertical and zero-length segments."""
+    """Random top-to-bottom polylines over and around a small canvas, with
+    the segment kinds where rounding decides boundary pixels: integer and
+    half-integer coordinates, horizontal, vertical and zero-length
+    segments. Vertices are sorted by y stably, which keeps each kind."""
     rng = np.random.default_rng(seed)
     out = []
     for k in range(n):
@@ -65,7 +66,8 @@ def adversarial_polylines(seed, n):
         radius = float(rng.choice([0.5, 1.0, 1.5, 2.0, 5.0, 7.5, 15.0, 20.0]))
         if k % 4 == 0:
             radius = float(rng.uniform(0.5, 20.0))
-        out.append((xs, ys, radius))
+        order = np.argsort(ys, kind="stable")
+        out.append((xs[order], ys[order], radius))
     return out
 
 
@@ -152,12 +154,12 @@ def test_iou_and_scene_counts_equal_reference_masks():
 
 
 def long_polylines(seed, n, canvas):
-    """Polylines of 2-90 points over and around `canvas`, each kind
-    aimed at one thing the kernel relies on: pieces that only rise or
-    only fall in y (cut apart where y turns back), flat runs and
-    repeated points, integer and half-integer coordinates, steep and
-    near-horizontal segments, and paths across every canvas edge. Many
-    short segments put rows beyond a segment's `reach`."""
+    """Top-to-bottom polylines of 2-90 points over and around `canvas`,
+    each kind aimed at one thing the kernel relies on: steep segments,
+    flat runs and repeated points, integer and half-integer coordinates,
+    steep and near-horizontal segments mixed, and paths across every
+    canvas edge. Many short segments put rows beyond a segment's
+    `reach`."""
     w, h = canvas
     rng = np.random.default_rng(seed)
     out = []
@@ -166,34 +168,31 @@ def long_polylines(seed, n, canvas):
         kind = k % 8
         ys = np.sort(rng.uniform(-0.3 * h, 1.3 * h, size=m))
         xs = w / 2 + np.cumsum(rng.normal(0.0, 1.5, size=m))
-        if kind == 1:  # falling
-            ys = ys[::-1].copy()
+        if kind == 1:  # steep: x steps much smaller than y steps
+            xs = w / 2 + np.cumsum(np.diff(ys, prepend=ys[0]) * rng.uniform(-0.05, 0.05, m))
         elif kind == 2:  # flat runs and repeated points, integer
             held = np.where(rng.random(m) < 0.3, 0, np.arange(m))  # 0: the y before
             ys = np.round(ys[np.maximum.accumulate(held)])
             xs = np.round(xs)
             dup = rng.random(m) < 0.2
             xs[1:][dup[1:]] = xs[:-1][dup[1:]]
-        elif kind == 3:  # several y turns, half-integer
-            turns = np.sort(rng.choice(np.arange(1, m), size=min(m - 1, 4), replace=False))
-            for t in turns:
-                ys[t:] = 2 * ys[t - 1] - ys[t:]
+        elif kind == 3:  # half-integer, with repeated y
+            ys = np.sort(rng.choice(ys, size=m))
             xs, ys = np.round(xs * 2) / 2, np.round(ys * 2) / 2
         elif kind == 4:  # steep and near-horizontal segments mixed
             flat = rng.random(m - 1) < 0.3
-            steps = np.where(flat, rng.uniform(-0.05, 0.05, m - 1), rng.uniform(0.5, 3, m - 1))
+            steps = np.where(flat, rng.uniform(0, 0.05, m - 1), rng.uniform(0.5, 3, m - 1))
             ys = -5 + np.concatenate([[0.0], np.cumsum(steps)])
             xs = np.concatenate([[0.0], np.cumsum(np.where(flat, rng.uniform(3, 9, m - 1),
                                                              rng.uniform(-0.2, 0.2, m - 1)))])
-        elif kind == 5:  # across every edge: left, top, right, bottom and back
-            corners = np.array([[-9, h / 2], [w / 2, -9], [w + 9, h / 2], [w / 2, h + 9],
-                                [-9, h / 2]])
-            t = np.linspace(0, 4, max(m, 5))
-            xs = np.interp(t, np.arange(5), corners[:, 0]) + rng.normal(0, 1, len(t))
-            ys = np.interp(t, np.arange(5), corners[:, 1]) + rng.normal(0, 1, len(t))
-        elif kind == 6:  # a random walk with turns everywhere
+        elif kind == 5:  # in through the top, across the left and right edges, out the bottom
+            corners = np.array([[w / 2, -9], [-9, h / 3], [w + 9, 2 * h / 3], [w / 2, h + 9]])
+            t = np.linspace(0, 3, max(m, 4))
+            xs = np.interp(t, np.arange(4), corners[:, 0]) + rng.normal(0, 1, len(t))
+            ys = np.sort(np.interp(t, np.arange(4), corners[:, 1]) + rng.normal(0, 1, len(t)))
+        elif kind == 6:  # a random walk in x, y steps of 0 or more
             xs = w / 2 + np.cumsum(rng.normal(0, 4, m))
-            ys = h / 2 + np.cumsum(rng.normal(0, 4, m))
+            ys = -0.2 * h + np.cumsum(np.maximum(rng.normal(1, 4, m), 0.0))
         elif kind == 7:  # integer lane, wide steps across the canvas
             xs = np.round(rng.uniform(-5, w + 5) + np.cumsum(rng.normal(0, 3, m)))
             ys = np.round(np.sort(rng.uniform(-5, h + 5, m)))
@@ -216,8 +215,8 @@ def test_runs_match_reference_on_long_polylines(canvas):
 
 def test_radius_within_the_band_keeps_only_pixels_on_the_line():
     canvas = (31, 29)
-    xs = np.array([2.0, 2.0, 14.0, 14.0, 29.0, 3.5])
-    ys = np.array([-3.0, 10.0, 10.0, 27.0, 12.0, 12.0])
+    xs = np.array([2.0, 2.0, 14.0, 29.0, 3.5, 14.0])
+    ys = np.array([-3.0, 10.0, 10.0, 12.0, 12.0, 27.0])
     for radius in (0.0, 1e-12, 1e-9):
         got = _kernels.rasterize_polyline(xs, ys, radius, canvas)
         assert got.any()
@@ -294,6 +293,22 @@ def test_degenerate_zero_length_segment():
 def test_single_point_empty():
     mask = _kernels.rasterize_polyline([5.0], [5.0], 3.0, (10, 10))
     assert mask.sum() == 0
+
+
+@pytest.mark.parametrize("xs, ys", [([1.0, 5.0, 9.0], [8.0, 5.0, 1.0]),
+                                    ([1.0, 5.0, 9.0], [1.0, 8.0, 5.0])])
+def test_lanes_whose_y_turns_back_rejected(xs, ys):
+    """A lane comes top to bottom; a falling lane or one with a turn is
+    refused by the kernel and by the metrics that draw lanes."""
+    line, ok = list(zip(xs, ys)), [(1.0, 1.0), (2.0, 9.0)]
+    for draw in (
+        lambda: _kernels.polyline_runs(xs, ys, 3.0, (10, 10)),
+        lambda: rasterize_lane(line, width=6, canvas=(10, 10)),
+        lambda: score_scene([line], [ok], width=6, canvas=(10, 10)),
+        lambda: score_scene([ok], [line], width=6, canvas=(10, 10)),
+    ):
+        with pytest.raises(ValueError, match="top to bottom"):
+            draw()
 
 
 def test_non_finite_coordinates_rejected():

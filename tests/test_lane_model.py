@@ -180,6 +180,7 @@ class TestHeadGrid:
         a, b = head_grid(2, self.cells()), head_grid(2, self.cells())
         assert a == b and not a != b
         assert a != head_grid(3, self.cells())
+        assert (a == 5) is False and a != 5
         b.offsets[0, 3] = 0.0  # was NaN
         assert a != b
         with pytest.raises(TypeError):

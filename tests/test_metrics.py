@@ -287,3 +287,9 @@ class TestTuSimple:
         pred = [self.lane([10, 11, 12, 13])]
         correct, total = tusimple_counts(pred, gt)
         assert (correct, total) == (4, 8)
+
+    def test_lanes_on_no_shared_row_are_not_paired(self):
+        gt = [self.lane([10, 11, 12, 13])]
+        between = self.lane([10, 11, 12, 13], rows=(2.0, 6.0, 10.0, 14.0))
+        assert tusimple_counts([between], gt) == (0, 4)
+        assert tusimple_counts([between, gt[0]], gt) == (4, 4)

@@ -526,6 +526,12 @@ class TestLaneTable:
             assert table.factors(sigma).tolist() == want
             assert len(table._factors) <= 2  # only the latest sigmas are kept
 
+    def test_offsets_not_one_per_anchor_row_rejected(self):
+        offsets = (0.0,) * (len(LAYOUT.rows) - 1)
+        head = head_grid(1, [Cell(100.0, 200.0, 0.5, offsets)])
+        with pytest.raises(ValueError, match="no offset slot for every anchor row"):
+            LaneTable(LaneProposalSet(LAYOUT, (head,)))
+
     def test_kept_table_is_not_rebuilt(self, monkeypatch):
         proposals = odd_proposals(np.random.default_rng(4))
         table = LaneTable(proposals)
@@ -539,6 +545,11 @@ class TestLaneTable:
 
 
 class TestPerturb:
+    @pytest.mark.parametrize("lo, hi", [(1.0, 1.0), (2.0, 1.0)])
+    def test_bounds_must_leave_room(self, lo, hi):
+        with pytest.raises(ValueError, match="lo must be < hi"):
+            point_blend.ParamBounds(lo, hi, 0.1)
+
     def test_stays_in_bounds(self):
         rng = np.random.default_rng(9)
         space = BlendParamSpace()

@@ -24,15 +24,17 @@ def cli_block_commands():
 
 def test_readme_cli_block_runs_without_warning(tmp_path):
     """Each line, in order, in one empty directory, as
-    `python -W error -m lanenas ...`: a warning would be an internal
-    error (exit 3)."""
+    `python -X warn_default_encoding -W error -m lanenas ...`: a warning,
+    such as the `EncodingWarning` of text I/O that names no encoding,
+    would be an internal error (exit 3)."""
     commands = cli_block_commands()
     subcommands = next(action.choices for action in build_parser()._actions
                        if isinstance(action, argparse._SubParsersAction))
     assert {argv[1] for argv in commands} == set(subcommands)
     src = os.path.dirname(os.path.dirname(lanenas.__file__))
     for argv in commands:
-        proc = subprocess.run([sys.executable, "-W", "error", "-m", "lanenas", *argv[1:]],
+        proc = subprocess.run([sys.executable, "-X", "warn_default_encoding", "-W", "error",
+                               "-m", "lanenas", *argv[1:]],
                               cwd=tmp_path, env={**os.environ, "PYTHONPATH": src},
                               capture_output=True, text=True)
         assert proc.returncode == 0, (argv, proc.stderr[-2000:])
